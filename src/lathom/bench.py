@@ -11,7 +11,6 @@ reference for convergence studies.
 import dataclasses
 import itertools
 import math
-import os
 
 import numpy as np
 
@@ -25,8 +24,8 @@ from .errors import (
 from .green import strain_basis
 from .lattice import as_pattern_matrix, pattern_points
 from .pattern_fft import smith_normal_form
-from .solver import effective_action
-from .tensor import isotropic_stiffness, to_mandel_operator
+from .solver import _write_atomic, effective_action
+from .tensor import as_mandel_stiffness, isotropic_stiffness
 
 __all__ = [
     "DEFAULT_MATRIX_MATERIAL",
@@ -49,15 +48,6 @@ __all__ = [
 DEFAULT_MATRIX_MATERIAL = (5.0, 0.3)
 
 _PHASE_NAMES = ("core", "coating", "matrix")
-
-
-def _as_mandel(c):
-    c = np.asarray(c, dtype=float)
-    if c.ndim == 4:
-        return to_mandel_operator(c)
-    if c.ndim == 2 and c.shape[0] == c.shape[1]:
-        return c
-    raise ShapeMismatch(f"stiffness must be (n_s, n_s) or rank 4, got {c.shape}")
 
 
 def _check_elastic_pair(name, pair):
@@ -117,7 +107,7 @@ class HashinGeometry:
         _check_elastic_pair("coating", self.coating_material)
         if self.matrix_material is None:
             self.matrix_material = isotropic_stiffness(*DEFAULT_MATRIX_MATERIAL)
-        self.matrix_material = _as_mandel(self.matrix_material)
+        self.matrix_material = as_mandel_stiffness(self.matrix_material)
         if self.matrix_material.shape != (3, 3):
             raise InvalidGeometry(
                 f"matrix stiffness must be 3x3 in Mandel form, got {self.matrix_material.shape}"
@@ -171,8 +161,8 @@ class LaminateGeometry:
     volume_fraction: float = 0.5
 
     def __post_init__(self):
-        self.material_1 = _as_mandel(self.material_1)
-        self.material_2 = _as_mandel(self.material_2)
+        self.material_1 = as_mandel_stiffness(self.material_1)
+        self.material_2 = as_mandel_stiffness(self.material_2)
         if self.material_1.shape != self.material_2.shape:
             raise InvalidGeometry(
                 f"phase stiffness shapes differ: {self.material_1.shape} "
@@ -359,14 +349,6 @@ def nearest_point_grid(m_mat, shape=None):
         best = np.argmin(np.einsum("nkd,nkd->nk", delta, delta), axis=1)
         out[r] = pat.index(np.take_along_axis(zc, best[:, None, None], axis=1)[:, 0, :])
     return out
-
-
-def _write_atomic(path, data):
-    """Write bytes to path via a temporary sibling and an atomic rename."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
 
 
 def _check_phases(m_mat, phases):

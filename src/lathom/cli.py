@@ -2,27 +2,32 @@
 
 A run manifest is a small sectioned text file (documented in the README)
 naming a pattern matrix, a kernel, a geometry, a loading and output
-options.  Subcommands: `solve` runs one cell problem and writes a report,
-strain CSV and optional raster images; `sweep` solves a grid of kernel
-parameters and tabulates error metrics against a refined reference;
-`effective` assembles the homogenised stiffness; `selftest` runs
-randomized smoke checks of the transform and Green machinery.
+options.  `_SCHEMA` declares every section and key once, with its parser,
+default and constraint; `parse_manifest` checks a manifest against it and
+fills the `RunManifest` fields.  Subcommands: `solve` runs one cell
+problem and writes a report, strain CSV and optional raster images;
+`sweep` solves a grid of kernel parameters and tabulates error metrics
+against a refined reference; `effective` assembles the homogenised
+stiffness; `selftest` runs randomized smoke checks of the transform and
+Green machinery.
 
 All CSV output uses fixed orderings and 17 significant digits, and files
 are written atomically, so identical manifests give byte-identical
-tables.  Exit codes: 0 success, 2 invalid input, 3 non-convergence.
+tables.  Exit codes: 0 success, 2 invalid or unreadable input (including
+non-finite numbers), 3 non-convergence.
 """
 
 import argparse
 import dataclasses
 import itertools
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .bench import (
+    DEFAULT_MATRIX_MATERIAL,
     HashinGeometry,
     LaminateGeometry,
     error_metrics,
@@ -51,6 +56,7 @@ from .kernels import (
 from .lattice import as_pattern_matrix
 from .pattern_fft import pattern_dft, pattern_fft
 from .solver import (
+    _write_atomic,
     basic_scheme,
     default_reference,
     effective_action,
@@ -58,7 +64,7 @@ from .solver import (
     report_summary,
     write_strain_csv,
 )
-from .tensor import identity_vector, isotropic_stiffness
+from .tensor import isotropic_stiffness, lame_stiffness
 
 __all__ = [
     "RunManifest",
@@ -69,22 +75,16 @@ __all__ = [
     "main",
 ]
 
-_KERNEL_KINDS = ("dirichlet", "dlvp", "box")
-_GEOMETRY_TYPES = ("laminate", "hashin", "homogeneous")
-_HEATMAP_FIELDS = ("none", "eps11", "e_log")
-_METRIC_MODES = ("mean_total", "summed_action")
-_COLORMAPS = ("gray", "coolwarm")
 
-
-@dataclasses.dataclass(eq=False)
+@dataclasses.dataclass(eq=False, kw_only=True)
 class RunManifest:
-    """Validated run description with all defaults filled in."""
+    """Validated run description; a key the manifest omits keeps its default."""
 
     matrix: np.ndarray
     kernel_kind: str
-    alpha: tuple
-    directions: tuple
-    radius: int
+    alpha: tuple = None
+    directions: tuple = (2, 2, 0)
+    radius: int = 16
     geometry_type: str
     geometry: object
     eps0: np.ndarray
@@ -125,61 +125,85 @@ class RunManifest:
 
 
 def _read_sections(path):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except FileNotFoundError:
+        raise ValidationError(f"manifest not found: {path}") from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read manifest {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"manifest {path} is not UTF-8 text: {exc.reason}") from None
     sections = {}
     current = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith(";"):
-                continue
-            if line.startswith("["):
-                if not line.endswith("]"):
-                    raise ParseError("unterminated section header", lineno)
-                name = line[1:-1].strip()
-                if not name:
-                    raise ParseError("empty section name", lineno)
-                if name in sections:
-                    raise ParseError(f"duplicate section [{name}]", lineno)
-                current = {}
-                sections[name] = (lineno, current)
-            elif "=" in line:
-                if current is None:
-                    raise ParseError("key outside any [section]", lineno)
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if not key:
-                    raise ParseError("missing key before '='", lineno)
-                if key in current:
-                    raise ParseError(f"duplicate key '{key}'", lineno)
-                current[key] = (value.strip(), lineno)
-            else:
-                raise ParseError("expected 'key = value' or '[section]'", lineno)
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#") or line.startswith(";"):
+            continue
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise ParseError("unterminated section header", lineno)
+            name = line[1:-1].strip()
+            if not name:
+                raise ParseError("empty section name", lineno)
+            if name in sections:
+                raise ParseError(f"duplicate section [{name}]", lineno)
+            current = {}
+            sections[name] = (lineno, current)
+        elif "=" in line:
+            if current is None:
+                raise ParseError("key outside any [section]", lineno)
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if not key:
+                raise ParseError("missing key before '='", lineno)
+            if key in current:
+                raise ParseError(f"duplicate key '{key}'", lineno)
+            current[key] = (value.strip(), lineno)
+        else:
+            raise ParseError("expected 'key = value' or '[section]'", lineno)
     return sections
 
 
-def _floats(raw, line, count=None, label=""):
-    try:
-        vals = tuple(float(tok) for tok in raw.split())
-    except ValueError:
-        raise ValidationError(f"{label}: expected numbers, got {raw!r}", line)
-    if count is not None and len(vals) != count:
-        raise ValidationError(f"{label}: expected {count} values, got {len(vals)}", line)
-    if not vals:
-        raise ValidationError(f"{label}: no values given", line)
-    return vals
+# value parsers: (raw text, line, label) -> value, raising ValidationError
 
 
-def _ints(raw, line, count=None, label=""):
-    try:
-        vals = tuple(int(tok) for tok in raw.split())
-    except ValueError:
-        raise ValidationError(f"{label}: expected integers, got {raw!r}", line)
-    if count is not None and len(vals) != count:
-        raise ValidationError(f"{label}: expected {count} values, got {len(vals)}", line)
-    return vals
+def _numbers(kind, count=1):
+    """Parser for `count` finite numbers of type `kind`.
+
+    It returns a scalar if count is 1, else a tuple, of any nonzero length
+    if count is None.
+    """
+    noun = "numbers" if kind is float else "integers"
+
+    def parse(raw, line, label):
+        try:
+            vals = tuple(kind(tok) for tok in raw.split())
+        except ValueError:
+            raise ValidationError(f"{label}: expected {noun}, got {raw!r}", line)
+        if count is not None and len(vals) != count:
+            raise ValidationError(f"{label}: expected {count} values, got {len(vals)}", line)
+        if not vals:
+            raise ValidationError(f"{label}: no values given", line)
+        if kind is float and not all(map(math.isfinite, vals)):
+            raise ValidationError(f"{label}: expected finite numbers, got {raw!r}", line)
+        return vals[0] if count == 1 else vals
+
+    return parse
 
 
-def _bool(raw, line, label=""):
+def _choice(*options):
+    def parse(raw, line, label):
+        if raw not in options:
+            raise ValidationError(
+                f"{label}: expected one of {', '.join(options)}, got {raw!r}", line
+            )
+        return raw
+
+    return parse
+
+
+def _bool(raw, line, label):
     lowered = raw.lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
@@ -188,17 +212,8 @@ def _bool(raw, line, label=""):
     raise ValidationError(f"{label}: expected a boolean, got {raw!r}", line)
 
 
-def _choice(raw, line, options, label=""):
-    if raw not in options:
-        raise ValidationError(
-            f"{label}: expected one of {', '.join(options)}, got {raw!r}", line
-        )
-    return raw
-
-
-def _matrix(raw, line, label=""):
-    vals = _ints(raw, line, count=4, label=label)
-    mat = np.array(vals, dtype=np.int64).reshape(2, 2)
+def _matrix(raw, line, label):
+    mat = np.array(_numbers(int, 4)(raw, line, label), dtype=np.int64).reshape(2, 2)
     try:
         as_pattern_matrix(mat)
     except LathomError as exc:
@@ -206,257 +221,190 @@ def _matrix(raw, line, label=""):
     return mat
 
 
-class _Section:
-    """One manifest section with tracked key consumption."""
-
-    def __init__(self, name, line, entries):
-        self.name = name
-        self.line = line
-        self.entries = dict(entries)
-
-    def take(self, key):
-        return self.entries.pop(key, None)
-
-    def require(self, key):
-        item = self.take(key)
-        if item is None:
-            raise ValidationError(f"{self.name}.{key} is required", self.line)
-        return item
-
-    def finish(self):
-        for key, (_, line) in self.entries.items():
-            raise ValidationError(f"unknown key '{key}' in [{self.name}]", line)
+def _alphas(raw, line, label):
+    values = _numbers(float, None)(raw, line, label)
+    for a in values:
+        if not 0.0 <= a <= 0.5:
+            raise ValidationError(f"sweep alpha value {a} outside [0, 1/2]", line)
+    return values
 
 
-def _pair_required(section, suffix):
-    young = _floats(
-        *section.require(f"young_{suffix}"), count=1, label=f"geometry.young_{suffix}"
-    )[0]
-    poisson = _floats(
-        *section.require(f"poisson_{suffix}"), count=1, label=f"geometry.poisson_{suffix}"
-    )[0]
-    return young, poisson
+_real = _numbers(float)
+_REQUIRED = object()
+
+
+@dataclasses.dataclass(frozen=True)
+class _Key:
+    """One manifest key: parser, default, constraint and target field.
+
+    `field` names the target, the key itself when None.  An absent key
+    with `default=None` is left out, so the target's own default applies.
+    `check` is (predicate, message) for a given value.  Two keys with the
+    same `pair` fill one (first, second) tuple field in declaration order.
+    `only=(field, value)` limits the key to runs whose already parsed
+    `field` has that value.
+    """
+
+    parse: object
+    default: object = None
+    field: str = None
+    check: tuple = None
+    pair: str = None
+    only: tuple = None
+
+
+def _laminate(normal, volume_fraction, material_1, material_2):
+    return LaminateGeometry(
+        isotropic_stiffness(*material_1),
+        isotropic_stiffness(*material_2),
+        normal=normal,
+        volume_fraction=volume_fraction,
+    )
+
+
+def _hashin(matrix_material, **given):
+    return HashinGeometry(matrix_material=isotropic_stiffness(*matrix_material), **given)
+
+
+_HASHIN = {f.name: f.default for f in dataclasses.fields(HashinGeometry)}
+
+# geometry.type -> (constructor, its keys); other types' keys are unknown
+_GEOMETRIES = {
+    "laminate": (_laminate, {
+        "normal": _Key(_numbers(int, 2), _REQUIRED),
+        "volume_fraction": _Key(_real, _REQUIRED),
+        "young_1": _Key(_real, _REQUIRED, pair="material_1"),
+        "poisson_1": _Key(_real, _REQUIRED, pair="material_1"),
+        "young_2": _Key(_real, _REQUIRED, pair="material_2"),
+        "poisson_2": _Key(_real, _REQUIRED, pair="material_2"),
+    }),
+    "hashin": (_hashin, {
+        "c1": _Key(_real),
+        "c2": _Key(_real),
+        "rho_outer": _Key(_real),
+        "rotation_degrees": _Key(_real),
+        "core_young": _Key(_real, _HASHIN["core_material"][0], pair="core_material"),
+        "core_poisson": _Key(_real, _HASHIN["core_material"][1], pair="core_material"),
+        "coating_young": _Key(_real, _HASHIN["coating_material"][0], pair="coating_material"),
+        "coating_poisson": _Key(_real, _HASHIN["coating_material"][1], pair="coating_material"),
+        "matrix_young": _Key(_real, DEFAULT_MATRIX_MATERIAL[0], pair="matrix_material"),
+        "matrix_poisson": _Key(_real, DEFAULT_MATRIX_MATERIAL[1], pair="matrix_material"),
+    }),
+    "homogeneous": (lambda material: material, {
+        "young": _Key(_real, _REQUIRED, pair="material"),
+        "poisson": _Key(_real, _REQUIRED, pair="material"),
+    }),
+}
+
+# section -> key -> how it fills a RunManifest field; [sweep] is read only
+# when present, and geometry.type adds the keys of its _GEOMETRIES entry
+_SCHEMA = {
+    "pattern": {"matrix": _Key(_matrix, _REQUIRED)},
+    "kernel": {
+        "kind": _Key(_choice("dirichlet", "dlvp", "box"), _REQUIRED, "kernel_kind"),
+        "alpha": _Key(_numbers(float, 2), _REQUIRED, only=("kernel_kind", "dlvp")),
+        "directions": _Key(_numbers(int, 3), only=("kernel_kind", "box")),
+        "radius": _Key(_numbers(int), only=("kernel_kind", "box")),
+    },
+    "geometry": {"type": _Key(_choice(*_GEOMETRIES), _REQUIRED, "geometry_type")},
+    "load": {"eps0": _Key(lambda *a: np.array(_numbers(float, 3)(*a)), _REQUIRED)},
+    "solve": {
+        "tolerance": _Key(_real, check=(lambda v: v > 0.0, "must be positive")),
+        "max_iter": _Key(_numbers(int), check=(lambda v: v >= 1, "must be at least 1")),
+        "reference_lambda": _Key(_real, pair="reference"),
+        "reference_mu": _Key(_real, pair="reference"),
+        "reference_matrix": _Key(_matrix),
+        "metric_mode": _Key(_choice("mean_total", "summed_action")),
+    },
+    "output": {
+        "directory": _Key(lambda raw, *_: raw, None, "output_dir", (bool, "must not be empty")),
+        "strain_csv": _Key(_bool),
+        "heatmap": _Key(_choice("none", "eps11", "e_log")),
+        "heatmap_shape": _Key(_numbers(int, 2), check=(lambda v: min(v) >= 1, "must be positive")),
+        "colormap": _Key(_choice("gray", "coolwarm")),
+        "phase_map": _Key(_bool),
+    },
+    "sweep": {
+        "alpha1": _Key(_alphas, _REQUIRED, "sweep_alpha1"),
+        "alpha2": _Key(_alphas, (0.0,), "sweep_alpha2"),
+    },
+}
+
+
+def _take(section, line, entries, keys, out):
+    """Pop `keys` from one section's entries and store their values in `out`.
+
+    `line` is the section header's line (None for an absent section); keys
+    left in `entries` afterwards are unknown.
+    """
+    pairs = {}
+    for key, spec in keys.items():
+        label = f"{section}.{key}"
+        item = entries.pop(key, None)
+        if spec.only and out.get(spec.only[0]) != spec.only[1]:
+            if item is not None:
+                raise ValidationError(f"{label} only applies to {spec.only[1]}", item[1])
+            continue
+        if item is not None:
+            value = spec.parse(item[0], item[1], label)
+            if spec.check and not spec.check[0](value):
+                raise ValidationError(f"{label} {spec.check[1]}", item[1])
+        elif spec.default is _REQUIRED:
+            only = f" for {spec.only[1]}" if spec.only else ""
+            raise ValidationError(f"{label} is required{only}", line)
+        elif spec.default is None:
+            continue
+        else:
+            value = spec.default
+        if spec.pair:
+            pairs.setdefault(spec.pair, []).append((key, value, item))
+        else:
+            out[spec.field or key] = value
+    for field, parts in pairs.items():
+        if len(parts) == 1:
+            names = " and ".join(k for k, s in keys.items() if s.pair == field)
+            raise ValidationError(f"{names} must be given together", parts[0][2][1])
+        out[field] = tuple(value for _, value, _ in parts)
+
+
+def _validated(line, build, **kwargs):
+    """build(**kwargs), reporting a library error as invalid input at `line`."""
+    try:
+        return build(**kwargs)
+    except (ParseError, ValidationError):
+        raise
+    except LathomError as exc:
+        raise ValidationError(str(exc), line)
 
 
 def parse_manifest(path):
-    """Read and validate a run manifest; defaults filled, unknown keys rejected."""
-    if not os.path.exists(path):
-        raise ValidationError(f"manifest not found: {path}")
-    raw = _read_sections(path)
-    known = ("pattern", "kernel", "geometry", "load", "solve", "output", "sweep")
-    for name, (line, _) in raw.items():
-        if name not in known:
+    """Read and validate a run manifest against `_SCHEMA`.
+
+    Raises ParseError on malformed text and ValidationError on a missing,
+    unknown or invalid section or key, both with the offending line.
+    """
+    sections = _read_sections(path)
+    for name, (line, _) in sections.items():
+        if name not in _SCHEMA:
             raise ValidationError(f"unknown section [{name}]", line)
-    sections = {
-        name: _Section(name, line, entries) for name, (line, entries) in raw.items()
-    }
-
-    def get(name):
-        return sections.get(name) or _Section(name, None, {})
-
-    pattern = get("pattern")
-    matrix = _matrix(*pattern.require("matrix"), label="pattern.matrix")
-    pattern.finish()
-
-    kernel = get("kernel")
-    kind = _choice(*kernel.require("kind"), _KERNEL_KINDS, label="kernel.kind")
-    alpha_item = kernel.take("alpha")
-    directions_item = kernel.take("directions")
-    radius_item = kernel.take("radius")
-    kernel.finish()
-    alpha = None
-    directions = (2, 2, 0)
-    radius = 16
-    if kind == "dlvp":
-        if alpha_item is None:
-            raise ValidationError("kernel.alpha is required for dlvp", kernel.line)
-        alpha = _floats(*alpha_item, count=2, label="kernel.alpha")
-    elif alpha_item is not None:
-        raise ValidationError("kernel.alpha only applies to dlvp", alpha_item[1])
-    if kind == "box":
-        if directions_item is not None:
-            directions = _ints(*directions_item, count=3, label="kernel.directions")
-        if radius_item is not None:
-            radius = _ints(*radius_item, count=1, label="kernel.radius")[0]
-    else:
-        for item, name in ((directions_item, "directions"), (radius_item, "radius")):
-            if item is not None:
-                raise ValidationError(f"kernel.{name} only applies to box", item[1])
-
-    geometry_section = get("geometry")
-    gtype = _choice(
-        *geometry_section.require("type"), _GEOMETRY_TYPES, label="geometry.type"
-    )
-    try:
-        if gtype == "laminate":
-            normal = _ints(
-                *geometry_section.require("normal"), count=2, label="geometry.normal"
-            )
-            fraction = _floats(
-                *geometry_section.require("volume_fraction"),
-                count=1,
-                label="geometry.volume_fraction",
-            )[0]
-            geometry = LaminateGeometry(
-                isotropic_stiffness(*_pair_required(geometry_section, "1")),
-                isotropic_stiffness(*_pair_required(geometry_section, "2")),
-                normal=normal,
-                volume_fraction=fraction,
-            )
-        elif gtype == "hashin":
-            def scalar(key, default):
-                item = geometry_section.take(key)
-                if item is None:
-                    return default
-                return _floats(*item, count=1, label=f"geometry.{key}")[0]
-
-            geometry = HashinGeometry(
-                c1=scalar("c1", 0.05),
-                c2=scalar("c2", 0.35),
-                rho_outer=scalar("rho_outer", 0.09),
-                rotation_degrees=scalar("rotation_degrees", 60.0),
-                core_material=(scalar("core_young", 1.0), scalar("core_poisson", 0.3)),
-                coating_material=(
-                    scalar("coating_young", 10.0),
-                    scalar("coating_poisson", 0.3),
-                ),
-                matrix_material=isotropic_stiffness(
-                    scalar("matrix_young", 5.0), scalar("matrix_poisson", 0.3)
-                ),
-            )
-        else:
-            geometry = (
-                _floats(*geometry_section.require("young"), count=1, label="geometry.young")[0],
-                _floats(
-                    *geometry_section.require("poisson"), count=1, label="geometry.poisson"
-                )[0],
-            )
-    except LathomError as exc:
-        if isinstance(exc, (ParseError, ValidationError)):
-            raise
-        raise ValidationError(str(exc), geometry_section.line)
-    geometry_section.finish()
-
-    load = get("load")
-    eps0 = np.array(_floats(*load.require("eps0"), count=3, label="load.eps0"))
-    load.finish()
-
-    solve = get("solve")
-    tolerance = 1e-10
-    item = solve.take("tolerance")
-    if item is not None:
-        tolerance = _floats(*item, count=1, label="solve.tolerance")[0]
-        if not tolerance > 0.0:
-            raise ValidationError("solve.tolerance must be positive", item[1])
-    max_iter = 5000
-    item = solve.take("max_iter")
-    if item is not None:
-        max_iter = _ints(*item, count=1, label="solve.max_iter")[0]
-        if max_iter < 1:
-            raise ValidationError("solve.max_iter must be at least 1", item[1])
-    lam_item = solve.take("reference_lambda")
-    mu_item = solve.take("reference_mu")
-    reference = None
-    if (lam_item is None) != (mu_item is None):
-        raise ValidationError(
-            "reference_lambda and reference_mu must be given together",
-            (lam_item or mu_item)[1],
-        )
-    if lam_item is not None:
-        reference = (
-            _floats(*lam_item, count=1, label="solve.reference_lambda")[0],
-            _floats(*mu_item, count=1, label="solve.reference_mu")[0],
-        )
-    reference_matrix = None
-    item = solve.take("reference_matrix")
-    if item is not None:
-        reference_matrix = _matrix(*item, label="solve.reference_matrix")
-    metric_mode = "mean_total"
-    item = solve.take("metric_mode")
-    if item is not None:
-        metric_mode = _choice(*item, _METRIC_MODES, label="solve.metric_mode")
-    solve.finish()
-
-    output = get("output")
-    output_dir = "out"
-    item = output.take("directory")
-    if item is not None:
-        output_dir = item[0]
-        if not output_dir:
-            raise ValidationError("output.directory must not be empty", item[1])
-    strain_csv = True
-    item = output.take("strain_csv")
-    if item is not None:
-        strain_csv = _bool(*item, label="output.strain_csv")
-    heatmap = "none"
-    item = output.take("heatmap")
-    if item is not None:
-        heatmap = _choice(*item, _HEATMAP_FIELDS, label="output.heatmap")
-    heatmap_shape = None
-    item = output.take("heatmap_shape")
-    if item is not None:
-        heatmap_shape = _ints(*item, count=2, label="output.heatmap_shape")
-        if min(heatmap_shape) < 1:
-            raise ValidationError("output.heatmap_shape must be positive", item[1])
-    colormap = "gray"
-    item = output.take("colormap")
-    if item is not None:
-        colormap = _choice(*item, _COLORMAPS, label="output.colormap")
-    phase_map = False
-    item = output.take("phase_map")
-    if item is not None:
-        phase_map = _bool(*item, label="output.phase_map")
-    output.finish()
-
-    sweep_alpha1 = sweep_alpha2 = None
-    if "sweep" in sections:
-        sweep = sections["sweep"]
-        a1_item = sweep.require("alpha1")
-        sweep_alpha1 = _floats(*a1_item, label="sweep.alpha1")
-        a2_item = sweep.take("alpha2")
-        sweep_alpha2 = (
-            _floats(*a2_item, label="sweep.alpha2") if a2_item is not None else (0.0,)
-        )
-        sweep.finish()
-        for values, item in ((sweep_alpha1, a1_item), (sweep_alpha2, a2_item or a1_item)):
-            for a in values:
-                if not 0.0 <= a <= 0.5:
-                    raise ValidationError(
-                        f"sweep alpha value {a} outside [0, 1/2]", item[1]
-                    )
-
-    manifest = RunManifest(
-        matrix=matrix,
-        kernel_kind=kind,
-        alpha=alpha,
-        directions=directions,
-        radius=radius,
-        geometry_type=gtype,
-        geometry=geometry,
-        eps0=eps0,
-        tolerance=tolerance,
-        max_iter=max_iter,
-        reference=reference,
-        reference_matrix=reference_matrix,
-        metric_mode=metric_mode,
-        output_dir=output_dir,
-        strain_csv=strain_csv,
-        heatmap=heatmap,
-        heatmap_shape=heatmap_shape,
-        colormap=colormap,
-        phase_map=phase_map,
-        sweep_alpha1=sweep_alpha1,
-        sweep_alpha2=sweep_alpha2,
-    )
+    fields = {}
+    for name, keys in _SCHEMA.items():
+        if name == "sweep" and name not in sections:
+            continue
+        line, entries = sections.get(name, (None, {}))
+        _take(name, line, entries, keys, fields)
+        if name == "geometry":
+            build, variant = _GEOMETRIES[fields["geometry_type"]]
+            given = {}
+            _take(name, line, entries, variant, given)
+            fields["geometry"] = _validated(line, build, **given)
+        for key, (_, at) in entries.items():
+            raise ValidationError(f"unknown key '{key}' in [{name}]", at)
+    manifest = RunManifest(**fields)
     # constructing kernel specs validates the kernel block early
-    try:
-        manifest.kernel_spec()
-        for pair_ in manifest.sweep_pairs or ():
-            manifest.kernel_spec(alpha=pair_)
-    except LathomError as exc:
-        if isinstance(exc, (ParseError, ValidationError)):
-            raise
-        raise ValidationError(str(exc), get("kernel").line)
+    kernel_line = sections.get("kernel", (None,))[0]
+    for alpha in [None] + (manifest.sweep_pairs or []):
+        _validated(kernel_line, manifest.kernel_spec, alpha=alpha)
     return manifest
 
 
@@ -479,9 +427,7 @@ def _build_field_on(m_mat, manifest):
 
 def _reference_stiffness(manifest, c):
     if manifest.reference is not None:
-        lam, mu = manifest.reference
-        iv = identity_vector(2)
-        return lam * np.outer(iv, iv) + 2.0 * mu * np.eye(3)
+        return lame_stiffness(*manifest.reference)
     return default_reference(c)
 
 
@@ -506,15 +452,9 @@ def _reference_data(manifest, c_coarse):
     if ref_mat is None:
         ref_mat = 2 * manifest.matrix
     c_ref, _ = _build_field_on(ref_mat, manifest)
-    c0_ref = _reference_stiffness(manifest, c_ref)
     table = _green_table(manifest, KernelSpec.dirichlet(ref_mat), c_ref)
     report = basic_scheme(
-        c_ref,
-        c0_ref,
-        manifest.eps0,
-        table,
-        tol=manifest.tolerance,
-        max_iter=manifest.max_iter,
+        c_ref, table.c0, manifest.eps0, table, tol=manifest.tolerance, max_iter=manifest.max_iter
     )
     ref_field = restrict_field(report.strain, ref_mat, manifest.matrix)
     if manifest.metric_mode == "summed_action":
@@ -525,19 +465,6 @@ def _reference_data(manifest, c_coarse):
 
 
 # output helpers
-
-
-def _write_atomic(path, data):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
-
-
-def _write_strain(path, m_mat, strain):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    write_strain_csv(tmp, m_mat, strain)
-    os.replace(tmp, path)
 
 
 def _colormap_lut(name):
@@ -587,30 +514,29 @@ def _heatmap_field(manifest, report, e_log):
     return np.real(report.strain[:, 0] + manifest.eps0[0])
 
 
+def _solve_kept(manifest, c, table):
+    """Basic Scheme under the manifest's stopping rule; when the budget runs
+    out the partial report (converged false) is returned, not raised."""
+    try:
+        return basic_scheme(
+            c, table.c0, manifest.eps0, table, tol=manifest.tolerance, max_iter=manifest.max_iter
+        )
+    except NotConverged as exc:
+        return exc.report
+
+
 def _run_solve(manifest):
     c, phases = _build_field_on(manifest.matrix, manifest)
     spec = manifest.kernel_spec()
     table = _green_table(manifest, spec, c)
     outdir = manifest.output_dir
     os.makedirs(outdir, exist_ok=True)
-    status = 0
-    try:
-        report = basic_scheme(
-            c,
-            table.c0,
-            manifest.eps0,
-            table,
-            tol=manifest.tolerance,
-            max_iter=manifest.max_iter,
-        )
-    except NotConverged as exc:
-        report = exc.report
-        status = 3
+    report = _solve_kept(manifest, c, table)
     summary = report_summary(report)
     _write_atomic(os.path.join(outdir, "report.txt"), summary.encode("ascii"))
     sys.stdout.write(summary)
     if manifest.strain_csv:
-        _write_strain(os.path.join(outdir, "strain.csv"), manifest.matrix, report.strain)
+        write_strain_csv(os.path.join(outdir, "strain.csv"), manifest.matrix, report.strain)
     if manifest.phase_map:
         write_phase_csv(os.path.join(outdir, "phases.csv"), manifest.matrix, phases)
         write_phase_pgm(
@@ -637,53 +563,34 @@ def _run_solve(manifest):
             os.path.join(outdir, "heatmap.ppm"),
             shape=manifest.heatmap_shape,
         )
-    return status
+    return 0 if report.converged else 3
 
 
-def _run_sweep(manifest, threads=1):
+def _run_sweep(manifest):
     if manifest.sweep_alpha1 is None:
         raise ValidationError("sweep requested but the manifest has no [sweep] section")
     c, _ = _build_field_on(manifest.matrix, manifest)
     ref_field, ref_eff = _reference_data(manifest, c)
-    pairs = manifest.sweep_pairs
-
-    def solve_one(pair):
-        table = _green_table(manifest, manifest.kernel_spec(alpha=pair), c)
-        converged = 1
-        try:
-            report = basic_scheme(
-                c,
-                table.c0,
-                manifest.eps0,
-                table,
-                tol=manifest.tolerance,
-                max_iter=manifest.max_iter,
-            )
-        except NotConverged as exc:
-            report = exc.report
-            converged = 0
+    lines = ["alpha1,alpha2,iterations,converged,e_eff,e_l2"]
+    status = 0
+    for a1, a2 in manifest.sweep_pairs:
+        table = _green_table(manifest, manifest.kernel_spec(alpha=(a1, a2)), c)
+        report = _solve_kept(manifest, c, table)
         e_eff, e_l2, _ = error_metrics(
             report.strain, ref_field, c, manifest.eps0, ref_eff, manifest.metric_mode
         )
-        return converged, report.iterations, e_eff, e_l2
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve_one, pairs))
-    else:
-        results = [solve_one(pair) for pair in pairs]
-    lines = ["alpha1,alpha2,iterations,converged,e_eff,e_l2"]
-    for (a1, a2), (converged, iterations, e_eff, e_l2) in zip(pairs, results):
+        status = status if report.converged else 3
         lines.append(
-            f"{a1:.17g},{a2:.17g},{iterations},{converged},{e_eff:.17g},{e_l2:.17g}"
+            f"{a1:.17g},{a2:.17g},{report.iterations},{int(report.converged)},"
+            f"{e_eff:.17g},{e_l2:.17g}"
         )
     os.makedirs(manifest.output_dir, exist_ok=True)
     _write_atomic(
         os.path.join(manifest.output_dir, "sweep.csv"),
         ("\n".join(lines) + "\n").encode("ascii"),
     )
-    sys.stdout.write(f"sweep: {len(pairs)} runs -> sweep.csv\n")
-    return 0 if all(r[0] for r in results) else 3
+    sys.stdout.write(f"sweep: {len(lines) - 1} runs -> sweep.csv\n")
+    return status
 
 
 def _run_effective(manifest):
@@ -708,12 +615,12 @@ def _run_effective(manifest):
     return 0
 
 
-def run(manifest, command="solve", threads=1):
+def run(manifest, command="solve"):
     """Execute a manifest: solve, sweep, or effective; returns the exit code."""
     if command == "solve":
         return _run_solve(manifest)
     if command == "sweep":
-        return _run_sweep(manifest, threads=threads)
+        return _run_sweep(manifest)
     if command == "effective":
         return _run_effective(manifest)
     raise ValidationError(f"unknown command {command!r}")
@@ -837,7 +744,6 @@ def main(argv=None):
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("manifest", help="path to the run manifest")
-        p.add_argument("--threads", type=int, default=1, help="sweep worker threads")
         p.add_argument("--out", help="override the output directory")
     st = sub.add_parser("selftest", help="run randomized transform/Green smoke checks")
     st.add_argument("--seed", type=int, default=0, help="seed for the random checks")
@@ -848,10 +754,7 @@ def main(argv=None):
         manifest = parse_manifest(args.manifest)
         if args.out:
             manifest.output_dir = args.out
-        return run(manifest, command=args.command, threads=max(1, args.threads))
-    except (ParseError, ValidationError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return run(manifest, command=args.command)
     except NotConverged as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

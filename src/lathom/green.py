@@ -42,7 +42,7 @@ from .errors import (
 from .kernels import CoefficientTable
 from .lattice import generating_set
 from .pattern_fft import pattern_fft, pattern_ifft
-from .tensor import mandel_pairs, mandel_weights, n_sym, to_mandel_operator
+from .tensor import as_mandel_stiffness, mandel_pairs, mandel_weights, n_sym
 
 __all__ = [
     "GreenTable",
@@ -79,15 +79,6 @@ def strain_basis(k):
     return w
 
 
-def _as_mandel_stiffness(c0):
-    c0 = np.asarray(c0, dtype=float)
-    if c0.ndim == 4:
-        return to_mandel_operator(c0)
-    if c0.ndim == 2 and c0.shape[0] == c0.shape[1]:
-        return c0
-    raise ShapeMismatch(f"stiffness must be (n_s, n_s) or (d, d, d, d), got {c0.shape}")
-
-
 def _green_values(c0m, ks):
     """Multipliers G(k) for a batch of integer frequencies, zeros at k = 0."""
     ks = np.asarray(ks, dtype=float)
@@ -115,7 +106,7 @@ def green_multiplier(c0, k):
     Accepts the stiffness in Mandel (n_s, n_s) or full index (d, d, d, d)
     form; k is a single integer vector.  k = 0 returns the zero matrix.
     """
-    c0m = _as_mandel_stiffness(c0)
+    c0m = as_mandel_stiffness(c0)
     k = np.asarray(k, dtype=np.int64)
     return _green_values(c0m, k[None, :])[0]
 
@@ -151,7 +142,7 @@ def periodised_green_table(c0, kernel):
     pm = kernel.matrix
     if np.max(np.abs(pm.m * kernel.bracket - 1.0)) > 1e-8:
         raise KernelNotOrthonormal("bracket sums are not normalised to 1/m")
-    c0m = _as_mandel_stiffness(c0)
+    c0m = as_mandel_stiffness(c0)
     n_s = c0m.shape[0]
     if n_s != n_sym(pm.dim):
         raise ShapeMismatch(f"stiffness dimension {n_s} does not fit d = {pm.dim}")

@@ -25,6 +25,7 @@ instead of discarding imaginary parts midway.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field as dataclass_field
 
@@ -33,7 +34,13 @@ import numpy as np
 from .errors import NonElliptic, NotConverged, ShapeMismatch, ValidationError
 from .green import apply_green
 from .lattice import pattern_points
-from .tensor import isotropic_parts, n_sym, to_mandel_operator
+from .tensor import (
+    as_mandel_stiffness,
+    isotropic_parts,
+    lame_stiffness,
+    n_sym,
+    to_mandel_operator,
+)
 
 __all__ = [
     "SolveReport",
@@ -73,15 +80,6 @@ def _as_stiffness_field(c, m, n_s):
     return c
 
 
-def _as_mandel(c0, n_s):
-    c0 = np.asarray(c0, dtype=float)
-    if c0.ndim == 4:
-        c0 = to_mandel_operator(c0)
-    if c0.shape != (n_s, n_s):
-        raise ShapeMismatch(f"reference stiffness must be {(n_s, n_s)}, got {c0.shape}")
-    return c0
-
-
 def _field_norm(a):
     return float(np.linalg.norm(a))
 
@@ -102,7 +100,7 @@ def basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
     pm = table.matrix
     n_s = n_sym(pm.dim)
     c = _as_stiffness_field(c, pm.m, n_s)
-    c0 = _as_mandel(c0, n_s)
+    c0 = as_mandel_stiffness(c0, n_s)
     if not np.allclose(c0, table.c0, rtol=1e-12, atol=1e-12):
         raise ValidationError("reference stiffness differs from the table's")
     eps0 = np.asarray(eps0, dtype=float)
@@ -165,7 +163,7 @@ def residual_ls(strain, c, c0, eps0, table):
     if strain.shape != (pm.m, n_s):
         raise ShapeMismatch(f"expected {(pm.m, n_s)}, got {strain.shape}")
     c = _as_stiffness_field(c, pm.m, n_s)
-    c0 = _as_mandel(c0, n_s)
+    c0 = as_mandel_stiffness(c0, n_s)
     eps0 = np.asarray(eps0)
     tau = _stress(c - c0, strain + eps0)
     return _field_norm(strain + apply_green(table, tau))
@@ -179,7 +177,7 @@ def residual_variational(strain, c, c0, eps0, table):
     if strain.shape != (pm.m, n_s):
         raise ShapeMismatch(f"expected {(pm.m, n_s)}, got {strain.shape}")
     c = _as_stiffness_field(c, pm.m, n_s)
-    c0 = _as_mandel(c0, n_s)
+    c0 = as_mandel_stiffness(c0, n_s)
     eps0 = np.asarray(eps0)
     total = _stress(c, strain + eps0)
     projected = apply_green(table, total)
@@ -247,10 +245,7 @@ def default_reference(c):
     lams, mus = isotropic_parts(c)
     lam0 = 0.5 * (float(np.min(lams)) + float(np.max(lams)))
     mu0 = 0.5 * (float(np.min(mus)) + float(np.max(mus)))
-    d = {3: 2, 6: 3}[c.shape[-1]]
-    iv = np.zeros(c.shape[-1])
-    iv[:d] = 1.0
-    return lam0 * np.outer(iv, iv) + 2.0 * mu0 * np.eye(c.shape[-1])
+    return lame_stiffness(lam0, mu0, d={3: 2, 6: 3}[c.shape[-1]])
 
 
 def report_summary(report):
@@ -271,11 +266,20 @@ def report_summary(report):
     return "\n".join(lines) + "\n"
 
 
+def _write_atomic(path, data):
+    """Write bytes to path via a temporary sibling and an atomic rename."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+    os.replace(tmp, path)
+
+
 def write_strain_csv(path, m_mat, strain):
     """Per-point CSV: y1, y2, eps_11, eps_22, eps_12 (Mandel component).
 
     Values are printed with %.17g so rewriting the same field is
-    byte-identical.  Complex strain appends imag_11, imag_22, imag_12.
+    byte-identical, and the file is written atomically.  Complex strain
+    appends imag_11, imag_22, imag_12.
     """
     pattern = pattern_points(m_mat)
     strain = np.asarray(strain)
@@ -292,5 +296,4 @@ def write_strain_csv(path, m_mat, strain):
         if complex_field:
             cells += [f"{x:.17g}" for x in value.imag]
         rows.append(",".join(cells))
-    with open(path, "w", newline="") as handle:
-        handle.write("\n".join(rows) + "\n")
+    _write_atomic(path, ("\n".join(rows) + "\n").encode("ascii"))

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidMaterial
+from .errors import DimensionMismatch, InvalidMaterial, ShapeMismatch
 
 __all__ = [
     "n_sym",
@@ -24,7 +24,9 @@ __all__ = [
     "from_mandel",
     "to_mandel_operator",
     "from_mandel_operator",
+    "as_mandel_stiffness",
     "identity_vector",
+    "lame_stiffness",
     "isotropic_stiffness",
     "isotropic_parts",
     "lame_parameters",
@@ -118,6 +120,21 @@ def from_mandel_operator(cm):
     return out
 
 
+def as_mandel_stiffness(c, n_s=None):
+    """Stiffness as a float Mandel matrix; full rank-4 input is converted.
+
+    Raises ShapeMismatch unless the result is square, and (n_s, n_s) when
+    n_s is given.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.ndim == 4:
+        c = to_mandel_operator(c)
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or n_s not in (None, c.shape[0]):
+        expected = "(n_s, n_s)" if n_s is None else str((n_s, n_s))
+        raise ShapeMismatch(f"stiffness must be {expected} or rank 4, got {c.shape}")
+    return c
+
+
 def identity_vector(d):
     """Mandel vector of the d x d identity matrix."""
     return to_mandel(np.eye(d))
@@ -134,14 +151,18 @@ def lame_parameters(young, poisson):
     return lam, mu
 
 
-def isotropic_stiffness(young, poisson, d=2):
+def lame_stiffness(lam, mu, d=2):
     """Isotropic stiffness C_ijkl = lam d_ij d_kl + mu (d_ik d_jl + d_il d_jk).
 
     Returned as the Mandel matrix lam * i (x) i + 2 mu * Id.
     """
-    lam, mu = lame_parameters(young, poisson)
     iv = identity_vector(d)
     return lam * np.outer(iv, iv) + 2.0 * mu * np.eye(n_sym(d))
+
+
+def isotropic_stiffness(young, poisson, d=2):
+    """Isotropic Mandel stiffness from engineering constants (see lame_stiffness)."""
+    return lame_stiffness(*lame_parameters(young, poisson), d)
 
 
 def isotropic_parts(cm):
