@@ -36,7 +36,6 @@ from .green import (
 from .kernels import (
     CoefficientTable,
     KernelSpec,
-    bracket_sum,
     coefficient_table,
     interpolant_coeffs,
     orthonormalize,
@@ -53,7 +52,6 @@ from .solver import (
     effective_tensor,
     report_summary,
     residual_ls,
-    residual_variational,
 )
 from .tensor import (
     isotropic_parts,
@@ -84,7 +82,6 @@ __all__ = [
     # kernels
     "CoefficientTable",
     "KernelSpec",
-    "bracket_sum",
     "coefficient_table",
     "interpolant_coeffs",
     "orthonormalize",
@@ -104,7 +101,6 @@ __all__ = [
     "effective_tensor",
     "report_summary",
     "residual_ls",
-    "residual_variational",
     # benchmarks
     "HashinGeometry",
     "LaminateGeometry",

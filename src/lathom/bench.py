@@ -24,7 +24,7 @@ from .errors import (
 from .green import strain_basis
 from .lattice import as_pattern_matrix, pattern_points
 from .pattern_fft import smith_normal_form
-from .solver import _write_atomic, effective_action
+from .solver import _write_atomic, _write_csv, effective_action
 from .tensor import as_mandel_stiffness, isotropic_stiffness
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "rasterize_laminate",
     "laminate_phases",
     "laminate_effective_oracle",
+    "summed_action",
     "error_metrics",
     "restrict_field",
     "nearest_point_grid",
@@ -252,15 +253,20 @@ def _relative_norm(diff, ref):
     return float(num / den)
 
 
+def summed_action(c, field):
+    """Sum of C : E over the pattern (no mean, no loading)."""
+    return len(field) * effective_action(c, field, np.zeros(field.shape[1]))
+
+
 def error_metrics(solution, reference, c, eps0, ref_effective, mode="mean_total"):
     """Compare a strain field against a reference on the same pattern.
 
     Returns (e_eff, e_l2, e_log):
 
     - e_eff: relative distance of the effective (mean total) stress from
-      `ref_effective`.  mode="summed_action" instead sums C : E over the
-      pattern without mean or loading; `ref_effective` must then be
-      produced the same way.
+      `ref_effective`.  mode="summed_action" instead compares
+      summed_action(c, solution); `ref_effective` must then be produced
+      the same way.
     - e_l2: relative l2 distance of the total strain fields.
     - e_log: pointwise log(1 + |e11 - e11~|), returned as a field (m,).
     """
@@ -277,7 +283,7 @@ def error_metrics(solution, reference, c, eps0, ref_effective, mode="mean_total"
     if mode == "mean_total":
         act = effective_action(c, solution, eps0)
     elif mode == "summed_action":
-        act = len(solution) * effective_action(c, solution - eps0, eps0)
+        act = summed_action(c, solution)
     else:
         raise ValidationError(f"unknown metric mode {mode!r}")
     e_eff = _relative_norm(act - ref_effective, ref_effective)
@@ -364,12 +370,7 @@ def _check_phases(m_mat, phases):
 def write_phase_csv(path, m_mat, phases):
     """Phase codes as CSV rows y1,y2,phase in canonical pattern order."""
     pm, phases = _check_phases(m_mat, phases)
-    pat = pattern_points(pm)
-    lines = ["y1,y2,phase"]
-    for point, code in zip(pat.points, phases):
-        coords = ",".join("%.17g" % v for v in point)
-        lines.append(f"{coords},{int(code)}")
-    _write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
+    _write_csv(path, ["y1", "y2", "phase"], [pattern_points(pm).points, phases])
 
 
 def write_phase_pgm(path, m_mat, phases, shape=None):

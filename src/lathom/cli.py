@@ -14,7 +14,8 @@ Green machinery.
 All CSV output uses fixed orderings and 17 significant digits, and files
 are written atomically, so identical manifests give byte-identical
 tables.  Exit codes: 0 success, 2 invalid or unreadable input (including
-non-finite numbers), 3 non-convergence.
+non-finite numbers and a reference stiffness that is not positive
+definite), 3 non-convergence or divergence.
 """
 
 import argparse
@@ -36,10 +37,12 @@ from .bench import (
     rasterize_hashin,
     rasterize_laminate,
     restrict_field,
+    summed_action,
     write_phase_csv,
     write_phase_pgm,
 )
 from .errors import (
+    Diverged,
     LathomError,
     NotConverged,
     ParseError,
@@ -437,11 +440,6 @@ def _green_table(manifest, spec, c):
     )
 
 
-def _summed_action(c, field):
-    """Sum of C : E over the pattern (no mean, no loading)."""
-    return len(field) * effective_action(c, field, np.zeros(field.shape[1]))
-
-
 def _reference_data(manifest, c_coarse):
     """Dirichlet solve on the refining pattern, restricted to P(M).
 
@@ -458,7 +456,7 @@ def _reference_data(manifest, c_coarse):
     )
     ref_field = restrict_field(report.strain, ref_mat, manifest.matrix)
     if manifest.metric_mode == "summed_action":
-        ref_eff = _summed_action(c_coarse, ref_field)
+        ref_eff = summed_action(c_coarse, ref_field)
     else:
         ref_eff = effective_action(c_ref, report.strain, manifest.eps0)
     return ref_field, ref_eff
@@ -516,11 +514,15 @@ def _heatmap_field(manifest, report, e_log):
 
 def _solve_kept(manifest, c, table):
     """Basic Scheme under the manifest's stopping rule; when the budget runs
-    out the partial report (converged false) is returned, not raised."""
+    out or the iteration diverges the partial report (converged false) is
+    returned, not raised, and a divergence is named on stderr."""
     try:
         return basic_scheme(
             c, table.c0, manifest.eps0, table, tol=manifest.tolerance, max_iter=manifest.max_iter
         )
+    except Diverged as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return exc.report
     except NotConverged as exc:
         return exc.report
 

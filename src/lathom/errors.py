@@ -13,24 +13,20 @@ class LengthMismatch(LathomError):
     """Sequence length does not match the pattern size m."""
 
 
-class NotReduced(LathomError):
-    """Frequency vector is not a canonical congruence representative."""
-
-
 class DegenerateClass(LathomError):
     """A frequency class has vanishing bracket sum (translates dependent)."""
 
-    def __init__(self, h, message=None):
+    def __init__(self, h):
         self.h = tuple(int(x) for x in h)
-        super().__init__(message or f"degenerate frequency class {self.h}")
+        super().__init__(f"degenerate frequency class {self.h}")
 
 
 class NoInterpolant(LathomError):
     """Fundamental interpolant does not exist (a class sum vanishes)."""
 
-    def __init__(self, h, message=None):
+    def __init__(self, h):
         self.h = tuple(int(x) for x in h)
-        super().__init__(message or f"vanishing class sum at {self.h}")
+        super().__init__(f"vanishing class sum at {self.h}")
 
 
 class InvalidSpec(LathomError):
@@ -67,6 +63,13 @@ class NotConverged(LathomError):
         self.iterations = int(iterations)
         self.report = report
         super().__init__(message or f"no convergence after {self.iterations} iterations")
+
+
+class Diverged(NotConverged):
+    """Fixed-point iteration produced a non-finite residual norm.
+
+    The partial report holds the last iterate whose norms were finite.
+    """
 
 
 class NonElliptic(LathomError):

@@ -36,31 +36,28 @@ import numpy as np
 
 from .errors import (
     KernelNotOrthonormal,
+    NonElliptic,
     ShapeMismatch,
     SingularAcousticTensor,
 )
 from .kernels import CoefficientTable
 from .lattice import generating_set
 from .pattern_fft import pattern_fft, pattern_ifft
-from .tensor import as_mandel_stiffness, mandel_pairs, mandel_weights, n_sym
+from .tensor import (
+    as_mandel_stiffness,
+    ellipticity_bounds,
+    mandel_pairs,
+    mandel_weights,
+    n_sym,
+)
 
 __all__ = [
     "GreenTable",
-    "grad_sym_multiplier",
     "strain_basis",
     "green_multiplier",
     "periodised_green_table",
     "apply_green",
-    "dump_values",
-    "load_values",
 ]
-
-
-def grad_sym_multiplier(k, u):
-    """Symmetrised gradient on one Fourier mode: (i/2)(k u^T + u k^T)."""
-    k = np.asarray(k, dtype=float)
-    u = np.asarray(u)
-    return 0.5j * (np.outer(k, u) + np.outer(u, k))
 
 
 def strain_basis(k):
@@ -136,6 +133,7 @@ def periodised_green_table(c0, kernel):
 
     The kernel table must be orthonormalised so the weights m |c|^2 sum to
     one within each class; the zero class is forced to the zero matrix.
+    Raises NonElliptic unless c0 is positive definite.
     """
     if not kernel.orthonormal:
         raise KernelNotOrthonormal("periodisation needs an orthonormalised table")
@@ -146,6 +144,11 @@ def periodised_green_table(c0, kernel):
     n_s = c0m.shape[0]
     if n_s != n_sym(pm.dim):
         raise ShapeMismatch(f"stiffness dimension {n_s} does not fit d = {pm.dim}")
+    lower, _ = ellipticity_bounds(c0m)
+    if lower <= 0.0:
+        raise NonElliptic(
+            f"reference stiffness is not positive definite (lower bound {lower:.3e})"
+        )
     gen = generating_set(pm)
     values = np.zeros((pm.m, n_s, n_s))
     for j in range(len(kernel.shifts)):
@@ -180,21 +183,3 @@ def apply_green(table, field):
     if np.isrealobj(field) and table.even_table:
         return out.real
     return out
-
-
-def dump_values(table, path):
-    """Write the multiplier table as little-endian float64, class-major.
-
-    Layout: m * n_s * n_s doubles, class index slowest, then row, then
-    column of each Mandel matrix.  No header; the shape is implied by the
-    pattern matrix and dimension.
-    """
-    table.values.astype("<f8").tofile(path)
-
-
-def load_values(path, m, n_s):
-    """Read back a table dumped by dump_values."""
-    flat = np.fromfile(path, dtype="<f8")
-    if flat.size != m * n_s * n_s:
-        raise ShapeMismatch(f"file holds {flat.size} doubles, expected {m * n_s * n_s}")
-    return flat.reshape(m, n_s, n_s)

@@ -31,30 +31,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateClass, InvalidSpec, LengthMismatch, NoInterpolant, NotReduced
-from .lattice import (
-    as_pattern_matrix,
-    frac_coordinates,
-    generating_set,
-    in_symmetric_box,
-    reduce_mod,
-)
-from .pattern_fft import pattern_fft, pattern_ifft
+from .errors import DegenerateClass, InvalidSpec, LengthMismatch, NoInterpolant
+from .lattice import as_pattern_matrix, frac_coordinates, generating_set, in_symmetric_box
 
 __all__ = [
     "KernelSpec",
     "CoefficientTable",
     "three_direction_set",
-    "dlvp_window",
     "coeff",
     "shift_set",
     "coefficient_table",
-    "bracket_sum",
     "orthonormalize",
-    "discrete_coeffs",
     "interpolant_coeffs",
     "synthesize",
-    "pattern_samples",
 ]
 
 _DEGENERACY_FLOOR = 1e-14
@@ -151,25 +140,6 @@ class KernelSpec:
         return "KernelSpec(dirichlet)"
 
 
-def dlvp_window(alpha, t):
-    """Trapezoid window g_alpha at float points t (..., d).
-
-    Plateau 1 on |t_i| <= (1-a)/2, linear ramp to 0 at (1+a)/2; for a = 0
-    the indicator of the closed box with weight 1/2 exactly on the faces.
-    """
-    t = np.atleast_2d(np.asarray(t, dtype=float))
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    out = np.ones(t.shape[:-1])
-    for i, a in enumerate(alpha):
-        x = np.abs(t[..., i])
-        if a == 0.0:
-            axis = np.where(x < 0.5, 1.0, np.where(x == 0.5, 0.5, 0.0))
-        else:
-            axis = np.clip((0.5 * (1.0 + a) - x) / a, 0.0, 1.0)
-        out = out * axis
-    return out
-
-
 def _dlvp_axis_exact(alpha_i, w, n):
     """One trapezoid factor at the exact rational coordinate w/n."""
     if alpha_i == 0.0:
@@ -237,10 +207,6 @@ class CoefficientTable:
         """Signed bracket sums [c(f)]_h (plain sums, not squared)."""
         return self.coeffs.sum(axis=1)
 
-    def shifted_freqs(self, j):
-        """Integer frequencies h + M^T z_j for shift slot j."""
-        return self.freqs + self.shifts[j] @ self.matrix.entries
-
 
 def coefficient_table(spec):
     """Evaluate the kernel coefficients on every class and retained shift."""
@@ -254,27 +220,6 @@ def coefficient_table(spec):
     return CoefficientTable(spec=spec, freqs=freqs, shifts=shifts, coeffs=coeffs, bracket=bracket)
 
 
-def bracket_sum(spec, h, weight=None):
-    """[weight . |c|^2]_h over the retained shifts of a single class h."""
-    pm = spec.matrix
-    h = np.asarray(h, dtype=np.int64)
-    if h.shape != (pm.dim,):
-        raise LengthMismatch(f"expected a single frequency of length {pm.dim}")
-    if not np.array_equal(reduce_mod(pm, h), h):
-        raise NotReduced(f"{h.tolist()} is not a canonical representative")
-    total = None
-    for z in shift_set(spec):
-        k = h + z @ pm.entries
-        c2 = float(coeff(spec, k)) ** 2
-        if c2 == 0.0:
-            continue
-        term = c2 if weight is None else np.asarray(weight(k)) * c2
-        total = term if total is None else total + term
-    if total is None:
-        total = 0.0 if weight is None else np.asarray(weight(h)) * 0.0
-    return total
-
-
 def orthonormalize(table):
     """Rescale per class so that m [|c|^2]_h = 1; raises on degenerate classes."""
     bad = np.nonzero(table.bracket <= _DEGENERACY_FLOOR)[0]
@@ -284,15 +229,6 @@ def orthonormalize(table):
     coeffs = table.coeffs * scale[:, None]
     bracket = np.einsum("mt,mt->m", coeffs, coeffs)
     return replace(table, coeffs=coeffs, bracket=bracket, orthonormal=True)
-
-
-def discrete_coeffs(m_mat, samples):
-    """Interpolatory coefficients c^M_h = (1/m) sum_y f(2 pi y) e^{-2 pi i h.y}."""
-    pm = as_pattern_matrix(m_mat)
-    samples = np.asarray(samples)
-    if samples.shape[0] != pm.m:
-        raise LengthMismatch(f"expected {pm.m} samples, got {samples.shape[0]}")
-    return pattern_fft(pm, samples) / math.sqrt(pm.m)
 
 
 def interpolant_coeffs(target_class_sums, table):
@@ -311,21 +247,19 @@ def interpolant_coeffs(target_class_sums, table):
     return target / sums
 
 
-def synthesize(freqs, coeffs, x, real=None):
+def synthesize(freqs, coeffs, x):
     """Evaluate sum_k c_k e^{i k.x} at points x (..., d).
 
-    Periodic in 2 pi; pattern points correspond to x = 2 pi y.  With
-    real=None the result is returned real exactly when the coefficient set
-    is conjugate-symmetric (real-valued kernels), complex otherwise.
+    Periodic in 2 pi; pattern points correspond to x = 2 pi y.  The result
+    is returned real exactly when the coefficient set is conjugate-symmetric
+    (real-valued kernels), complex otherwise.
     """
     freqs = np.asarray(freqs)
     coeffs = np.asarray(coeffs)
     x = np.asarray(x, dtype=float)
     phases = np.tensordot(x, freqs, axes=([-1], [-1]))  # (..., n)
     values = np.exp(1j * phases) @ coeffs.astype(complex)
-    if real is None:
-        real = _conj_symmetric(freqs, coeffs)
-    return values.real if real else values
+    return values.real if _conj_symmetric(freqs, coeffs) else values
 
 
 def _conj_symmetric(freqs, coeffs):
@@ -337,14 +271,3 @@ def _conj_symmetric(freqs, coeffs):
         if partner is None or not np.isclose(np.conj(c), partner, atol=1e-13):
             return False
     return True
-
-
-def pattern_samples(table):
-    """Generator values f(2 pi y) on the pattern via the class sums.
-
-    Shifting k by M^T z leaves e^{2 pi i k.y} untouched on the pattern, so
-    the sample values only see the signed bracket sums.
-    """
-    pm = table.matrix
-    sums = table.class_sums().astype(complex)
-    return pattern_ifft(pm, sums) * math.sqrt(pm.m)

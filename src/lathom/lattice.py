@@ -20,7 +20,6 @@ and lets the fast transform operate by plain reshaping.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "Pattern",
     "GeneratingSet",
     "as_pattern_matrix",
-    "det_abs",
     "pattern_points",
     "generating_set",
     "reduce_mod",
@@ -121,11 +119,6 @@ def as_pattern_matrix(m_mat):
     if isinstance(m_mat, PatternMatrix):
         return m_mat
     return PatternMatrix(m_mat)
-
-
-def det_abs(m_mat):
-    """m = |det M|, exact."""
-    return as_pattern_matrix(m_mat).m
 
 
 @functools.lru_cache(maxsize=None)
@@ -272,7 +265,8 @@ def _smith_ints(mat):
 
 
 @functools.lru_cache(maxsize=None)
-def _smith_cached(pm):
+def _smith_grid(pm):
+    """(S, diag, T, S^{-1}, T^{-1}) for the canonical orderings."""
     s, diag, t = _smith_ints(pm.entries)
     if any(x == 0 for x in diag):
         raise ZeroDeterminant(f"singular pattern matrix {pm.entries.tolist()}")
@@ -289,11 +283,6 @@ def _smith_cached(pm):
     for arr in (s_arr, t_arr, d_arr, s_inv, t_inv):
         arr.setflags(write=False)
     return s_arr, d_arr, t_arr, s_inv, t_inv
-
-
-def _smith_grid(pm):
-    """(S, diag, T, S^{-1}, T^{-1}) for the canonical orderings."""
-    return _smith_cached(pm)
 
 
 def _box_enumeration(diag):
@@ -339,11 +328,6 @@ class Pattern:
         coords = np.mod(z @ self._s_inv.T, self._diag)
         return np.ravel_multi_index(tuple(np.moveaxis(coords, -1, 0)), tuple(self._diag))
 
-    @property
-    def index_of(self):
-        """Dict view {tuple(z): index} for the canonical representatives."""
-        return {tuple(map(int, row)): i for i, row in enumerate(self.z)}
-
 
 class GeneratingSet:
     """Ordered generating set G(M^T): canonical integer frequencies."""
@@ -365,10 +349,6 @@ class GeneratingSet:
         k = np.asarray(k, dtype=np.int64)
         coords = np.mod(k @ self._t_inv, self._diag)
         return np.ravel_multi_index(tuple(np.moveaxis(coords, -1, 0)), tuple(self._diag))
-
-    @property
-    def index_of(self):
-        return {tuple(map(int, row)): i for i, row in enumerate(self.freqs)}
 
 
 @functools.lru_cache(maxsize=None)

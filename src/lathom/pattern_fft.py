@@ -11,10 +11,6 @@ index i satisfy h.y = sum_l i_l j_l / d_l modulo 1, so the transform is a
 plain multidimensional FFT on the cyclic grid of shape diag(D), reached by
 reshaping.  pattern_dft is the O(m^2) reference oracle built directly from
 the exponential sum with exact rational phases.
-
-Scaling: scale="unitary" (default) carries 1/sqrt(m) forward; the translate
-coefficient convention of the kernel spaces needs the bare exponential sum
-(sqrt(m) times the unitary transform), available as scale="sum".
 """
 
 from __future__ import annotations
@@ -33,8 +29,6 @@ from .lattice import (
 )
 
 __all__ = ["SmithDecomposition", "smith_normal_form", "pattern_dft", "pattern_fft", "pattern_ifft"]
-
-_SCALES = ("unitary", "sum")
 
 
 @dataclass(frozen=True)
@@ -66,19 +60,13 @@ def _check_length(pm, a):
     return a
 
 
-def _check_scale(scale):
-    if scale not in _SCALES:
-        raise ValueError(f"scale must be one of {_SCALES}")
-
-
-def pattern_dft(m_mat, a, scale="unitary"):
+def pattern_dft(m_mat, a):
     """O(m^2) reference transform from the literal exponential sum.
 
     Phases h.y are assembled from exact integer numerators, so the oracle
     is trustworthy near cube boundaries.  Intended for m up to a few
     thousand; use pattern_fft for production work.
     """
-    _check_scale(scale)
     pm = as_pattern_matrix(m_mat)
     a = _check_length(pm, a)
     pat = pattern_points(pm)
@@ -86,14 +74,12 @@ def pattern_dft(m_mat, a, scale="unitary"):
     phase_num = gen.freqs @ pat.numerators.T  # (m, m) exact int64
     f_mat = np.exp((-2j * np.pi / pat.denominator) * phase_num)
     out = np.tensordot(f_mat, np.asarray(a, dtype=np.complex128), axes=(1, 0))
-    if scale == "unitary":
-        out /= np.sqrt(pm.m)
+    out /= np.sqrt(pm.m)
     return out
 
 
-def pattern_fft(m_mat, a, scale="unitary"):
+def pattern_fft(m_mat, a):
     """Fast forward transform; accepts trailing component axes on a."""
-    _check_scale(scale)
     pm = as_pattern_matrix(m_mat)
     a = _check_length(pm, a)
     _, diag, _, _, _ = _smith_grid(pm)
@@ -102,14 +88,12 @@ def pattern_fft(m_mat, a, scale="unitary"):
     work = np.asarray(a, dtype=np.complex128).reshape(grid + a.shape[1:])
     out = np.fft.fftn(work, axes=tuple(range(d)))
     out = out.reshape((pm.m,) + a.shape[1:])
-    if scale == "unitary":
-        out /= np.sqrt(pm.m)
+    out /= np.sqrt(pm.m)
     return out
 
 
-def pattern_ifft(m_mat, a_hat, scale="unitary"):
-    """Inverse of pattern_fft with matching scale convention."""
-    _check_scale(scale)
+def pattern_ifft(m_mat, a_hat):
+    """Inverse of pattern_fft."""
     pm = as_pattern_matrix(m_mat)
     a_hat = _check_length(pm, a_hat)
     _, diag, _, _, _ = _smith_grid(pm)
@@ -118,7 +102,5 @@ def pattern_ifft(m_mat, a_hat, scale="unitary"):
     work = np.asarray(a_hat, dtype=np.complex128).reshape(grid + a_hat.shape[1:])
     out = np.fft.ifftn(work, axes=tuple(range(d)))
     out = out.reshape((pm.m,) + a_hat.shape[1:])
-    if scale == "unitary":
-        out *= np.sqrt(pm.m)
-    # scale="sum": np.fft.ifftn already carries the 1/m of the inverse sum
+    out *= np.sqrt(pm.m)
     return out

@@ -13,7 +13,9 @@ and stops on the relative Cauchy criterion
 |E^{n+1} - E^n| / |E^{n+1} + eps0| <= tol.  With the reference stiffness
 between the pointwise ellipticity bounds this is a contraction, and the
 recorded residual history is observed to decrease monotonically (the
-report stores the fact rather than enforcing it).
+report stores the fact rather than enforcing it).  A reference that is
+too soft makes the iteration diverge; it stops at the first iteration
+whose residual norms are not finite, keeping the last finite iterate.
 
 On patterns whose Green table is not even under h -> -h (strict Dirichlet
 box with two-torsion, see green.py) the fixed point is genuinely complex;
@@ -31,22 +33,22 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import NonElliptic, NotConverged, ShapeMismatch, ValidationError
+from .errors import Diverged, NonElliptic, NotConverged, ShapeMismatch, ValidationError
 from .green import apply_green
 from .lattice import pattern_points
 from .tensor import (
+    apply,
     as_mandel_stiffness,
+    ellipticity_bounds,
     isotropic_parts,
     lame_stiffness,
     n_sym,
-    to_mandel_operator,
 )
 
 __all__ = [
     "SolveReport",
     "basic_scheme",
     "residual_ls",
-    "residual_variational",
     "effective_action",
     "effective_tensor",
     "default_reference",
@@ -71,8 +73,6 @@ class SolveReport:
 
 def _as_stiffness_field(c, m, n_s):
     c = np.asarray(c, dtype=float)
-    if c.ndim in (4, 5):  # full-index form, constant or per point
-        c = to_mandel_operator(c)
     if c.shape == (n_s, n_s):
         c = np.broadcast_to(c, (m, n_s, n_s))
     if c.shape != (m, n_s, n_s):
@@ -84,17 +84,14 @@ def _field_norm(a):
     return float(np.linalg.norm(a))
 
 
-def _stress(c, strains):
-    return np.einsum("mab,mb->ma", c, strains)
-
-
 def basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
     """Run the fixed-point iteration until the Cauchy criterion holds.
 
     c is the pointwise stiffness (m, n_s, n_s), c0 the reference the table
     was built with, eps0 the macroscopic strain as a Mandel vector.
-    Raises NonElliptic if the stiffness field is not uniformly positive
-    and NotConverged(iterations, report) when max_iter runs out.
+    Raises NonElliptic if the stiffness field is not uniformly positive,
+    Diverged(iterations, report) at the first non-finite residual norm and
+    NotConverged(iterations, report) when max_iter runs out.
     """
     start = time.perf_counter()
     pm = table.matrix
@@ -108,19 +105,24 @@ def basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
         raise ShapeMismatch(f"macroscopic strain must be ({n_s},), got {eps0.shape}")
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
-    eigs = np.linalg.eigvalsh(c)
-    if float(eigs.min()) <= 0.0:
-        raise NonElliptic(f"stiffness field has lower bound {eigs.min():.3e}")
+    lower, _ = ellipticity_bounds(c)
+    if lower <= 0.0:
+        raise NonElliptic(f"stiffness field has lower bound {lower:.3e}")
     dc = c - c0
     strain = np.zeros((pm.m, n_s))
     history = []
     converged = False
+    diverged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        tau = _stress(dc, strain + eps0)
+        tau = apply(dc, strain + eps0)
         new_strain = -apply_green(table, tau)
-        num = _field_norm(new_strain - strain)
-        den = _field_norm(new_strain + eps0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            num = _field_norm(new_strain - strain)
+            den = _field_norm(new_strain + eps0)
+        if not (math.isfinite(num) and math.isfinite(den)):
+            diverged = True  # keep the previous, finite iterate
+            break
         if num == 0.0:
             rel = 0.0
         elif den == 0.0:
@@ -142,7 +144,7 @@ def basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
         imag = _field_norm(strain.imag) / scale
     report = SolveReport(
         strain=strain,
-        iterations=iterations,
+        iterations=len(history),  # a diverging step is not kept
         residual_history=history,
         effective_action=effective_action(c, strain, eps0),
         wall_time=time.perf_counter() - start,
@@ -150,6 +152,10 @@ def basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
         monotone=monotone,
         imag_fraction=imag,
     )
+    if diverged:
+        raise Diverged(
+            iterations, report, f"diverged: non-finite residual at iteration {iterations}"
+        )
     if not converged:
         raise NotConverged(iterations, report)
     return report
@@ -165,23 +171,8 @@ def residual_ls(strain, c, c0, eps0, table):
     c = _as_stiffness_field(c, pm.m, n_s)
     c0 = as_mandel_stiffness(c0, n_s)
     eps0 = np.asarray(eps0)
-    tau = _stress(c - c0, strain + eps0)
+    tau = apply(c - c0, strain + eps0)
     return _field_norm(strain + apply_green(table, tau))
-
-
-def residual_variational(strain, c, c0, eps0, table):
-    """l2 norm of C0 Green_p C:(E + eps0), the weak-form discretisation."""
-    pm = table.matrix
-    n_s = n_sym(pm.dim)
-    strain = np.asarray(strain)
-    if strain.shape != (pm.m, n_s):
-        raise ShapeMismatch(f"expected {(pm.m, n_s)}, got {strain.shape}")
-    c = _as_stiffness_field(c, pm.m, n_s)
-    c0 = as_mandel_stiffness(c0, n_s)
-    eps0 = np.asarray(eps0)
-    total = _stress(c, strain + eps0)
-    projected = apply_green(table, total)
-    return _field_norm(projected @ c0.T)
 
 
 def _exact_mean(values):
@@ -208,7 +199,7 @@ def effective_action(c, strain, eps0):
     eps0 = np.asarray(eps0)
     if eps0.shape != (n_s,):
         raise ShapeMismatch(f"macroscopic strain must be ({n_s},), got {eps0.shape}")
-    return _exact_mean(_stress(c, strain + eps0))
+    return _exact_mean(apply(c, strain + eps0))
 
 
 def effective_tensor(c, c0, table, tol=1e-10, max_iter=5000):
@@ -266,12 +257,32 @@ def report_summary(report):
     return "\n".join(lines) + "\n"
 
 
-def _write_atomic(path, data):
-    """Write bytes to path via a temporary sibling and an atomic rename."""
+def _write_atomic(path, *chunks):
+    """Write byte chunks to path via a temporary sibling and an atomic rename."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as handle:
-        handle.write(data)
+        handle.writelines(chunks)
     os.replace(tmp, path)
+
+
+# rows per formatting template in _write_csv: bounds the temporary strings
+_CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(path, header, columns):
+    """CSV of %.17g numbers under a header line, written atomically.
+
+    The columns are stacked into one float array, and each block of rows is
+    formatted by one template: the same bytes as formatting every value on
+    its own, in less than half the time.
+    """
+    data = np.column_stack(columns)
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    blocks = [f"{','.join(header)}\n".encode("ascii")]
+    for start in range(0, len(data), _CSV_BLOCK_ROWS):
+        part = data[start : start + _CSV_BLOCK_ROWS]
+        blocks.append(((row * len(part)) % tuple(part.ravel().tolist())).encode("ascii"))
+    _write_atomic(path, *blocks)
 
 
 def write_strain_csv(path, m_mat, strain):
@@ -285,15 +296,9 @@ def write_strain_csv(path, m_mat, strain):
     strain = np.asarray(strain)
     if strain.shape[0] != len(pattern):
         raise ShapeMismatch(f"{strain.shape[0]} rows for {len(pattern)} points")
-    complex_field = np.iscomplexobj(strain) and np.max(np.abs(strain.imag)) > 0.0
     header = ["y1", "y2", "eps_11", "eps_22", "eps_12"]
-    if complex_field:
+    columns = [pattern.points, strain.real]
+    if np.iscomplexobj(strain) and np.max(np.abs(strain.imag)) > 0.0:
         header += ["imag_11", "imag_22", "imag_12"]
-    rows = [",".join(header)]
-    for point, value in zip(pattern.points, strain):
-        cells = [f"{x:.17g}" for x in point]
-        cells += [f"{x:.17g}" for x in value.real]
-        if complex_field:
-            cells += [f"{x:.17g}" for x in value.imag]
-        rows.append(",".join(cells))
-    _write_atomic(path, ("\n".join(rows) + "\n").encode("ascii"))
+        columns.append(strain.imag)
+    _write_csv(path, header, columns)

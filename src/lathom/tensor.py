@@ -21,9 +21,7 @@ __all__ = [
     "mandel_pairs",
     "mandel_weights",
     "to_mandel",
-    "from_mandel",
     "to_mandel_operator",
-    "from_mandel_operator",
     "as_mandel_stiffness",
     "identity_vector",
     "lame_stiffness",
@@ -32,7 +30,6 @@ __all__ = [
     "lame_parameters",
     "ellipticity_bounds",
     "apply",
-    "frobenius",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -75,20 +72,6 @@ def to_mandel(sym):
     return np.stack(comps, axis=-1)
 
 
-def from_mandel(vec):
-    """Inverse of to_mandel: (..., n_s) -> (..., d, d)."""
-    vec = np.asarray(vec)
-    d = _dim_from_ns(vec.shape[-1])
-    pairs = mandel_pairs(d)
-    w = mandel_weights(d)
-    out = np.zeros(vec.shape[:-1] + (d, d), dtype=vec.dtype)
-    for a, (i, j) in enumerate(pairs):
-        val = vec[..., a] / w[a]
-        out[..., i, j] = val
-        out[..., j, i] = val
-    return out
-
-
 def to_mandel_operator(c4):
     """Fourth-order tensor (..., d,d,d,d) with minor symmetries -> (..., n_s,n_s)."""
     c4 = np.asarray(c4)
@@ -100,23 +83,6 @@ def to_mandel_operator(c4):
     for a, (i, j) in enumerate(pairs):
         for b, (k, l) in enumerate(pairs):
             out[..., a, b] = w[a] * w[b] * c4[..., i, j, k, l]
-    return out
-
-
-def from_mandel_operator(cm):
-    """Inverse of to_mandel_operator."""
-    cm = np.asarray(cm)
-    d = _dim_from_ns(cm.shape[-1])
-    pairs = mandel_pairs(d)
-    w = mandel_weights(d)
-    out = np.zeros(cm.shape[:-2] + (d, d, d, d), dtype=cm.dtype)
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            val = cm[..., a, b] / (w[a] * w[b])
-            out[..., i, j, k, l] = val
-            out[..., j, i, k, l] = val
-            out[..., i, j, l, k] = val
-            out[..., j, i, l, k] = val
     return out
 
 
@@ -160,9 +126,9 @@ def lame_stiffness(lam, mu, d=2):
     return lam * np.outer(iv, iv) + 2.0 * mu * np.eye(n_sym(d))
 
 
-def isotropic_stiffness(young, poisson, d=2):
-    """Isotropic Mandel stiffness from engineering constants (see lame_stiffness)."""
-    return lame_stiffness(*lame_parameters(young, poisson), d)
+def isotropic_stiffness(young, poisson):
+    """Isotropic 2-d Mandel stiffness from engineering constants (see lame_stiffness)."""
+    return lame_stiffness(*lame_parameters(young, poisson))
 
 
 def isotropic_parts(cm):
@@ -196,12 +162,3 @@ def apply(cm, e):
     if cm.shape[-1] != e.shape[-1]:
         raise DimensionMismatch(f"operator {cm.shape} vs vector {e.shape}")
     return np.einsum("...ab,...b->...a", cm, e)
-
-
-def frobenius(a, b):
-    """Frobenius pairing of Mandel vectors (sum over all axes)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    return complex(np.sum(np.conj(a) * b)) if np.iscomplexobj(a) or np.iscomplexobj(b) else float(np.sum(a * b))

@@ -1,11 +1,23 @@
 """Independently coded references used by the test suite.
 
-Everything here is written directly from closed-form formulas, avoiding
-the library's own abstractions, so that agreement is a genuine
-cross-check and not a tautology.
+The closed-form references come first: they are written directly from the
+formulas, avoiding the library's own abstractions, so that agreement is a
+genuine cross-check and not a tautology.  The cross-checks after them
+reach a library quantity by a second route (one class at a time, through
+point samples, in full index form or in the weak form of the cell
+problem), so tests can compare the two routes.
 """
 
+import math
+
 import numpy as np
+
+from lathom.errors import LengthMismatch, ShapeMismatch
+from lathom.green import apply_green
+from lathom.kernels import coeff, shift_set
+from lathom.lattice import as_pattern_matrix, reduce_mod
+from lathom.pattern_fft import pattern_fft, pattern_ifft
+from lathom.tensor import _dim_from_ns, mandel_pairs, mandel_weights
 
 
 def isotropic_green_closed_form(lam, mu, k):
@@ -97,3 +109,118 @@ def classical_basic_scheme(c_grid, lam0, mu0, eps0, tol=1e-10, max_iter=5000):
         if num == 0.0 or (den > 0.0 and num / den <= tol):
             return strain, iterations
     raise AssertionError("classical scheme did not converge")
+
+
+# cross-checks: a second route to a library quantity
+
+
+def grad_sym_multiplier(k, u):
+    """Symmetrised gradient on one Fourier mode: (i/2)(k u^T + u k^T)."""
+    k = np.asarray(k, dtype=float)
+    u = np.asarray(u)
+    return 0.5j * (np.outer(k, u) + np.outer(u, k))
+
+
+def from_mandel(vec):
+    """Inverse of to_mandel: (..., n_s) -> (..., d, d)."""
+    vec = np.asarray(vec)
+    d = _dim_from_ns(vec.shape[-1])
+    pairs = mandel_pairs(d)
+    w = mandel_weights(d)
+    out = np.zeros(vec.shape[:-1] + (d, d), dtype=vec.dtype)
+    for a, (i, j) in enumerate(pairs):
+        val = vec[..., a] / w[a]
+        out[..., i, j] = val
+        out[..., j, i] = val
+    return out
+
+
+def from_mandel_operator(cm):
+    """Inverse of to_mandel_operator."""
+    cm = np.asarray(cm)
+    d = _dim_from_ns(cm.shape[-1])
+    pairs = mandel_pairs(d)
+    w = mandel_weights(d)
+    out = np.zeros(cm.shape[:-2] + (d, d, d, d), dtype=cm.dtype)
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
+            val = cm[..., a, b] / (w[a] * w[b])
+            out[..., i, j, k, l] = val
+            out[..., j, i, k, l] = val
+            out[..., i, j, l, k] = val
+            out[..., j, i, l, k] = val
+    return out
+
+
+def dlvp_window(alpha, t):
+    """Trapezoid window g_alpha at float points t (..., d).
+
+    Plateau 1 on |t_i| <= (1-a)/2, linear ramp to 0 at (1+a)/2; for a = 0
+    the indicator of the closed box with weight 1/2 exactly on the faces.
+    """
+    t = np.atleast_2d(np.asarray(t, dtype=float))
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    out = np.ones(t.shape[:-1])
+    for i, a in enumerate(alpha):
+        x = np.abs(t[..., i])
+        if a == 0.0:
+            axis = np.where(x < 0.5, 1.0, np.where(x == 0.5, 0.5, 0.0))
+        else:
+            axis = np.clip((0.5 * (1.0 + a) - x) / a, 0.0, 1.0)
+        out = out * axis
+    return out
+
+
+def bracket_sum(spec, h, weight=None):
+    """[weight . |c|^2]_h over the retained shifts of a single class h."""
+    pm = spec.matrix
+    h = np.asarray(h, dtype=np.int64)
+    if h.shape != (pm.dim,):
+        raise LengthMismatch(f"expected a single frequency of length {pm.dim}")
+    if not np.array_equal(reduce_mod(pm, h), h):
+        raise ValueError(f"{h.tolist()} is not a canonical representative")
+    total = None
+    for z in shift_set(spec):
+        k = h + z @ pm.entries
+        c2 = float(coeff(spec, k)) ** 2
+        if c2 == 0.0:
+            continue
+        term = c2 if weight is None else np.asarray(weight(k)) * c2
+        total = term if total is None else total + term
+    if total is None:
+        total = 0.0 if weight is None else np.asarray(weight(h)) * 0.0
+    return total
+
+
+def pattern_samples(table):
+    """Generator values f(2 pi y) on the pattern via the class sums.
+
+    Shifting k by M^T z leaves e^{2 pi i k.y} untouched on the pattern, so
+    the sample values only see the signed bracket sums.
+    """
+    pm = table.matrix
+    sums = table.class_sums().astype(complex)
+    return pattern_ifft(pm, sums) * math.sqrt(pm.m)
+
+
+def discrete_coeffs(m_mat, samples):
+    """Interpolatory coefficients c^M_h = (1/m) sum_y f(2 pi y) e^{-2 pi i h.y}.
+
+    pattern_fft rejects samples of the wrong length with LengthMismatch.
+    """
+    pm = as_pattern_matrix(m_mat)
+    return pattern_fft(pm, np.asarray(samples)) / math.sqrt(pm.m)
+
+
+def residual_variational(strain, c, c0, eps0, table):
+    """l2 norm of C0 Green_p C:(E + eps0), the weak-form discretisation.
+
+    c is a stiffness field (m, n_s, n_s) or one constant stiffness.
+    """
+    m, n_s = table.matrix.m, table.values.shape[-1]
+    strain = np.asarray(strain)
+    if strain.shape != (m, n_s):
+        raise ShapeMismatch(f"expected {(m, n_s)}, got {strain.shape}")
+    c = np.broadcast_to(np.asarray(c, dtype=float), (m, n_s, n_s))
+    total = np.einsum("mab,mb->ma", c, strain + np.asarray(eps0))
+    return float(np.linalg.norm(apply_green(table, total) @ np.asarray(c0).T))

@@ -25,7 +25,6 @@ from lathom.kernels import (
     KernelSpec,
     coeff,
     coefficient_table,
-    dlvp_window,
     orthonormalize,
     three_direction_set,
 )
@@ -37,11 +36,15 @@ from lathom.solver import (
     effective_action,
     effective_tensor,
     residual_ls,
-    residual_variational,
 )
 from lathom.tensor import ellipticity_bounds, identity_vector, isotropic_stiffness
 
-from oracles import isotropic_green_closed_form, mandel_operator_2d
+from oracles import (
+    dlvp_window,
+    isotropic_green_closed_form,
+    mandel_operator_2d,
+    residual_variational,
+)
 
 EPS0 = np.array([1.0, 0.0, 0.0])
 

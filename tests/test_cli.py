@@ -1,5 +1,7 @@
 """Manifest parsing, subcommand artifacts and the exit-code contract."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -312,6 +314,29 @@ max_iter = 4
     assert main(["solve", manifest_file(tmp_path, text), "--out", str(out)]) == 3
     # the partial report is still written
     assert "converged       false" in (out / "report.txt").read_text()
+
+
+def test_solve_exit_3_on_divergence(tmp_path, capsys):
+    # a reference far softer than both phases makes the iteration diverge;
+    # the run stops at the first non-finite norm, without numpy warnings
+    text = LAMINATE + "[solve]\nreference_lambda = 0.1\nreference_mu = 0.1\n"
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", manifest_file(tmp_path, text), "--out", str(out)]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "error: diverged" in capsys.readouterr().err
+    report = (out / "report.txt").read_text()
+    assert "converged       false" in report
+    assert int(report.split()[1]) < 200
+
+
+@pytest.mark.parametrize("lam,mu", [("-5", "1"), ("1", "-1"), ("0", "0")])
+def test_exit_2_on_reference_not_positive_definite(tmp_path, capsys, lam, mu):
+    text = LAMINATE + f"[solve]\nreference_lambda = {lam}\nreference_mu = {mu}\n"
+    assert main(["solve", manifest_file(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    assert "not positive definite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_2_on_bad_manifest(tmp_path, capsys):

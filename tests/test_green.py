@@ -5,27 +5,24 @@ import numpy as np
 import pytest
 
 from lathom.errors import KernelNotOrthonormal, ShapeMismatch, SingularAcousticTensor
-from lathom.green import (
-    apply_green,
-    dump_values,
-    grad_sym_multiplier,
-    green_multiplier,
-    load_values,
-    periodised_green_table,
-    strain_basis,
-)
+from lathom.green import apply_green, green_multiplier, periodised_green_table, strain_basis
 from lathom.kernels import KernelSpec, coefficient_table, orthonormalize, shift_set, coeff
 from lathom.lattice import generating_set
 from lathom.tensor import (
     apply as tensor_apply,
     ellipticity_bounds,
-    from_mandel_operator,
     isotropic_stiffness,
     to_mandel,
     to_mandel_operator,
 )
 
-from oracles import green_index_form, isotropic_green_closed_form, random_spd_mandel
+from oracles import (
+    from_mandel_operator,
+    grad_sym_multiplier,
+    green_index_form,
+    isotropic_green_closed_form,
+    random_spd_mandel,
+)
 
 
 def dirichlet_green(m_mat, c0m):
@@ -315,14 +312,3 @@ def test_image_lies_in_symmetrised_gradient_range():
             w = strain_basis(k).astype(complex)
             u, *_ = np.linalg.lstsq(w, target, rcond=None)
             assert np.linalg.norm(w @ u - target) <= 1e-10 * (1 + np.linalg.norm(target))
-
-
-def test_dump_and_load_roundtrip(tmp_path):
-    c0 = isotropic_stiffness(2.0, 0.3)
-    table = dlvp_green([[4, 1], [0, 4]], (0.2, 0.2), c0)
-    path = tmp_path / "table.bin"
-    dump_values(table, path)
-    back = load_values(path, table.matrix.m, 3)
-    assert np.array_equal(back, table.values)
-    with pytest.raises(ShapeMismatch):
-        load_values(path, table.matrix.m + 1, 3)

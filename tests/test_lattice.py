@@ -9,7 +9,7 @@ import pytest
 from lathom.errors import ZeroDeterminant
 from lathom.lattice import (
     PatternMatrix,
-    det_abs,
+    as_pattern_matrix,
     frac_coordinates,
     generating_set,
     in_symmetric_box,
@@ -31,10 +31,10 @@ def random_regular(rng, d, span=6, max_m=400):
 
 
 def test_det_abs_reference_values():
-    assert det_abs([[128, 0], [0, 128]]) == 16384
-    assert det_abs([[64, 64], [-64, 64]]) == 8192
-    assert det_abs(np.eye(2)) == 1
-    assert det_abs([[4, -2], [4, 14]]) == 64  # 64, despite any folklore count
+    assert as_pattern_matrix([[128, 0], [0, 128]]).m == 16384
+    assert as_pattern_matrix([[64, 64], [-64, 64]]).m == 8192
+    assert as_pattern_matrix(np.eye(2)).m == 1
+    assert as_pattern_matrix([[4, -2], [4, 14]]).m == 64  # 64, despite any folklore count
 
 
 def test_singular_matrix_rejected():
@@ -135,7 +135,7 @@ def test_reduce_mod_invariants_random():
         assert np.array_equal(reduce_mod(pm, k + z @ pm.entries), h)  # shift invariance
         assert np.all(in_symmetric_box(pm.mt, h))
         # counts agree
-        assert len(pattern_points(pm)) == len(generating_set(pm)) == det_abs(pm)
+        assert len(pattern_points(pm)) == len(generating_set(pm)) == pm.m
 
 
 def test_index_maps_are_bijections():
@@ -158,11 +158,3 @@ def test_reduce_point_and_frac_coordinates():
     w, n = frac_coordinates(pm.entries, pat.z)
     assert n == 64
     assert np.array_equal(w / n, pat.points)
-
-
-def test_index_of_dict_view():
-    pat = pattern_points([[2, 0], [0, 2]])
-    table = pat.index_of
-    assert sorted(table.values()) == [0, 1, 2, 3]
-    for z, i in table.items():
-        assert pat.index(np.array(z)) == i

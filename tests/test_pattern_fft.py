@@ -120,17 +120,13 @@ def test_real_field_roundtrip_stays_real():
     assert np.allclose(back.real, a, atol=1e-12)
 
 
-def test_batched_axes_and_sum_scale():
+def test_batched_axes():
     rng = np.random.default_rng(9)
     pm = PatternMatrix([[4, -2], [4, 14]])
     a = rng.standard_normal((pm.m, 3))
     ahat = pattern_fft(pm, a)
     for c in range(3):
         assert np.allclose(ahat[:, c], pattern_fft(pm, a[:, c]))
-    raw = pattern_fft(pm, a, scale="sum")
-    assert np.allclose(raw, np.sqrt(pm.m) * ahat)
-    assert np.allclose(pattern_ifft(pm, raw, scale="sum"), a, atol=1e-12)
-    assert np.allclose(pattern_dft(pm, a[:, 0], scale="sum"), raw[:, 0], atol=1e-10)
 
 
 def test_length_mismatch():

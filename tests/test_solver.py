@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lathom.errors import (
+    Diverged,
     NonElliptic,
     NotConverged,
     ShapeMismatch,
@@ -17,12 +18,11 @@ from lathom.solver import (
     effective_tensor,
     report_summary,
     residual_ls,
-    residual_variational,
     write_strain_csv,
 )
-from lathom.tensor import isotropic_stiffness, lame_parameters
+from lathom.tensor import isotropic_stiffness, lame_parameters, lame_stiffness
 
-from oracles import classical_basic_scheme
+from oracles import classical_basic_scheme, residual_variational
 
 
 def green_table(m_mat, c0, kind="dirichlet", alpha=None):
@@ -264,3 +264,47 @@ def test_strain_csv_roundtrip_and_determinism(tmp_path):
     assert header.endswith("imag_11,imag_22,imag_12")
     with pytest.raises(ShapeMismatch):
         write_strain_csv(tmp_path / "d.csv", mat, strain[:5])
+
+
+def reference_strain_csv(m_mat, strain):
+    """write_strain_csv's bytes from per-value f-string formatting."""
+    complex_field = np.iscomplexobj(strain) and np.max(np.abs(strain.imag)) > 0.0
+    header = ["y1", "y2", "eps_11", "eps_22", "eps_12"]
+    if complex_field:
+        header += ["imag_11", "imag_22", "imag_12"]
+    rows = [",".join(header)]
+    for point, value in zip(pattern_points(m_mat).points, strain):
+        cells = [f"{x:.17g}" for x in point]
+        cells += [f"{x:.17g}" for x in value.real]
+        if complex_field:
+            cells += [f"{x:.17g}" for x in value.imag]
+        rows.append(",".join(cells))
+    return ("\n".join(rows) + "\n").encode("ascii")
+
+
+def test_strain_csv_matches_per_value_formatting(tmp_path):
+    # m = 6400 spans two formatting blocks; signed zeros, subnormals and
+    # huge magnitudes are where number formatting goes wrong
+    mat = [[80, 3], [0, 80]]
+    rng = np.random.default_rng(4)
+    strain = rng.normal(size=(6400, 3)) * 10.0 ** rng.uniform(-20, 4, size=(6400, 3))
+    specials = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0, -1.0 / 3.0]
+    strain.flat[: len(specials)] = specials
+    strain.flat[-len(specials) :] = specials
+    for field in (strain, strain + 1j * strain[::-1]):
+        path = tmp_path / "strain.csv"
+        write_strain_csv(path, mat, field)
+        assert path.read_bytes() == reference_strain_csv(mat, field)
+
+
+def test_divergence_stops_at_first_non_finite_norm():
+    # a reference far softer than both phases makes the iteration diverge
+    mat = [[8, 0], [0, 8]]
+    c = two_phase_field(mat, isotropic_stiffness(1.0, 0.3), isotropic_stiffness(10.0, 0.3))
+    c0 = lame_stiffness(0.1, 0.1)
+    with pytest.raises(Diverged) as caught:
+        basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), green_table(mat, c0))
+    report = caught.value.report
+    assert caught.value.iterations == report.iterations + 1 < 200
+    assert len(report.residual_history) == report.iterations
+    assert not report.converged and np.all(np.isfinite(report.strain))
