@@ -1,7 +1,8 @@
 """The periodised Green operator and when it is a projection.
 
 The Green operator of a constant reference stiffness is a Fourier
-multiplier built from the acoustic tensor.  Folding it into a pattern
+multiplier, in closed form a rank-one update of the compliance C0^-1
+(homogeneous of degree 0 in the frequency).  Folding it into a pattern
 with the squared kernel coefficients gives the discrete operator of the
 translate space.  With a flat (dirichlet) spectrum the folded operator
 composed with C0 is an orthogonal projection; trapezoid weights break

@@ -41,10 +41,6 @@ class DimensionMismatch(LathomError):
     """Tensor operands have incompatible dimensions."""
 
 
-class SingularAcousticTensor(LathomError):
-    """Acoustic tensor not invertible at a nonzero frequency."""
-
-
 class KernelNotOrthonormal(LathomError):
     """Operation requires an orthonormalised coefficient table."""
 

@@ -1,14 +1,21 @@
 """Green operator of linear elasticity as a Fourier multiplier.
 
 For a homogeneous reference stiffness C0 the operator maps a polarisation
-stress to a compatible zero-mean strain, frequency by frequency.  At an
-integer frequency k != 0 the multiplier in Mandel notation is
+stress to a compatible zero-mean strain, frequency by frequency.  The
+operator is two-dimensional: strains are Mandel vectors (e11, e22,
+sqrt(2) e12) and C0 is a positive definite 3 x 3 Mandel matrix (NonElliptic
+otherwise).  At an integer frequency k != 0 the compatible strains
+sym(k (x) u) are exactly the Mandel vectors orthogonal to
 
-    G(k) = W(k) A(k)^{-1} W(k)^T,   A(k) = W(k)^T C0 W(k),
+    v(k) = (k2^2, k1^2, -sqrt(2) k1 k2),
 
-where W(k) u is the Mandel vector of sym(k (x) u); A is the acoustic
-tensor A_pq = sum_jl C0_pjql k_j k_l.  The zero frequency is mapped to
-zero, which pins the mean of the output.
+so with the compliance S = C0^{-1} the multiplier is the rank-one update
+
+    G(k) = S - (S v)(S v)^T / (v^T S v),
+
+and G(k) C0 is the C0-orthogonal projection onto the compatible strains.
+v^T S v > 0 for every k != 0, so no acoustic tensor is inverted.  The zero
+frequency is mapped to zero, which pins the mean of the output.
 
 On a kernel space the operator is periodised: each frequency class h of
 the generating set receives the convex combination
@@ -19,13 +26,15 @@ over the retained lattice shifts of an orthonormalised coefficient table
 (the weights sum to one per class).  For the Dirichlet kernel only the
 canonical representative survives, so Gp_h = G(h).
 
-The per-class matrices are real and symmetric.  Whether the whole table
-is even under h -> -h depends on the kernel: windows that are even
-functions (dlVP, box splines) give even tables, while the half-open
-Dirichlet box on patterns with two-torsion pairs some boundary classes
-with their negatives asymmetrically.  The table records this; application
-to a real field returns a real field exactly when the table is even and
-an honestly complex one otherwise.
+The per-class matrices are real and symmetric, and G(-k) = G(k).  The
+whole table is even under h -> -h when the retained frequencies of each
+class are the negatives of those of its partner: dlVP windows and box
+splines (truncated at |M^{-T} k|_inf <= radius) are even functions, so
+their tables are even; the half-open Dirichlet box on patterns with
+two-torsion pairs some boundary classes with their negatives
+asymmetrically.  The table records this; application to a real field
+returns a real field exactly when the table is even and an honestly
+complex one otherwise.
 """
 
 from __future__ import annotations
@@ -34,22 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    KernelNotOrthonormal,
-    NonElliptic,
-    ShapeMismatch,
-    SingularAcousticTensor,
-)
-from .kernels import CoefficientTable
-from .lattice import generating_set
+from .errors import KernelNotOrthonormal, NonElliptic, ShapeMismatch
+from .lattice import PatternMatrix, generating_set
 from .pattern_fft import pattern_fft, pattern_ifft
-from .tensor import (
-    as_mandel_stiffness,
-    ellipticity_bounds,
-    mandel_pairs,
-    mandel_weights,
-    n_sym,
-)
+from .tensor import as_mandel_stiffness, ellipticity_bounds, mandel_pairs, mandel_weights
 
 __all__ = [
     "GreenTable",
@@ -76,36 +73,40 @@ def strain_basis(k):
     return w
 
 
-def _green_values(c0m, ks):
-    """Multipliers G(k) for a batch of integer frequencies, zeros at k = 0."""
+def _compliance(c0m):
+    """S = C0^{-1} of a 3 x 3 Mandel reference; NonElliptic unless C0 is positive definite."""
+    lower, _ = ellipticity_bounds(c0m)
+    if not lower > 0.0:
+        raise NonElliptic(
+            f"reference stiffness is not positive definite (lower bound {lower:.3e})"
+        )
+    return np.linalg.inv(c0m)
+
+
+def _green_values(s, ks):
+    """Multipliers G(k) for a batch of 2-d integer frequencies, zeros at k = 0."""
     ks = np.asarray(ks, dtype=float)
-    w = strain_basis(ks)  # (n, n_s, d)
-    acoustic = np.einsum("nap,ab,nbq->npq", w, c0m, w)
-    nonzero = np.any(ks != 0.0, axis=-1)
-    n_s = c0m.shape[0]
-    out = np.zeros(ks.shape[:-1] + (n_s, n_s))
-    if not np.any(nonzero):
-        return out
-    try:
-        inv = np.linalg.inv(acoustic[nonzero])
-    except np.linalg.LinAlgError as exc:
-        raise SingularAcousticTensor(str(exc)) from None
-    if not np.all(np.isfinite(inv)):
-        raise SingularAcousticTensor("acoustic tensor is numerically singular")
-    wn = w[nonzero]
-    out[nonzero] = np.einsum("nap,npq,nbq->nab", wn, inv, wn)
+    k1, k2 = ks[..., 0], ks[..., 1]
+    v = np.stack([k2 * k2, k1 * k1, -np.sqrt(2.0) * k1 * k2], axis=-1)
+    u = v @ s
+    with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 at k = 0
+        u_over = u / np.einsum("...a,...a->...", v, u)[..., None]
+        out = s - u[..., :, None] * u_over[..., None, :]
+    out[~np.any(ks != 0.0, axis=-1)] = 0.0
     return out
 
 
 def green_multiplier(c0, k):
     """Mandel multiplier G(k) of the Green operator for reference stiffness c0.
 
-    Accepts the stiffness in Mandel (n_s, n_s) or full index (d, d, d, d)
-    form; k is a single integer vector.  k = 0 returns the zero matrix.
+    Accepts the stiffness in Mandel (3, 3) or full index (2, 2, 2, 2) form;
+    k is a single integer vector of length 2.  k = 0 returns the zero
+    matrix.  Raises NonElliptic unless c0 is positive definite.
     """
-    c0m = as_mandel_stiffness(c0)
     k = np.asarray(k, dtype=np.int64)
-    return _green_values(c0m, k[None, :])[0]
+    if k.shape != (2,):
+        raise ShapeMismatch(f"frequency must have shape (2,), got {k.shape}")
+    return _green_values(_compliance(as_mandel_stiffness(c0, n_s=3)), k[None])[0]
 
 
 @dataclass(frozen=True)
@@ -118,14 +119,10 @@ class GreenTable:
     fields stay real under application.
     """
 
-    kernel: CoefficientTable
-    c0: np.ndarray  # (n_s, n_s) Mandel reference stiffness
-    values: np.ndarray  # (m, n_s, n_s) real symmetric
+    matrix: PatternMatrix
+    c0: np.ndarray  # (3, 3) Mandel reference stiffness
+    values: np.ndarray  # (m, 3, 3) real symmetric
     even_table: bool
-
-    @property
-    def matrix(self):
-        return self.kernel.matrix
 
 
 def periodised_green_table(c0, kernel):
@@ -133,50 +130,45 @@ def periodised_green_table(c0, kernel):
 
     The kernel table must be orthonormalised so the weights m |c|^2 sum to
     one within each class; the zero class is forced to the zero matrix.
-    Raises NonElliptic unless c0 is positive definite.
+    Raises ShapeMismatch unless the pattern is two-dimensional and
+    NonElliptic unless c0 is positive definite.
     """
     if not kernel.orthonormal:
         raise KernelNotOrthonormal("periodisation needs an orthonormalised table")
     pm = kernel.matrix
     if np.max(np.abs(pm.m * kernel.bracket - 1.0)) > 1e-8:
         raise KernelNotOrthonormal("bracket sums are not normalised to 1/m")
-    c0m = as_mandel_stiffness(c0)
-    n_s = c0m.shape[0]
-    if n_s != n_sym(pm.dim):
-        raise ShapeMismatch(f"stiffness dimension {n_s} does not fit d = {pm.dim}")
-    lower, _ = ellipticity_bounds(c0m)
-    if lower <= 0.0:
-        raise NonElliptic(
-            f"reference stiffness is not positive definite (lower bound {lower:.3e})"
-        )
+    if pm.dim != 2:
+        raise ShapeMismatch(f"the Green operator is two-dimensional, got d = {pm.dim}")
+    c0m = as_mandel_stiffness(c0, n_s=3)
+    s = _compliance(c0m)
     gen = generating_set(pm)
-    values = np.zeros((pm.m, n_s, n_s))
+    values = np.zeros((pm.m, 3, 3))
     for j in range(len(kernel.shifts)):
         weights = pm.m * kernel.coeffs[:, j] ** 2
         rows = np.nonzero(weights)[0]
         if rows.size == 0:
             continue
         ks = kernel.freqs[rows] + kernel.shifts[j] @ pm.entries
-        values[rows] += weights[rows, None, None] * _green_values(c0m, ks)
-    values[gen.index(np.zeros(pm.dim, dtype=np.int64))] = 0.0
+        values[rows] += weights[rows, None, None] * _green_values(s, ks)
+    values[gen.index(np.zeros(2, dtype=np.int64))] = 0.0
     neg = gen.index(-gen.freqs)
     scale = np.max(np.abs(values)) or 1.0
     even = bool(np.max(np.abs(values[neg] - values)) <= 1e-13 * scale)
-    return GreenTable(kernel=kernel, c0=c0m.copy(), values=values, even_table=even)
+    return GreenTable(matrix=pm, c0=c0m.copy(), values=values, even_table=even)
 
 
 def apply_green(table, field):
     """Apply the periodised Green operator to a field sampled on the pattern.
 
-    field has shape (m, n_s).  Real input comes back real whenever the
-    table is even under h -> -h; otherwise the honest complex result is
-    returned (its imaginary part is genuine, not roundoff).
+    field has shape (m, 3).  Real input comes back real whenever the table
+    is even under h -> -h; otherwise the honest complex result is returned
+    (its imaginary part is genuine, not roundoff).
     """
     pm = table.matrix
     field = np.asarray(field)
-    n_s = table.values.shape[-1]
-    if field.shape != (pm.m, n_s):
-        raise ShapeMismatch(f"expected field of shape {(pm.m, n_s)}, got {field.shape}")
+    if field.shape != (pm.m, 3):
+        raise ShapeMismatch(f"expected field of shape {(pm.m, 3)}, got {field.shape}")
     spectrum = pattern_fft(pm, field)
     out_hat = np.einsum("mab,mb->ma", table.values, spectrum)
     out = pattern_ifft(pm, out_hat)

@@ -10,13 +10,18 @@ Three families generate the ansatz spaces on a pattern P(M):
   alpha_i = 0 degenerates to the modified Dirichlet kernel (boundary weight
   1/2 on both faces), alpha_i = 1/2 to a Fejer-type window.
 * periodised Box splines: unnormalised coefficient prod_xi sinc(pi xi.t)
-  with t = M^{-T} k; the absolute scale is irrelevant because every
-  downstream use passes through orthonormalisation.
+  with t = M^{-T} k, truncated to |t_i| <= r_i for a per-axis radius r
+  (default 16); the absolute scale is irrelevant because every downstream
+  use passes through orthonormalisation.
 
 A CoefficientTable stores, per frequency class h, the coefficients at the
 retained lattice shifts h + M^T z.  For Dirichlet and dlVP windows the
-shift sets are exact ({0} and {-1,0,1}^d); Box-spline tables truncate at a
-per-axis radius (default 16, i.e. 33^2 retained terms in d = 2).
+shift sets are exact ({0} and {-1,0,1}^d).  For box splines the shifts
+z_i in [-r_i, r_i] cover the truncated support, i.e. up to 33^2 terms in
+d = 2 at the default radius.  Truncating in t rather than in z keeps the
+retained frequencies of every class the negatives of those of its
+partner -h, also on boundary classes where t_i = -1/2, so the truncated
+spectrum stays even.
 
 Boundary classifications (is M^{-T}k inside the box, on a face, outside)
 are made in exact integer arithmetic, so no coefficient can be
@@ -163,16 +168,15 @@ def coeff(spec, k):
             out = out * _dlvp_axis_exact(a, w[..., i], n)
         return out
     w, n = frac_coordinates(pm.mt, k)
-    t = w / float(n)
-    dots = t @ spec.xi
-    return np.prod(np.sinc(dots), axis=-1)
+    inside = np.all(np.abs(w) <= np.array(spec.radius) * n, axis=-1)
+    return np.where(inside, np.prod(np.sinc((w / float(n)) @ spec.xi), axis=-1), 0.0)
 
 
 def shift_set(spec):
     """Retained lattice shifts z for bracket sums, shape (t, d).
 
     Exact for dirichlet ({0}) and dlvp ({-1,0,1}^d covers the window
-    support); truncated at the spec radius for box splines.
+    support); for box splines [-r, r]^d covers |M^{-T} k|_inf <= r.
     """
     d = spec.matrix.dim
     if spec.kind == "dirichlet":

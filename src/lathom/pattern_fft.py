@@ -78,29 +78,21 @@ def pattern_dft(m_mat, a):
     return out
 
 
-def pattern_fft(m_mat, a):
-    """Fast forward transform; accepts trailing component axes on a."""
+def _smith_transform(fftn, m_mat, a):
+    """Unitary fftn or ifftn on the cyclic Smith grid, trailing axes kept."""
     pm = as_pattern_matrix(m_mat)
     a = _check_length(pm, a)
     _, diag, _, _, _ = _smith_grid(pm)
     grid = tuple(int(x) for x in diag)
-    d = len(grid)
     work = np.asarray(a, dtype=np.complex128).reshape(grid + a.shape[1:])
-    out = np.fft.fftn(work, axes=tuple(range(d)))
-    out = out.reshape((pm.m,) + a.shape[1:])
-    out /= np.sqrt(pm.m)
-    return out
+    return fftn(work, axes=tuple(range(len(grid))), norm="ortho").reshape(a.shape)
+
+
+def pattern_fft(m_mat, a):
+    """Fast forward transform; accepts trailing component axes on a."""
+    return _smith_transform(np.fft.fftn, m_mat, a)
 
 
 def pattern_ifft(m_mat, a_hat):
     """Inverse of pattern_fft."""
-    pm = as_pattern_matrix(m_mat)
-    a_hat = _check_length(pm, a_hat)
-    _, diag, _, _, _ = _smith_grid(pm)
-    grid = tuple(int(x) for x in diag)
-    d = len(grid)
-    work = np.asarray(a_hat, dtype=np.complex128).reshape(grid + a_hat.shape[1:])
-    out = np.fft.ifftn(work, axes=tuple(range(d)))
-    out = out.reshape((pm.m,) + a_hat.shape[1:])
-    out *= np.sqrt(pm.m)
-    return out
+    return _smith_transform(np.fft.ifftn, m_mat, a_hat)

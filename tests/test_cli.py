@@ -279,6 +279,14 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert len(strain) == 1 + 64
 
 
+def test_box_solve_writes_real_strain_csv(tmp_path):
+    text = LAMINATE.replace("kind = dirichlet", "kind = box\nradius = 4")
+    out = tmp_path / "out"
+    assert main(["solve", manifest_file(tmp_path, text), "--out", str(out)]) == 0
+    strain = (out / "strain.csv").read_text().splitlines()
+    assert strain[0] == "y1,y2,eps_11,eps_22,eps_12"
+
+
 def test_output_directory_from_manifest(tmp_path):
     out = tmp_path / "fromfile"
     text = HOMOG + f"[output]\ndirectory = {out}\n"

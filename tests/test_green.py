@@ -4,9 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from lathom.errors import KernelNotOrthonormal, ShapeMismatch, SingularAcousticTensor
+from lathom.errors import KernelNotOrthonormal, NonElliptic, ShapeMismatch
 from lathom.green import apply_green, green_multiplier, periodised_green_table, strain_basis
-from lathom.kernels import KernelSpec, coefficient_table, orthonormalize, shift_set, coeff
+from lathom.kernels import (
+    KernelSpec,
+    coeff,
+    coefficient_table,
+    orthonormalize,
+    shift_set,
+    three_direction_set,
+)
 from lathom.lattice import generating_set
 from lathom.tensor import (
     apply as tensor_apply,
@@ -21,6 +28,7 @@ from oracles import (
     grad_sym_multiplier,
     green_index_form,
     isotropic_green_closed_form,
+    mandel_operator_2d,
     random_spd_mandel,
 )
 
@@ -33,6 +41,11 @@ def dirichlet_green(m_mat, c0m):
 def dlvp_green(m_mat, alpha, c0m):
     table = orthonormalize(coefficient_table(KernelSpec.dlvp(m_mat, alpha)))
     return periodised_green_table(c0m, table)
+
+
+def box_green(m_mat, c0m, radius=4):
+    spec = KernelSpec.box_spline(m_mat, three_direction_set(2, 2, 1), radius=radius)
+    return periodised_green_table(c0m, orthonormalize(coefficient_table(spec)))
 
 
 def test_grad_sym_multiplier_values():
@@ -99,9 +112,13 @@ def test_green_multiplier_degree_zero_homogeneity():
         assert np.allclose(green_multiplier(c0, 7 * k), g1, atol=1e-14)
 
 
-def test_singular_acoustic_tensor_guard():
-    with pytest.raises(SingularAcousticTensor):
-        green_multiplier(np.zeros((3, 3)), [1, 0])
+def test_reference_not_positive_definite_guard():
+    indefinite = np.diag([1.0, -1.0, 1.0])
+    for c0 in (np.zeros((3, 3)), indefinite):
+        with pytest.raises(NonElliptic):
+            green_multiplier(c0, [1, 0])
+        with pytest.raises(NonElliptic):
+            dirichlet_green([[3, 0], [0, 3]], c0)
 
 
 def test_per_frequency_projection():
@@ -150,6 +167,43 @@ def test_dlvp_table_matches_direct_summation():
             total += c2 * green_multiplier(c0, k)
             weight_sum += c2
         assert np.allclose(table.values[i], total / weight_sum, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        KernelSpec.dlvp([[6, 0], [2, 6]], (0.1, 0.3)),
+        KernelSpec.box_spline([[6, 2], [0, 6]], three_direction_set(2, 2, 1), radius=3),
+    ],
+    ids=["dlvp", "box"],
+)
+def test_periodised_tables_match_index_form_oracle(spec):
+    # the acoustic-tensor route in index form, summed with the table's own
+    # weights over the same retained frequencies
+    kern = orthonormalize(coefficient_table(spec))
+    pm = spec.matrix
+    for c0m in (isotropic_stiffness(2.0, 0.2), random_spd_mandel(np.random.default_rng(13), 3)):
+        table = periodised_green_table(c0m, kern)
+        c0_full = from_mandel_operator(c0m)
+        expected = np.zeros_like(table.values)
+        for i, h in enumerate(kern.freqs):
+            if not h.any():
+                continue
+            for j, z in enumerate(kern.shifts):
+                weight = pm.m * kern.coeffs[i, j] ** 2
+                if weight:
+                    k = h + z @ pm.entries
+                    expected[i] += weight * mandel_operator_2d(green_index_form(c0_full, k))
+        assert np.max(np.abs(table.values - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_green_operator_is_two_dimensional():
+    kern = orthonormalize(coefficient_table(KernelSpec.dlvp(np.diag([3, 3, 3]), 0.25)))
+    for c0 in (np.eye(6), np.eye(3)):
+        with pytest.raises(ShapeMismatch):
+            periodised_green_table(c0, kern)
+    with pytest.raises(ShapeMismatch):
+        green_multiplier(np.eye(3), [1, 0, 0])
 
 
 def test_single_frequency_class_support():
@@ -220,6 +274,18 @@ def test_even_tables_keep_real_fields_real():
     assert table_odd.even_table
     out = apply_green(table_odd, rng.normal(size=(25, 3)))
     assert out.dtype.kind == "f"
+
+
+def test_box_tables_are_even_on_even_divisors():
+    # truncating at |M^{-T} k|_inf <= radius retains, for a boundary class,
+    # the negatives of its partner's frequencies
+    c0 = isotropic_stiffness(1.0, 0.3)
+    rng = np.random.default_rng(14)
+    for m_mat in ([[8, 0], [0, 8]], [[4, 2], [0, 6]], [[6, 2], [0, 6]]):
+        table = box_green(m_mat, c0)
+        assert table.even_table
+        out = apply_green(table, rng.normal(size=(table.matrix.m, 3)))
+        assert out.dtype.kind == "f"
 
 
 def test_dirichlet_even_pattern_is_honestly_complex():

@@ -15,7 +15,7 @@ from lathom.kernels import (
     synthesize,
     three_direction_set,
 )
-from lathom.lattice import generating_set, pattern_points
+from lathom.lattice import frac_coordinates, generating_set, pattern_points
 
 from oracles import bracket_sum, discrete_coeffs, dlvp_window, pattern_samples
 from test_lattice import random_regular
@@ -131,6 +131,21 @@ def test_box_bracket_approaches_sinc_square_sum():
     dev30, dev60 = worst(30), worst(60)
     assert dev60 < 0.008
     assert dev60 < 0.6 * dev30
+
+
+def test_box_truncation_is_symmetric():
+    # a box coefficient is kept exactly when |M^{-T} k|_inf <= radius, so
+    # the retained set is closed under k -> -k, boundary classes included
+    radius = 2
+    for m_mat in ([[4, 0], [0, 4]], [[4, 2], [0, 6]]):
+        spec = KernelSpec.box_spline(m_mat, three_direction_set(1, 1, 1), radius=radius)
+        table = coefficient_table(spec)
+        ks = table.freqs[:, None, :] + table.shifts[None, :, :] @ spec.matrix.entries
+        w, n = frac_coordinates(spec.matrix.mt, ks)
+        inside = np.all(np.abs(w) <= radius * n, axis=-1)
+        assert np.array_equal(table.coeffs != 0.0, inside)
+        kept = {tuple(k): c for k, c in zip(*full_coefficient_set(table))}
+        assert all(kept.get(tuple(-x for x in k)) == c for k, c in kept.items())
 
 
 def test_shift_sets():

@@ -9,9 +9,10 @@ from lathom.errors import (
     ValidationError,
 )
 from lathom.green import periodised_green_table
-from lathom.kernels import KernelSpec, coefficient_table, orthonormalize
+from lathom.kernels import KernelSpec, coefficient_table, orthonormalize, three_direction_set
 from lathom.lattice import pattern_points
 from lathom.solver import (
+    _write_csv,
     basic_scheme,
     default_reference,
     effective_action,
@@ -295,6 +296,28 @@ def test_strain_csv_matches_per_value_formatting(tmp_path):
         path = tmp_path / "strain.csv"
         write_strain_csv(path, mat, field)
         assert path.read_bytes() == reference_strain_csv(mat, field)
+
+
+def test_write_csv_matches_fstring_rows(tmp_path):
+    # the CLI's sweep, effective and metrics rows used to be f-strings:
+    # floats as {x:.17g}, iteration counts and flags as plain integers
+    row = (0.25, -0.0, 5e-324, 89, True, float("inf"), -float("inf"), float("nan"), 2.0, -1e300)
+    header = [f"c{i}" for i in range(len(row))]
+    path = tmp_path / "row.csv"
+    _write_csv(path, header, [[row]])
+    fields = (f"{v:.17g}" if isinstance(v, float) else f"{int(v)}" for v in row)
+    assert path.read_bytes() == f"{','.join(header)}\n{','.join(fields)}\n".encode("ascii")
+
+
+def test_box_solve_returns_real_strain():
+    mat = [[8, 2], [0, 8]]
+    c = two_phase_field(mat, isotropic_stiffness(1.0, 0.3), isotropic_stiffness(10.0, 0.3))
+    c0 = default_reference(c)
+    spec = KernelSpec.box_spline(mat, three_direction_set(2, 2, 0), radius=4)
+    table = periodised_green_table(c0, orthonormalize(coefficient_table(spec)))
+    report = basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), table)
+    assert report.converged
+    assert np.isrealobj(report.strain) and report.imag_fraction == 0.0
 
 
 def test_divergence_stops_at_first_non_finite_norm():
