@@ -6,7 +6,7 @@ Basic Scheme with a per-frequency periodised Green operator.  Submodules:
 
 - lattice: patterns P(M), generating sets, congruence arithmetic
 - pattern_fft: Smith-form fast Fourier transform on a pattern
-- tensor: Mandel calculus for symmetric tensors and stiffnesses
+- tensor: two-dimensional Mandel layout of strains and stiffnesses
 - kernels: Dirichlet / de la Vallee Poussin / box-spline coefficients
 - green: periodised Green operator tables
 - solver: Basic Scheme iteration and effective stiffness
@@ -53,12 +53,7 @@ from .solver import (
     report_summary,
     residual_ls,
 )
-from .tensor import (
-    isotropic_parts,
-    isotropic_stiffness,
-    to_mandel,
-    to_mandel_operator,
-)
+from .tensor import isotropic_parts, isotropic_stiffness
 
 __version__ = "0.1.0"
 
@@ -77,8 +72,6 @@ __all__ = [
     # tensors
     "isotropic_parts",
     "isotropic_stiffness",
-    "to_mandel",
-    "to_mandel_operator",
     # kernels
     "CoefficientTable",
     "KernelSpec",

@@ -84,9 +84,10 @@ class HashinGeometry:
     ellipse with squared semi-axes (c1^2 + rho_outer, c2^2 + rho_outer).
     Both are rotated by `rotation_degrees` about the cell centre.  Core and
     coating are isotropic, given as (young, poisson); the matrix stiffness
-    is an explicit Mandel (or full rank-4) tensor so anisotropic matrices
-    can be benchmarked.  The outer ellipse should fit inside the unit cell
-    (largest semi-axis below 1/2), otherwise the periodic images overlap.
+    is an explicit (3, 3) Mandel matrix (ShapeMismatch otherwise) so
+    anisotropic matrices can be benchmarked.  The outer ellipse should fit
+    inside the unit cell (largest semi-axis below 1/2), otherwise the
+    periodic images overlap.
     """
 
     c1: float = 0.05
@@ -109,10 +110,6 @@ class HashinGeometry:
         if self.matrix_material is None:
             self.matrix_material = isotropic_stiffness(*DEFAULT_MATRIX_MATERIAL)
         self.matrix_material = as_mandel_stiffness(self.matrix_material)
-        if self.matrix_material.shape != (3, 3):
-            raise InvalidGeometry(
-                f"matrix stiffness must be 3x3 in Mandel form, got {self.matrix_material.shape}"
-            )
 
     def phase_of(self, points):
         """Phase index per point: 0 core, 1 coating, 2 matrix."""
@@ -152,8 +149,8 @@ class LaminateGeometry:
     `normal` is an integer direction; phase 1 occupies the slab where the
     layer coordinate (n . y wrapped into [-1/2, 1/2)) lies in
     [-1/2, -1/2 + f1).  volume_fraction = 1 keeps only phase 1.  Materials
-    are stiffness tensors (Mandel or full rank 4); anisotropic layers are
-    allowed, the effective tensor below handles them.
+    are (3, 3) Mandel stiffness matrices (ShapeMismatch otherwise);
+    anisotropic layers are allowed, the effective tensor below handles them.
     """
 
     material_1: np.ndarray
@@ -164,18 +161,9 @@ class LaminateGeometry:
     def __post_init__(self):
         self.material_1 = as_mandel_stiffness(self.material_1)
         self.material_2 = as_mandel_stiffness(self.material_2)
-        if self.material_1.shape != self.material_2.shape:
-            raise InvalidGeometry(
-                f"phase stiffness shapes differ: {self.material_1.shape} "
-                f"vs {self.material_2.shape}"
-            )
-        n_s = self.material_1.shape[0]
-        if n_s not in (3, 6):
-            raise InvalidGeometry(f"stiffness must be 3x3 or 6x6 Mandel, got {n_s}x{n_s}")
-        d = {3: 2, 6: 3}[n_s]
         normal = np.asarray(self.normal)
-        if normal.shape != (d,) or not np.issubdtype(normal.dtype, np.integer):
-            raise InvalidGeometry(f"normal must be {d} integers, got {self.normal!r}")
+        if normal.shape != (2,) or not np.issubdtype(normal.dtype, np.integer):
+            raise InvalidGeometry(f"normal must be 2 integers, got {self.normal!r}")
         if not normal.any():
             raise InvalidGeometry("normal must be nonzero")
         self.normal = tuple(int(v) for v in normal)
@@ -206,7 +194,7 @@ def laminate_phases(m_mat, geom):
 
 
 def rasterize_laminate(m_mat, geom):
-    """Stiffness field (m, n_s, n_s) of the layered medium on P(M)."""
+    """Stiffness field (m, 3, 3) of the layered medium on P(M)."""
     phases = laminate_phases(m_mat, geom)
     return np.where(
         (phases == 0)[:, None, None], geom.material_1, geom.material_2
@@ -231,14 +219,13 @@ def laminate_effective_oracle(geom):
     f1 = geom.volume_fraction
     f2 = 1.0 - f1
     w = strain_basis(np.asarray(geom.normal, dtype=float))
-    n_s = w.shape[0]
     # Traction continuity: W^T [C1 (e + f2 W a) - C2 (e - f1 W a)] = 0,
     # one column per Mandel basis strain e.
     amix = w.T @ (f2 * c1 + f1 * c2) @ w
     a = np.linalg.solve(amix, w.T @ (c2 - c1))
     jump = w @ a
-    e1 = np.eye(n_s) + f2 * jump
-    e2 = np.eye(n_s) - f1 * jump
+    e1 = np.eye(3) + f2 * jump
+    e2 = np.eye(3) - f1 * jump
     ceff = f1 * c1 @ e1 + f2 * c2 @ e2
     return 0.5 * (ceff + ceff.T)
 

@@ -37,16 +37,12 @@ class InvalidMaterial(LathomError):
     """Material parameters outside the physical range."""
 
 
-class DimensionMismatch(LathomError):
-    """Tensor operands have incompatible dimensions."""
-
-
 class KernelNotOrthonormal(LathomError):
     """Operation requires an orthonormalised coefficient table."""
 
 
 class ShapeMismatch(LathomError):
-    """Field array shape does not match the expected layout."""
+    """Array shape does not match the expected layout."""
 
 
 class NotConverged(LathomError):

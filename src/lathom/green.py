@@ -46,7 +46,7 @@ import numpy as np
 from .errors import KernelNotOrthonormal, NonElliptic, ShapeMismatch
 from .lattice import PatternMatrix, generating_set
 from .pattern_fft import pattern_fft, pattern_ifft
-from .tensor import as_mandel_stiffness, ellipticity_bounds, mandel_pairs, mandel_weights
+from .tensor import as_mandel_stiffness, ellipticity_bounds
 
 __all__ = [
     "GreenTable",
@@ -60,16 +60,17 @@ __all__ = [
 def strain_basis(k):
     """Mandel matrix W with W @ u = mandel(sym(k (x) u)), batched over k.
 
-    k has shape (..., d); the result has shape (..., n_s, d).
+    k has shape (..., 2); the result has shape (..., 3, 2):
+
+        W(k) = [[k1, 0], [0, k2], [k2 / sqrt(2), k1 / sqrt(2)]].
     """
     k = np.asarray(k, dtype=float)
-    d = k.shape[-1]
-    pairs = mandel_pairs(d)
-    weights = mandel_weights(d)
-    w = np.zeros(k.shape[:-1] + (len(pairs), d))
-    for a, ((i, j), wa) in enumerate(zip(pairs, weights)):
-        w[..., a, i] += 0.5 * wa * k[..., j]
-        w[..., a, j] += 0.5 * wa * k[..., i]
+    if k.shape[-1:] != (2,):
+        raise ShapeMismatch(f"frequencies must have shape (..., 2), got {k.shape}")
+    w = np.zeros(k.shape[:-1] + (3, 2))
+    w[..., 0, 0] = k[..., 0]
+    w[..., 1, 1] = k[..., 1]
+    w[..., 2, :] = 0.5 * np.sqrt(2.0) * k[..., ::-1]
     return w
 
 
@@ -99,14 +100,14 @@ def _green_values(s, ks):
 def green_multiplier(c0, k):
     """Mandel multiplier G(k) of the Green operator for reference stiffness c0.
 
-    Accepts the stiffness in Mandel (3, 3) or full index (2, 2, 2, 2) form;
-    k is a single integer vector of length 2.  k = 0 returns the zero
-    matrix.  Raises NonElliptic unless c0 is positive definite.
+    c0 is a (3, 3) Mandel matrix (ShapeMismatch otherwise) and k a single
+    integer vector of length 2.  k = 0 returns the zero matrix.  Raises
+    NonElliptic unless c0 is positive definite.
     """
     k = np.asarray(k, dtype=np.int64)
     if k.shape != (2,):
         raise ShapeMismatch(f"frequency must have shape (2,), got {k.shape}")
-    return _green_values(_compliance(as_mandel_stiffness(c0, n_s=3)), k[None])[0]
+    return _green_values(_compliance(as_mandel_stiffness(c0)), k[None])[0]
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def periodised_green_table(c0, kernel):
         raise KernelNotOrthonormal("bracket sums are not normalised to 1/m")
     if pm.dim != 2:
         raise ShapeMismatch(f"the Green operator is two-dimensional, got d = {pm.dim}")
-    c0m = as_mandel_stiffness(c0, n_s=3)
+    c0m = as_mandel_stiffness(c0)
     s = _compliance(c0m)
     gen = generating_set(pm)
     values = np.zeros((pm.m, 3, 3))

@@ -146,8 +146,13 @@ class KernelSpec:
 
 
 def _dlvp_axis_exact(alpha_i, w, n):
-    """One trapezoid factor at the exact rational coordinate w/n."""
-    if alpha_i == 0.0:
+    """One trapezoid factor at the exact rational coordinate w/n.
+
+    A ramp no wider than 1/n holds no multiple of 1/n except the face
+    |w/n| = 1/2, where every window is 1/2, so such a factor is the exact
+    alpha = 0 one; the ramp formula would lose the face to rounding.
+    """
+    if alpha_i * n <= 1.0:
         aw = np.abs(w)
         return np.where(2 * aw < n, 1.0, np.where(2 * aw == n, 0.5, 0.0))
     t = np.abs(w) / n

@@ -1,7 +1,7 @@
 """Fixed-point solver for the discretised Lippmann-Schwinger equation.
 
 Fields live on the pattern as Mandel vectors per point: strain-like
-quantities have shape (m, n_s), stiffness fields (m, n_s, n_s).  The
+quantities have shape (m, 3), stiffness fields (m, 3, 3).  The
 coefficients are those of fundamental-interpolant translates, which equal
 the point values at 2 pi y, so no basis change happens anywhere.
 
@@ -42,7 +42,6 @@ from .tensor import (
     ellipticity_bounds,
     isotropic_parts,
     lame_stiffness,
-    n_sym,
 )
 
 __all__ = [
@@ -61,7 +60,7 @@ __all__ = [
 class SolveReport:
     """Everything a Basic-Scheme run produced."""
 
-    strain: np.ndarray  # (m, n_s) fluctuation coefficients E_y
+    strain: np.ndarray  # (m, 3) fluctuation coefficients E_y
     iterations: int
     residual_history: list = dataclass_field(default_factory=list)
     effective_action: np.ndarray | None = None
@@ -71,12 +70,12 @@ class SolveReport:
     imag_fraction: float = 0.0  # |Im E| / |E|, zero on even tables
 
 
-def _as_stiffness_field(c, m, n_s):
+def _as_stiffness_field(c, m):
     c = np.asarray(c, dtype=float)
-    if c.shape == (n_s, n_s):
-        c = np.broadcast_to(c, (m, n_s, n_s))
-    if c.shape != (m, n_s, n_s):
-        raise ShapeMismatch(f"stiffness field must be {(m, n_s, n_s)}, got {c.shape}")
+    if c.shape == (3, 3):
+        c = np.broadcast_to(c, (m, 3, 3))
+    if c.shape != (m, 3, 3):
+        raise ShapeMismatch(f"stiffness field must be {(m, 3, 3)}, got {c.shape}")
     return c
 
 
@@ -87,7 +86,7 @@ def _field_norm(a):
 def basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
     """Run the fixed-point iteration until the Cauchy criterion holds.
 
-    c is the pointwise stiffness (m, n_s, n_s), c0 the reference the table
+    c is the pointwise stiffness (m, 3, 3), c0 the reference the table
     was built with, eps0 the macroscopic strain as a Mandel vector.
     Raises NonElliptic if the stiffness field is not uniformly positive,
     Diverged(iterations, report) at the first non-finite residual norm and
@@ -95,21 +94,20 @@ def basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
     """
     start = time.perf_counter()
     pm = table.matrix
-    n_s = n_sym(pm.dim)
-    c = _as_stiffness_field(c, pm.m, n_s)
-    c0 = as_mandel_stiffness(c0, n_s)
+    c = _as_stiffness_field(c, pm.m)
+    c0 = as_mandel_stiffness(c0)
     if not np.allclose(c0, table.c0, rtol=1e-12, atol=1e-12):
         raise ValidationError("reference stiffness differs from the table's")
     eps0 = np.asarray(eps0, dtype=float)
-    if eps0.shape != (n_s,):
-        raise ShapeMismatch(f"macroscopic strain must be ({n_s},), got {eps0.shape}")
+    if eps0.shape != (3,):
+        raise ShapeMismatch(f"macroscopic strain must be (3,), got {eps0.shape}")
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
     lower, _ = ellipticity_bounds(c)
     if lower <= 0.0:
         raise NonElliptic(f"stiffness field has lower bound {lower:.3e}")
     dc = c - c0
-    strain = np.zeros((pm.m, n_s))
+    strain = np.zeros((pm.m, 3))
     history = []
     converged = False
     diverged = False
@@ -164,12 +162,11 @@ def basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
 def residual_ls(strain, c, c0, eps0, table):
     """l2 residual of the fixed-point form, E + Green_p (C - C0):(E + eps0)."""
     pm = table.matrix
-    n_s = n_sym(pm.dim)
     strain = np.asarray(strain)
-    if strain.shape != (pm.m, n_s):
-        raise ShapeMismatch(f"expected {(pm.m, n_s)}, got {strain.shape}")
-    c = _as_stiffness_field(c, pm.m, n_s)
-    c0 = as_mandel_stiffness(c0, n_s)
+    if strain.shape != (pm.m, 3):
+        raise ShapeMismatch(f"expected {(pm.m, 3)}, got {strain.shape}")
+    c = _as_stiffness_field(c, pm.m)
+    c0 = as_mandel_stiffness(c0)
     eps0 = np.asarray(eps0)
     tau = apply(c - c0, strain + eps0)
     return _field_norm(strain + apply_green(table, tau))
@@ -192,13 +189,12 @@ def _exact_mean(values):
 def effective_action(c, strain, eps0):
     """Discrete mean stress (1/m) sum_y C(y):(E_y + eps0), Mandel vector."""
     strain = np.asarray(strain)
-    if strain.ndim != 2:
-        raise ShapeMismatch(f"strain field must be 2-d, got shape {strain.shape}")
-    m, n_s = strain.shape
-    c = _as_stiffness_field(c, m, n_s)
+    if strain.ndim != 2 or strain.shape[1] != 3:
+        raise ShapeMismatch(f"strain field must be (m, 3), got shape {strain.shape}")
+    c = _as_stiffness_field(c, strain.shape[0])
     eps0 = np.asarray(eps0)
-    if eps0.shape != (n_s,):
-        raise ShapeMismatch(f"macroscopic strain must be ({n_s},), got {eps0.shape}")
+    if eps0.shape != (3,):
+        raise ShapeMismatch(f"macroscopic strain must be (3,), got {eps0.shape}")
     return _exact_mean(apply(c, strain + eps0))
 
 
@@ -210,13 +206,10 @@ def effective_tensor(c, c0, table, tol=1e-10, max_iter=5000):
     symmetrisation.  The imaginary residue of the actions is transform
     noise (each solve reports its own imag fraction) and is dropped.
     """
-    n_s = n_sym(table.matrix.dim)
-    columns = []
-    for a in range(n_s):
-        eps0 = np.zeros(n_s)
-        eps0[a] = 1.0
-        report = basic_scheme(c, c0, eps0, table, tol=tol, max_iter=max_iter)
-        columns.append(report.effective_action)
+    columns = [
+        basic_scheme(c, c0, eps0, table, tol=tol, max_iter=max_iter).effective_action
+        for eps0 in np.eye(3)
+    ]
     raw = np.real(np.stack(columns, axis=1))
     asymmetry = float(np.linalg.norm(raw - raw.T) / max(np.linalg.norm(raw), 1e-300))
     return 0.5 * (raw + raw.T), asymmetry
@@ -236,7 +229,7 @@ def default_reference(c):
     lams, mus = isotropic_parts(c)
     lam0 = 0.5 * (float(np.min(lams)) + float(np.max(lams)))
     mu0 = 0.5 * (float(np.min(mus)) + float(np.max(mus)))
-    return lame_stiffness(lam0, mu0, d={3: 2, 6: 3}[c.shape[-1]])
+    return lame_stiffness(lam0, mu0)
 
 
 def report_summary(report):

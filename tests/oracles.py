@@ -12,12 +12,15 @@ import math
 
 import numpy as np
 
-from lathom.errors import LengthMismatch, ShapeMismatch
+from lathom.errors import LengthMismatch, ShapeMismatch, ZeroDeterminant
 from lathom.green import apply_green
 from lathom.kernels import coeff, shift_set
-from lathom.lattice import as_pattern_matrix, reduce_mod
+from lathom.lattice import PatternMatrix, as_pattern_matrix, reduce_mod
 from lathom.pattern_fft import pattern_fft, pattern_ifft
-from lathom.tensor import _dim_from_ns, mandel_pairs, mandel_weights
+
+# the 2-d Mandel layout (a11, a22, sqrt(2) a12), written out independently
+MANDEL_PAIRS = ((0, 0), (1, 1), (0, 1))
+MANDEL_WEIGHTS = (1.0, 1.0, math.sqrt(2.0))
 
 
 def isotropic_green_closed_form(lam, mu, k):
@@ -62,14 +65,39 @@ def random_spd_mandel(rng, n_s, shift=0.5):
     return a @ a.T + shift * np.eye(n_s)
 
 
+def regular_pattern(entries, max_m=400, min_m=1):
+    """PatternMatrix of entries when min_m <= |det| <= max_m, else None."""
+    try:
+        pm = PatternMatrix(entries)
+    except ZeroDeterminant:
+        return None
+    return pm if min_m <= pm.m <= max_m else None
+
+
+def random_regular(rng, d=2, span=6, max_m=400, min_m=1):
+    """Random regular d x d pattern matrix with min_m <= |det| <= max_m.
+
+    Draws rng.integers(-span, span + 1, size=(d, d)) until one fits, so a
+    seeded rng always yields the same sequence of matrices.
+    """
+    while True:
+        pm = regular_pattern(rng.integers(-span, span + 1, size=(d, d)), max_m, min_m)
+        if pm is not None:
+            return pm
+
+
+def to_mandel(sym):
+    """Mandel vectors (..., 3) of symmetric 2 x 2 matrices (..., 2, 2)."""
+    sym = np.asarray(sym)
+    comps = [w * sym[..., i, j] for (i, j), w in zip(MANDEL_PAIRS, MANDEL_WEIGHTS)]
+    return np.stack(comps, axis=-1)
+
+
 def mandel_operator_2d(full):
     """Hand-coded 2-d Mandel matrix of a minor-symmetric 4-tensor."""
-    r2 = np.sqrt(2.0)
-    pairs = [(0, 0), (1, 1), (0, 1)]
-    weights = [1.0, 1.0, r2]
     out = np.zeros((3, 3))
-    for a, ((i, j), wa) in enumerate(zip(pairs, weights)):
-        for b, ((p, q), wb) in enumerate(zip(pairs, weights)):
+    for a, ((i, j), wa) in enumerate(zip(MANDEL_PAIRS, MANDEL_WEIGHTS)):
+        for b, ((p, q), wb) in enumerate(zip(MANDEL_PAIRS, MANDEL_WEIGHTS)):
             out[a, b] = wa * wb * full[i, j, p, q]
     return out
 
@@ -122,29 +150,23 @@ def grad_sym_multiplier(k, u):
 
 
 def from_mandel(vec):
-    """Inverse of to_mandel: (..., n_s) -> (..., d, d)."""
+    """Inverse of to_mandel: (..., 3) -> (..., 2, 2)."""
     vec = np.asarray(vec)
-    d = _dim_from_ns(vec.shape[-1])
-    pairs = mandel_pairs(d)
-    w = mandel_weights(d)
-    out = np.zeros(vec.shape[:-1] + (d, d), dtype=vec.dtype)
-    for a, (i, j) in enumerate(pairs):
-        val = vec[..., a] / w[a]
+    out = np.zeros(vec.shape[:-1] + (2, 2), dtype=vec.dtype)
+    for a, ((i, j), w) in enumerate(zip(MANDEL_PAIRS, MANDEL_WEIGHTS)):
+        val = vec[..., a] / w
         out[..., i, j] = val
         out[..., j, i] = val
     return out
 
 
 def from_mandel_operator(cm):
-    """Inverse of to_mandel_operator."""
+    """Inverse of mandel_operator_2d: (..., 3, 3) -> (..., 2, 2, 2, 2)."""
     cm = np.asarray(cm)
-    d = _dim_from_ns(cm.shape[-1])
-    pairs = mandel_pairs(d)
-    w = mandel_weights(d)
-    out = np.zeros(cm.shape[:-2] + (d, d, d, d), dtype=cm.dtype)
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            val = cm[..., a, b] / (w[a] * w[b])
+    out = np.zeros(cm.shape[:-2] + (2, 2, 2, 2), dtype=cm.dtype)
+    for a, ((i, j), wa) in enumerate(zip(MANDEL_PAIRS, MANDEL_WEIGHTS)):
+        for b, ((k, l), wb) in enumerate(zip(MANDEL_PAIRS, MANDEL_WEIGHTS)):
+            val = cm[..., a, b] / (wa * wb)
             out[..., i, j, k, l] = val
             out[..., j, i, k, l] = val
             out[..., i, j, l, k] = val

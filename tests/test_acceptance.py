@@ -37,26 +37,19 @@ from lathom.solver import (
     effective_tensor,
     residual_ls,
 )
-from lathom.tensor import ellipticity_bounds, identity_vector, isotropic_stiffness
+from lathom.tensor import IDENTITY_VECTOR, ellipticity_bounds, isotropic_stiffness
 
 from oracles import (
     dlvp_window,
     isotropic_green_closed_form,
     mandel_operator_2d,
+    random_regular,
     residual_variational,
 )
 
 EPS0 = np.array([1.0, 0.0, 0.0])
 
 ALPHAS = (0.0, 0.1, 0.25, 0.45)
-
-
-def random_regular(rng, max_m=256):
-    while True:
-        mat = rng.integers(-8, 9, size=(2, 2))
-        det = abs(int(round(np.linalg.det(mat))))
-        if 2 <= det <= max_m:
-            return mat
 
 
 def green_table(spec, c0):
@@ -76,7 +69,7 @@ def test_fast_transform_matches_direct_on_random_patterns():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
     mats = [np.array(m) for m in ([[7, 0], [0, 9]], [[5, 3], [0, 7]], [[4, 4], [-4, 4]])]
-    mats += [random_regular(rng) for _ in range(20)]
+    mats += [random_regular(rng, span=8, max_m=256, min_m=2) for _ in range(20)]
     for mat in mats:
         m = as_pattern_matrix(mat).m
         a = rng.normal(size=m) + 1j * rng.normal(size=m)
@@ -140,7 +133,7 @@ def test_green_multiplier_matches_isotropic_closed_form():
     # 21 x 21 grid of nonzero integer frequencies against the hand-coded
     # isotropic formula (1e-12); degree-0 homogeneity to 1e-14
     lam, mu = 1.2, 0.8
-    iv = identity_vector(2)
+    iv = IDENTITY_VECTOR
     c0 = lam * np.outer(iv, iv) + 2.0 * mu * np.eye(3)
     for k1 in range(-10, 11):
         for k2 in range(-10, 11):

@@ -19,8 +19,6 @@ from lathom.tensor import (
     apply as tensor_apply,
     ellipticity_bounds,
     isotropic_stiffness,
-    to_mandel,
-    to_mandel_operator,
 )
 
 from oracles import (
@@ -30,6 +28,7 @@ from oracles import (
     isotropic_green_closed_form,
     mandel_operator_2d,
     random_spd_mandel,
+    to_mandel,
 )
 
 
@@ -81,7 +80,7 @@ def test_green_multiplier_isotropic_closed_form():
     for lam, mu in [(1.0, 1.0), (2.3, 0.7)]:
         lame_c0 = lam * np.outer([1, 1, 0], [1, 1, 0]) + 2 * mu * np.eye(3)
         for k in [[1, 0], [0, 1], [1, 1], [3, -2], [-7, 5]]:
-            expected = to_mandel_operator(isotropic_green_closed_form(lam, mu, k))
+            expected = mandel_operator_2d(isotropic_green_closed_form(lam, mu, k))
             got = green_multiplier(lame_c0, np.array(k))
             assert np.allclose(got, expected, atol=1e-12), (lam, mu, k)
 
@@ -94,10 +93,11 @@ def test_green_multiplier_matches_index_form_for_anisotropic_c0():
         k = rng.integers(-8, 9, size=2)
         if not k.any():
             continue
-        expected = to_mandel_operator(green_index_form(c0_full, k))
-        # exercise both input forms
+        expected = mandel_operator_2d(green_index_form(c0_full, k))
         assert np.allclose(green_multiplier(c0m, k), expected, atol=1e-12)
-        assert np.allclose(green_multiplier(c0_full, k), expected, atol=1e-12)
+        # the stiffness is a Mandel matrix; the full index form is rejected
+        with pytest.raises(ShapeMismatch):
+            green_multiplier(c0_full, k)
 
 
 def test_green_multiplier_degree_zero_homogeneity():
@@ -114,7 +114,7 @@ def test_green_multiplier_degree_zero_homogeneity():
 
 def test_reference_not_positive_definite_guard():
     indefinite = np.diag([1.0, -1.0, 1.0])
-    for c0 in (np.zeros((3, 3)), indefinite):
+    for c0 in (np.zeros((3, 3)), indefinite, np.full((3, 3), np.nan)):
         with pytest.raises(NonElliptic):
             green_multiplier(c0, [1, 0])
         with pytest.raises(NonElliptic):

@@ -17,8 +17,7 @@ from lathom.kernels import (
 )
 from lathom.lattice import frac_coordinates, generating_set, pattern_points
 
-from oracles import bracket_sum, discrete_coeffs, dlvp_window, pattern_samples
-from test_lattice import random_regular
+from oracles import bracket_sum, discrete_coeffs, dlvp_window, pattern_samples, random_regular
 
 
 def full_coefficient_set(table):
@@ -87,8 +86,9 @@ def test_dlvp_coeff_matches_window():
 
 def test_dlvp_class_sums_are_flat():
     # the trapezoid overlap makes the signed class sums exactly 1/sqrt(m),
-    # the frequency-side face of the partition of unity
-    for alpha in [(0.0, 0.0), (0.25, 0.25), (0.1, 0.45)]:
+    # the frequency-side face of the partition of unity; slopes far below
+    # the 1/m spacing of the coordinates keep the half weight on the faces
+    for alpha in [(0.0, 0.0), (0.25, 0.25), (0.1, 0.45), (1e-300, 1e-20)]:
         spec = KernelSpec.dlvp([[6, 0], [0, 6]], alpha)
         table = coefficient_table(spec)
         assert np.allclose(table.class_sums(), 1.0 / 6.0, atol=1e-12)

@@ -18,16 +18,7 @@ from lathom.lattice import (
     reduce_point,
 )
 
-
-def random_regular(rng, d, span=6, max_m=400):
-    while True:
-        a = rng.integers(-span, span + 1, size=(d, d))
-        try:
-            pm = PatternMatrix(a)
-        except ZeroDeterminant:
-            continue
-        if pm.m <= max_m:
-            return pm
+from oracles import random_regular
 
 
 def test_det_abs_reference_values():

@@ -10,7 +10,7 @@ from lathom.errors import LengthMismatch, ZeroDeterminant
 from lathom.lattice import PatternMatrix, generating_set, pattern_points
 from lathom.pattern_fft import pattern_dft, pattern_fft, pattern_ifft, smith_normal_form
 
-from test_lattice import random_regular
+from oracles import random_regular
 
 
 def int_det(rows):

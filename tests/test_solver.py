@@ -70,6 +70,11 @@ def test_non_elliptic_field_rejected():
     c[3] = 0.0
     with pytest.raises(NonElliptic):
         basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), table)
+    # a non-finite entry has no eigenvalues: NonElliptic, not numpy's LinAlgError
+    c = np.broadcast_to(c0, (16, 3, 3)).copy()
+    c[3, 0, 1] = np.nan
+    with pytest.raises(NonElliptic):
+        basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), table)
 
 
 def test_validation_guards():

@@ -5,23 +5,20 @@ import itertools
 import numpy as np
 import pytest
 
-from lathom.errors import DimensionMismatch, InvalidMaterial
+from lathom.errors import InvalidMaterial, ShapeMismatch
+from lathom.green import strain_basis
 from lathom.tensor import (
+    IDENTITY_VECTOR,
     apply,
+    as_mandel_stiffness,
     ellipticity_bounds,
-    identity_vector,
     isotropic_parts,
     isotropic_stiffness,
     lame_parameters,
     lame_stiffness,
-    mandel_pairs,
-    mandel_weights,
-    n_sym,
-    to_mandel,
-    to_mandel_operator,
 )
 
-from oracles import from_mandel, from_mandel_operator
+from oracles import from_mandel, from_mandel_operator, mandel_operator_2d, to_mandel
 
 
 def isotropic_index_form(lam, mu, d):
@@ -58,14 +55,13 @@ def test_material_validation():
 
 
 def test_isotropic_eigenvalues():
-    for d in (2, 3):
-        lam, mu = lame_parameters(3.0, 0.25)
-        c = to_mandel_operator(isotropic_index_form(lam, mu, d))
-        vals = np.sort(np.linalg.eigvalsh(c))
-        expect = np.sort([2.0 * mu] * (n_sym(d) - 1) + [d * lam + 2.0 * mu])
-        assert np.allclose(vals, expect, atol=1e-12)
-        lo, hi = ellipticity_bounds(c)
-        assert np.isclose(lo, min(expect)) and np.isclose(hi, max(expect))
+    lam, mu = lame_parameters(3.0, 0.25)
+    c = mandel_operator_2d(isotropic_index_form(lam, mu, 2))
+    vals = np.sort(np.linalg.eigvalsh(c))
+    expect = np.sort([2.0 * mu] * 2 + [2.0 * lam + 2.0 * mu])
+    assert np.allclose(vals, expect, atol=1e-12)
+    lo, hi = ellipticity_bounds(c)
+    assert np.isclose(lo, min(expect)) and np.isclose(hi, max(expect))
 
 
 def test_ellipticity_trivia():
@@ -75,24 +71,22 @@ def test_ellipticity_trivia():
 
 def test_mandel_isometry_random():
     rng = np.random.default_rng(0)
-    for d in (2, 3):
-        for _ in range(50):
-            a, b = random_sym(rng, d), random_sym(rng, d)
-            assert abs(np.sum(a * b) - np.vdot(to_mandel(a), to_mandel(b))) < 1e-14
+    for _ in range(50):
+        a, b = random_sym(rng, 2), random_sym(rng, 2)
+        assert abs(np.sum(a * b) - np.vdot(to_mandel(a), to_mandel(b))) < 1e-14
 
 
 def test_apply_matches_index_notation_oracle():
     rng = np.random.default_rng(1)
-    for d in (2, 3):
-        lam, mu = lame_parameters(2.0, 0.2)
-        c4 = isotropic_index_form(lam, mu, d)
-        cm = to_mandel_operator(c4)
-        assert np.allclose(cm, lame_stiffness(lam, mu, d), atol=1e-14)
-        for _ in range(20):
-            e = random_sym(rng, d)
-            sigma_index = np.einsum("ijkl,kl->ij", c4, e)
-            sigma = from_mandel(apply(cm, to_mandel(e)))
-            assert np.allclose(sigma, sigma_index, atol=1e-14)
+    lam, mu = lame_parameters(2.0, 0.2)
+    c4 = isotropic_index_form(lam, mu, 2)
+    cm = mandel_operator_2d(c4)
+    assert np.allclose(cm, lame_stiffness(lam, mu), atol=1e-14)
+    for _ in range(20):
+        e = random_sym(rng, 2)
+        sigma_index = np.einsum("ijkl,kl->ij", c4, e)
+        sigma = from_mandel(apply(cm, to_mandel(e)))
+        assert np.allclose(sigma, sigma_index, atol=1e-14)
 
 
 def test_apply_is_self_adjoint_for_symmetric_c():
@@ -105,33 +99,39 @@ def test_apply_is_self_adjoint_for_symmetric_c():
 
 def test_roundtrips_and_identity():
     rng = np.random.default_rng(3)
-    for d in (2, 3):
-        e = random_sym(rng, d)
-        assert np.allclose(from_mandel(to_mandel(e)), e)
-        c4 = rng.standard_normal((d,) * 4)
-        c4 = 0.25 * (c4 + c4.transpose(1, 0, 2, 3) + c4.transpose(0, 1, 3, 2) + c4.transpose(1, 0, 3, 2))
-        assert np.allclose(from_mandel_operator(to_mandel_operator(c4)), c4, atol=1e-14)
-        iv = identity_vector(d)
-        assert np.allclose(from_mandel(iv), np.eye(d))
-        assert np.allclose(apply(np.eye(n_sym(d)), to_mandel(e)), to_mandel(e))
+    e = random_sym(rng, 2)
+    assert np.allclose(from_mandel(to_mandel(e)), e)
+    c4 = rng.standard_normal((2,) * 4)
+    c4 = 0.25 * (c4 + c4.transpose(1, 0, 2, 3) + c4.transpose(0, 1, 3, 2) + c4.transpose(1, 0, 3, 2))
+    assert np.allclose(from_mandel_operator(mandel_operator_2d(c4)), c4, atol=1e-14)
+    assert np.allclose(from_mandel(IDENTITY_VECTOR), np.eye(2))
+    assert np.allclose(apply(np.eye(3), to_mandel(e)), to_mandel(e))
 
 
 def test_isotropic_parts_recovers_lame():
     lam, mu = lame_parameters(7.0, 0.3)
-    for d in (2, 3):
-        got_lam, got_mu = isotropic_parts(lame_stiffness(lam, mu, d))
-        assert np.isclose(got_lam, lam, atol=1e-12)
-        assert np.isclose(got_mu, mu, atol=1e-12)
+    got_lam, got_mu = isotropic_parts(lame_stiffness(lam, mu))
+    assert np.isclose(got_lam, lam, atol=1e-12)
+    assert np.isclose(got_mu, mu, atol=1e-12)
 
 
 def test_dimension_mismatch_raised():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         apply(np.eye(3), np.ones(6))
-    with pytest.raises(DimensionMismatch):
-        from_mandel(np.ones(5))
+    # stiffnesses are 3 x 3 Mandel matrices: no 3-d or full index input
+    for bad in (np.eye(6), np.ones((2, 2, 2, 2))):
+        with pytest.raises(ShapeMismatch):
+            as_mandel_stiffness(bad)
+    with pytest.raises(ShapeMismatch):
+        isotropic_parts(np.eye(6))
 
 
 def test_pair_order_and_weights():
-    assert mandel_pairs(2) == [(0, 0), (1, 1), (0, 1)]
-    assert mandel_pairs(3) == [(0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)]
-    assert np.allclose(mandel_weights(2), [1.0, 1.0, np.sqrt(2)])
+    # the layout is (a11, a22, sqrt(2) a12)
+    assert np.array_equal(IDENTITY_VECTOR, [1.0, 1.0, 0.0])
+    assert not IDENTITY_VECTOR.flags.writeable
+    assert np.allclose(to_mandel([[1.0, 2.0], [2.0, 3.0]]), [1.0, 3.0, 2.0 * np.sqrt(2.0)])
+    # sym(e1 (x) e2) has a12 = 1/2
+    assert np.allclose(strain_basis([1, 0]) @ [0.0, 1.0], [0.0, 0.0, np.sqrt(0.5)])
+    # orthonormal components: 2 mu Id is the shear response on every slot
+    assert np.array_equal(lame_stiffness(0.0, 0.5), np.eye(3))
