@@ -4,7 +4,9 @@ A run manifest is a small sectioned text file (documented in the README)
 naming a pattern matrix, a kernel, a geometry, a loading and output
 options.  `_SCHEMA` declares every section and key once, with its parser,
 default and constraint; `parse_manifest` checks a manifest against it and
-fills the `RunManifest` fields.  Subcommands: `solve` runs one cell
+fills the `RunManifest` fields.  Every cell problem is solved by
+conjugate gradients preconditioned by the periodised Green operator
+(`basic_scheme`'s default method).  Subcommands: `solve` runs one cell
 problem and writes a report, strain CSV and optional raster images;
 `sweep` solves a grid of kernel parameters and tabulates error metrics
 against a refined reference; `effective` assembles the homogenised
@@ -513,7 +515,7 @@ def _heatmap_field(manifest, report, e_log):
 
 
 def _solve_kept(manifest, c, table):
-    """Basic Scheme under the manifest's stopping rule; when the budget runs
+    """CG solve under the manifest's stopping rule; when the budget runs
     out or the iteration diverges the partial report (converged false) is
     returned, not raised, and a divergence is named on stderr."""
     try:
@@ -713,11 +715,40 @@ def run_selftest(seed=0):
             worst = max(worst, float(error))
         return worst
 
+    def dlvp_green_table(mat, c0):
+        alpha = tuple(rng.uniform(0.0, 0.5, size=2))
+        spec = KernelSpec.dlvp(mat, alpha)
+        return periodised_green_table(c0, orthonormalize(coefficient_table(spec)))
+
+    def cg_matches_basic_scheme():
+        mat = _random_regular(rng)
+        young = rng.uniform(1.0, 4.0, size=as_pattern_matrix(mat).m)
+        c = np.stack([isotropic_stiffness(e, 0.3) for e in young])
+        c0 = default_reference(c)
+        table = dlvp_green_table(mat, c0)
+        eps0 = rng.normal(size=3)
+        cg = basic_scheme(c, c0, eps0, table, tol=1e-13)
+        basic = basic_scheme(c, c0, eps0, table, tol=1e-13, method="basic")
+        return float(
+            np.linalg.norm(cg.strain - basic.strain) / np.linalg.norm(basic.strain + eps0)
+        )
+
+    def green_spectrum_bounded():
+        a = rng.normal(size=(3, 3))
+        c0 = a @ a.T + 0.5 * np.eye(3)
+        table = dlvp_green_table(_random_regular(rng), c0)
+        w, v = np.linalg.eigh(c0)
+        root = (v * np.sqrt(w)) @ v.T
+        vals = np.linalg.eigvalsh(root @ table.values @ root)
+        return float(max(-vals.min(), vals.max() - 1.0, 0.0))
+
     check("pattern fft matches the direct transform", fft_matches_dft)
     check("dlvp class sums are flat", dlvp_sums_flat)
     check("dirichlet green table is a projection", dirichlet_projects)
     check("green table is self-adjoint in the energy pairing", green_adjoint)
     check("green multiplier matches the acoustic-tensor route", green_matches_acoustic_route)
+    check("CG and the Basic Scheme reach the same fixed point", cg_matches_basic_scheme)
+    check("every class of C0^1/2 Gp C0^1/2 has its spectrum in [0, 1]", green_spectrum_bounded)
     return 0 if all(checks) else 1
 
 

@@ -46,7 +46,7 @@ class ShapeMismatch(LathomError):
 
 
 class NotConverged(LathomError):
-    """Fixed-point iteration exhausted max_iter.
+    """Solver iteration exhausted max_iter.
 
     Carries the partial report so callers can inspect the residual history.
     """
@@ -58,7 +58,7 @@ class NotConverged(LathomError):
 
 
 class Diverged(NotConverged):
-    """Fixed-point iteration produced a non-finite residual norm.
+    """Solver iteration produced a non-finite residual norm.
 
     The partial report holds the last iterate whose norms were finite.
     """

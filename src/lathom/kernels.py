@@ -155,8 +155,15 @@ def _dlvp_axis_exact(alpha_i, w, n):
     if alpha_i * n <= 1.0:
         aw = np.abs(w)
         return np.where(2 * aw < n, 1.0, np.where(2 * aw == n, 0.5, 0.0))
-    t = np.abs(w) / n
-    return np.clip((0.5 * (1.0 + alpha_i) - t) / alpha_i, 0.0, 1.0)
+    # 0.5 + (n - 2|w|) / (2 n alpha) with n - 2|w| an exact integer: the
+    # offset form (0.5(1 + alpha) - |w|/n) / alpha would lose eps / alpha.
+    # In place, because each fresh (m,) temporary costs page faults at setup.
+    ramp = np.abs(w)
+    ramp *= -2
+    ramp += n
+    ramp = ramp / (2.0 * n * alpha_i)
+    ramp += 0.5
+    return np.clip(ramp, 0.0, 1.0)
 
 
 def coeff(spec, k):

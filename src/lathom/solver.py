@@ -1,21 +1,43 @@
-"""Fixed-point solver for the discretised Lippmann-Schwinger equation.
+"""Solvers for the discretised Lippmann-Schwinger equation.
 
 Fields live on the pattern as Mandel vectors per point: strain-like
 quantities have shape (m, 3), stiffness fields (m, 3, 3).  The
 coefficients are those of fundamental-interpolant translates, which equal
 the point values at 2 pi y, so no basis change happens anywhere.
 
-The Basic Scheme iterates
+The strain fluctuation E solves
+
+    E + Green_p (C - C0) : (E + eps0) = 0,
+
+and `basic_scheme` solves it by one of two methods.
+
+method="cg" (the default, and what the command line runs): conjugate
+gradients on (Green_p^{-1} + C - C0) E = -(C - C0) eps0 over the range of
+Green_p, preconditioned by Green_p.  Each class of C0^1/2 Green_p C0^1/2
+has its spectrum in [0, 1] for every kernel, so on that range
+Green_p^{-1} >= C0 and the operator is at least C: symmetric positive
+definite for any symmetric positive definite C and C0.  Green_p^{-1} is
+never formed; w = Green_p^{-1} p follows the recurrence w <- r + beta w.
+The preconditioned residual z = Green_p r is exactly minus the left-hand
+side above, so the run stops when the relative LS residual
+|z| / |E + eps0| <= tol, and that is what the residual history records.
+
+method="basic": the Basic Scheme, the paper's reference method,
 
     E^{n+1} = -Green_p (C - C0) : (E^n + eps0),   E^0 = 0,
 
-and stops on the relative Cauchy criterion
+stopped on the relative Cauchy criterion
 |E^{n+1} - E^n| / |E^{n+1} + eps0| <= tol.  With the reference stiffness
 between the pointwise ellipticity bounds this is a contraction, and the
 recorded residual history is observed to decrease monotonically (the
-report stores the fact rather than enforcing it).  A reference that is
-too soft makes the iteration diverge; it stops at the first iteration
-whose residual norms are not finite, keeping the last finite iterate.
+report stores the fact rather than enforcing it; `monotone` means nothing
+under CG, whose residual need not decrease).  A reference that is too soft
+makes it diverge.
+
+Both methods cost one Green application and one stiffness product per
+iteration, reach the same discrete fixed point, and stop at the first
+iteration whose residual norms are not finite, keeping the last finite
+iterate.
 
 On patterns whose Green table is not even under h -> -h (strict Dirichlet
 box with two-torsion, see green.py) the fixed point is genuinely complex;
@@ -58,7 +80,7 @@ __all__ = [
 
 @dataclass
 class SolveReport:
-    """Everything a Basic-Scheme run produced."""
+    """Everything a solver run produced."""
 
     strain: np.ndarray  # (m, 3) fluctuation coefficients E_y
     iterations: int
@@ -66,8 +88,9 @@ class SolveReport:
     effective_action: np.ndarray | None = None
     wall_time: float = 0.0
     converged: bool = False
-    monotone: bool = True
+    monotone: bool = True  # meaningful under method="basic" only
     imag_fraction: float = 0.0  # |Im E| / |E|, zero on even tables
+    method: str = "cg"
 
 
 def _as_stiffness_field(c, m):
@@ -83,14 +106,93 @@ def _field_norm(a):
     return float(np.linalg.norm(a))
 
 
-def basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
-    """Run the fixed-point iteration until the Cauchy criterion holds.
+def _relative(num, den):
+    """num / den for residual norms: 0 when num is 0, inf when only den is;
+    None when either norm is not finite."""
+    if not (math.isfinite(num) and math.isfinite(den)):
+        return None
+    if num == 0.0:
+        return 0.0
+    return math.inf if den == 0.0 else num / den
+
+
+def _basic_iteration(dc, eps0, table, tol, max_iter):
+    """Basic Scheme: (strain, Cauchy residual history, stop reason)."""
+    strain = np.zeros((table.matrix.m, 3))
+    history = []
+    for _ in range(max_iter):
+        new_strain = -apply_green(table, apply(dc, strain + eps0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rel = _relative(_field_norm(new_strain - strain), _field_norm(new_strain + eps0))
+        if rel is None:
+            return strain, history, "diverged"  # keep the previous, finite iterate
+        history.append(rel)
+        strain = new_strain
+        if rel <= tol:
+            return strain, history, "converged"
+    return strain, history, "max_iter"
+
+
+def _cg_iteration(dc, eps0, table, tol, max_iter):
+    """CG preconditioned by Green_p: (strain, LS residual history, stop reason).
+
+    r is the residual of (Green_p^{-1} + C - C0) x = -(C - C0) eps0, z =
+    Green_p r, p the search direction and w = Green_p^{-1} p.  Each entry
+    of the history costs one Green application.  r, p and w are updated in
+    place; x is replaced only by a finite iterate.
+    """
+    r = -apply(dc, eps0)
+    z = apply_green(table, r)
+    # a table that is not even makes z complex: then all of them are
+    x = np.zeros_like(z)
+    r = r.astype(z.dtype, copy=False)
+    p, w = z, r.copy()
+    rz = np.vdot(r, z).real
+    history = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rel = _relative(_field_norm(z), _field_norm(eps0))
+        while rel is not None:
+            history.append(rel)
+            if rel <= tol:
+                return x, history, "converged"
+            if len(history) == max_iter:
+                return x, history, "max_iter"
+            q = apply(dc, p)
+            q += w
+            alpha = rz / np.vdot(p, q).real
+            q *= alpha
+            r -= q
+            del q, z  # not alive during the next Green application
+            z = apply_green(table, r)
+            x_next = alpha * p  # p != 0 here, so a non-finite alpha shows in x_next
+            x_next += x
+            rel = _relative(_field_norm(z), _field_norm(x_next + eps0))
+            if rel is None:
+                break
+            x = x_next
+            rz, rz_old = np.vdot(r, z).real, rz
+            beta = rz / rz_old
+            p *= beta
+            p += z
+            w *= beta
+            w += r
+    return x, history, "diverged"
+
+
+_METHODS = {"cg": _cg_iteration, "basic": _basic_iteration}
+
+
+def basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000, method="cg"):
+    """Solve the cell problem with conjugate gradients or the Basic Scheme.
 
     c is the pointwise stiffness (m, 3, 3), c0 the reference the table
     was built with, eps0 the macroscopic strain as a Mandel vector.
-    Raises NonElliptic if the stiffness field is not uniformly positive,
-    Diverged(iterations, report) at the first non-finite residual norm and
-    NotConverged(iterations, report) when max_iter runs out.
+    method="cg" stops when the relative LS residual is at most tol,
+    method="basic" on the Cauchy criterion (see the module docstring).
+    Raises NonElliptic if the stiffness field is not symmetric and
+    uniformly positive, Diverged(iterations, report) at the first
+    non-finite residual norm and NotConverged(iterations, report) when
+    max_iter runs out.
     """
     start = time.perf_counter()
     pm = table.matrix
@@ -103,35 +205,12 @@ def basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
         raise ShapeMismatch(f"macroscopic strain must be (3,), got {eps0.shape}")
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
+    if method not in _METHODS:
+        raise ValidationError(f"unknown method {method!r}, expected cg or basic")
     lower, _ = ellipticity_bounds(c)
     if lower <= 0.0:
         raise NonElliptic(f"stiffness field has lower bound {lower:.3e}")
-    dc = c - c0
-    strain = np.zeros((pm.m, 3))
-    history = []
-    converged = False
-    diverged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        tau = apply(dc, strain + eps0)
-        new_strain = -apply_green(table, tau)
-        with np.errstate(over="ignore", invalid="ignore"):
-            num = _field_norm(new_strain - strain)
-            den = _field_norm(new_strain + eps0)
-        if not (math.isfinite(num) and math.isfinite(den)):
-            diverged = True  # keep the previous, finite iterate
-            break
-        if num == 0.0:
-            rel = 0.0
-        elif den == 0.0:
-            rel = math.inf
-        else:
-            rel = num / den
-        history.append(rel)
-        strain = new_strain
-        if rel <= tol:
-            converged = True
-            break
+    strain, history, stop = _METHODS[method](c - c0, eps0, table, tol, max_iter)
     monotone = all(
         later <= earlier * (1.0 + 1e-12)
         for earlier, later in zip(history[1:], history[2:])
@@ -146,16 +225,18 @@ def basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
         residual_history=history,
         effective_action=effective_action(c, strain, eps0),
         wall_time=time.perf_counter() - start,
-        converged=converged,
+        converged=stop == "converged",
         monotone=monotone,
         imag_fraction=imag,
+        method=method,
     )
-    if diverged:
+    if stop == "diverged":
+        iterations = len(history) + 1
         raise Diverged(
             iterations, report, f"diverged: non-finite residual at iteration {iterations}"
         )
-    if not converged:
-        raise NotConverged(iterations, report)
+    if stop == "max_iter":
+        raise NotConverged(len(history), report)
     return report
 
 
@@ -198,7 +279,7 @@ def effective_action(c, strain, eps0):
     return _exact_mean(apply(c, strain + eps0))
 
 
-def effective_tensor(c, c0, table, tol=1e-10, max_iter=5000):
+def effective_tensor(c, c0, table, tol=1e-10, max_iter=5000, method="cg"):
     """Column-by-column effective stiffness: one solve per Mandel basis strain.
 
     Returns (tensor, asymmetry) where the tensor is the symmetrised real
@@ -207,7 +288,7 @@ def effective_tensor(c, c0, table, tol=1e-10, max_iter=5000):
     noise (each solve reports its own imag fraction) and is dropped.
     """
     columns = [
-        basic_scheme(c, c0, eps0, table, tol=tol, max_iter=max_iter).effective_action
+        basic_scheme(c, c0, eps0, table, tol, max_iter, method).effective_action
         for eps0 in np.eye(3)
     ]
     raw = np.real(np.stack(columns, axis=1))
@@ -234,12 +315,14 @@ def default_reference(c):
 
 def report_summary(report):
     """Small fixed-format text block for logs and the command line."""
+    label = "ls residual    " if report.method == "cg" else "cauchy residual"
     lines = [
         f"iterations      {report.iterations}",
         f"converged       {str(report.converged).lower()}",
-        f"cauchy residual {report.residual_history[-1]:.6e}"
+        f"method          {report.method}",
+        f"{label} {report.residual_history[-1]:.6e}"
         if report.residual_history
-        else "cauchy residual n/a",
+        else f"{label} n/a",
         f"monotone        {str(report.monotone).lower()}",
         f"imag fraction   {report.imag_fraction:.3e}",
         f"wall time [s]   {report.wall_time:.3f}",

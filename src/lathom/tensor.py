@@ -81,13 +81,24 @@ def isotropic_parts(cm):
 def ellipticity_bounds(cm):
     """(smallest, largest) eigenvalue of the Mandel matrix; elliptic iff l > 0.
 
-    Raises NonElliptic for a non-finite entry, which has no eigenvalues.
+    cm is (3, 3) or batched (..., 3, 3).  Raises NonElliptic for a
+    non-finite entry, which has no eigenvalues, and for a matrix that is
+    not symmetric, max |c_ij - c_ji| > 1e-12 max |eigenvalue| over the
+    batch: eigvalsh reads one triangle only, and the solvers need
+    symmetric stiffnesses.
     """
     cm = np.asarray(cm)
     if not np.all(np.isfinite(cm)):
         raise NonElliptic("stiffness has a non-finite entry")
     vals = np.linalg.eigvalsh(cm)
-    return float(vals[..., 0].min()), float(vals[..., -1].max())
+    lower, upper = float(vals[..., 0].min()), float(vals[..., -1].max())
+    scale = max(abs(lower), abs(upper))
+    asymmetry = max(
+        float(np.max(np.abs(cm[..., i, j] - cm[..., j, i]))) for i, j in ((0, 1), (0, 2), (1, 2))
+    )
+    if asymmetry > 1e-12 * scale:
+        raise NonElliptic(f"stiffness is not symmetric (|c - c^T| = {asymmetry:.3e})")
+    return lower, upper
 
 
 def apply(cm, e):

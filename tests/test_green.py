@@ -114,7 +114,10 @@ def test_green_multiplier_degree_zero_homogeneity():
 
 def test_reference_not_positive_definite_guard():
     indefinite = np.diag([1.0, -1.0, 1.0])
-    for c0 in (np.zeros((3, 3)), indefinite, np.full((3, 3), np.nan)):
+    # positive definite lower triangle, but not symmetric
+    skewed = isotropic_stiffness(1.0, 0.3)
+    skewed[0, 1] += 0.1
+    for c0 in (np.zeros((3, 3)), indefinite, np.full((3, 3), np.nan), skewed):
         with pytest.raises(NonElliptic):
             green_multiplier(c0, [1, 0])
         with pytest.raises(NonElliptic):

@@ -92,6 +92,10 @@ def test_dlvp_class_sums_are_flat():
         spec = KernelSpec.dlvp([[6, 0], [0, 6]], alpha)
         table = coefficient_table(spec)
         assert np.allclose(table.class_sums(), 1.0 / 6.0, atol=1e-12)
+    # steep ramps on a fine pattern: the ramp must not lose eps / alpha
+    for alpha in [(1e-5, 1e-5), (1e-3, 1e-3)]:
+        table = coefficient_table(KernelSpec.dlvp([[512, 0], [0, 512]], alpha))
+        assert np.max(np.abs(512.0 * table.class_sums() - 1.0)) <= 1e-14
 
 
 def test_modified_dirichlet_splits_boundary_weight():

@@ -75,6 +75,12 @@ def test_non_elliptic_field_rejected():
     c[3, 0, 1] = np.nan
     with pytest.raises(NonElliptic):
         basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), table)
+    # eigvalsh reads one triangle: a non-symmetric field must not pass
+    c = np.broadcast_to(c0, (16, 3, 3)).copy()
+    c[3, 0, 1] += 0.1
+    for method in ("cg", "basic"):
+        with pytest.raises(NonElliptic, match="not symmetric"):
+            basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), table, method=method)
 
 
 def test_validation_guards():
@@ -87,6 +93,8 @@ def test_validation_guards():
         basic_scheme(c, c0, np.zeros(3), table, tol=0.0)
     with pytest.raises(ShapeMismatch):
         basic_scheme(c, c0, np.zeros(4), table)
+    with pytest.raises(ValidationError, match="unknown method"):
+        basic_scheme(c, c0, np.zeros(3), table, method="gmres")
 
 
 def test_not_converged_carries_partial_report():
@@ -94,7 +102,7 @@ def test_not_converged_carries_partial_report():
     table = green_table([[8, 0], [0, 8]], c0)
     c = two_phase_field([[8, 0], [0, 8]], isotropic_stiffness(0.2, 0.3), isotropic_stiffness(9.0, 0.3))
     with pytest.raises(NotConverged) as err:
-        basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), table, max_iter=2)
+        basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), table, max_iter=2, method="basic")
     assert err.value.iterations == 2
     assert len(err.value.report.residual_history) == 2
     assert not err.value.report.converged
@@ -107,7 +115,7 @@ def test_solution_satisfies_fixed_point_residual():
     c0 = default_reference(c)
     table = green_table(mat, c0)
     eps0 = np.array([1.0, 0.0, 0.0])
-    report = basic_scheme(c, c0, eps0, table, tol=1e-10)
+    report = basic_scheme(c, c0, eps0, table, tol=1e-10, method="basic")
     assert report.converged
     res = residual_ls(report.strain, c, c0, eps0, table)
     assert res <= 1e-8 * np.linalg.norm(eps0)
@@ -177,7 +185,7 @@ def test_matches_classical_scheme_on_tensor_grids():
     c0 = lam0 * np.outer(iv, iv) + 2.0 * mu0 * np.eye(3)
     table = green_table(mat, c0)
     assert not table.even_table  # even axes present
-    report = basic_scheme(c_field, c0, eps0, table, tol=1e-11)
+    report = basic_scheme(c_field, c0, eps0, table, tol=1e-11, method="basic")
     mine_on_grid = report.strain[idx]
     assert np.iscomplexobj(mine_on_grid)
     assert np.allclose(mine_on_grid, oracle_strain, atol=1e-10)
@@ -216,6 +224,8 @@ def test_effective_tensor_homogeneous_and_symmetry():
     eff_h, asym_h = effective_tensor(hetero, c0h, table_h, tol=1e-10)
     assert asym_h <= 1e-6
     assert np.allclose(eff_h, eff_h.T)
+    eff_basic, _ = effective_tensor(hetero, c0h, table_h, tol=1e-10, method="basic")
+    assert np.linalg.norm(eff_basic - eff_h) <= 1e-9 * np.linalg.norm(eff_h)
 
 
 def test_effective_action_shapes_and_values():
@@ -243,11 +253,17 @@ def test_default_reference_is_midpoint_of_lame_ranges():
 def test_report_summary_mentions_key_fields():
     c0 = isotropic_stiffness(1.0, 0.0)
     table = green_table([[2, 0], [0, 2]], c0)
-    report = basic_scheme(np.broadcast_to(c0, (4, 3, 3)), c0, np.array([1.0, 0.0, 0.0]), table)
+    c = np.broadcast_to(c0, (4, 3, 3))
+    report = basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), table)
     text = report_summary(report)
     assert "iterations" in text
     assert "effective action" in text
     assert "wall time" in text
+    # the residual line names what the method stopped on
+    assert "method          cg\n" in text and "ls residual     0.0" in text
+    basic = basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), table, method="basic")
+    text = report_summary(basic)
+    assert "method          basic\n" in text and "cauchy residual 0.0" in text
 
 
 def test_strain_csv_roundtrip_and_determinism(tmp_path):
@@ -331,8 +347,62 @@ def test_divergence_stops_at_first_non_finite_norm():
     c = two_phase_field(mat, isotropic_stiffness(1.0, 0.3), isotropic_stiffness(10.0, 0.3))
     c0 = lame_stiffness(0.1, 0.1)
     with pytest.raises(Diverged) as caught:
-        basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), green_table(mat, c0))
+        basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), green_table(mat, c0), method="basic")
     report = caught.value.report
     assert caught.value.iterations == report.iterations + 1 < 200
     assert len(report.residual_history) == report.iterations
     assert not report.converged and np.all(np.isfinite(report.strain))
+
+
+def random_field(m, seed, contrast=10.0):
+    young = np.random.default_rng(seed).uniform(1.0, contrast, size=m)
+    return np.stack([isotropic_stiffness(e, 0.3) for e in young])
+
+
+CG_TABLES = {
+    # even divisors: the half-open box makes the table odd and the field complex
+    "dirichlet_16": ([[16, 0], [0, 16]], KernelSpec.dirichlet),
+    "dirichlet_15": ([[15, 0], [0, 15]], KernelSpec.dirichlet),
+    "dlvp_sheared": ([[16, 0], [8, 16]], lambda mat: KernelSpec.dlvp(mat, (0.25, 0.1))),
+    "box_radius_4": (
+        [[12, 0], [0, 12]],
+        lambda mat: KernelSpec.box_spline(mat, three_direction_set(2, 2, 0), radius=4),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CG_TABLES))
+def test_cg_reaches_the_basic_scheme_fixed_point(name):
+    mat, spec = CG_TABLES[name]
+    m = abs(round(np.linalg.det(mat)))
+    c = random_field(m, seed=m)
+    c0 = default_reference(c)
+    table = periodised_green_table(c0, orthonormalize(coefficient_table(spec(mat))))
+    eps0 = np.array([1.0, -0.3, 0.5])
+    tol = 1e-10
+    cg = basic_scheme(c, c0, eps0, table, tol=tol)
+    basic = basic_scheme(c, c0, eps0, table, tol=tol, method="basic")
+    assert (cg.method, basic.method) == ("cg", "basic")
+    assert np.iscomplexobj(cg.strain) == (not table.even_table)
+    assert np.linalg.norm(cg.strain - basic.strain) <= 1e-8 * np.linalg.norm(basic.strain)
+    action_gap = np.linalg.norm(cg.effective_action - basic.effective_action)
+    assert action_gap <= 1e-9 * np.linalg.norm(basic.effective_action)
+    # the recorded residual is the relative LS residual of the returned strain
+    ls = residual_ls(cg.strain, c, c0, eps0, table) / np.linalg.norm(cg.strain + eps0)
+    assert cg.residual_history[-1] <= tol and ls <= 10 * tol
+    assert cg.iterations < basic.iterations
+
+
+def test_cg_not_converged_carries_partial_report():
+    mat = [[8, 0], [0, 8]]
+    c = random_field(64, seed=2)
+    c0 = default_reference(c)
+    table = green_table(mat, c0)
+    with pytest.raises(NotConverged) as err:
+        basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), table, max_iter=3)
+    report = err.value.report
+    assert err.value.iterations == report.iterations == len(report.residual_history) == 3
+    assert not report.converged and report.method == "cg"
+    assert report.residual_history[-1] > 1e-10 and np.all(np.isfinite(report.strain))
+    assert report.effective_action is not None
+
