@@ -3,14 +3,14 @@
 Strain fields on the unit cell are expanded in translates of a periodic
 kernel over an integer-matrix pattern; the cell problem is solved by
 conjugate gradients preconditioned by a per-frequency periodised Green
-operator, or by the Basic Scheme as the reference.  Submodules:
+operator.  Submodules:
 
 - lattice: patterns P(M), generating sets, congruence arithmetic
 - pattern_fft: Smith-form fast Fourier transform on a pattern
 - tensor: two-dimensional Mandel layout of strains and stiffnesses
 - kernels: Dirichlet / de la Vallee Poussin / box-spline coefficients
 - green: periodised Green operator tables
-- solver: CG and Basic Scheme iterations, effective stiffness
+- solver: preconditioned CG, effective stiffness
 - bench: benchmark geometries, reference restriction, error metrics
 - cli: manifest-driven command line frontend (`lathom`)
 """

@@ -6,7 +6,7 @@ options.  `_SCHEMA` declares every section and key once, with its parser,
 default and constraint; `parse_manifest` checks a manifest against it and
 fills the `RunManifest` fields.  Every cell problem is solved by
 conjugate gradients preconditioned by the periodised Green operator
-(`basic_scheme`'s default method).  Subcommands: `solve` runs one cell
+(`basic_scheme`).  Subcommands: `solve` runs one cell
 problem and writes a report, strain CSV and optional raster images;
 `sweep` solves a grid of kernel parameters and tabulates error metrics
 against a refined reference; `effective` assembles the homogenised
@@ -17,7 +17,8 @@ All CSV output uses fixed orderings and 17 significant digits, and files
 are written atomically, so identical manifests give byte-identical
 tables.  Exit codes: 0 success, 2 invalid or unreadable input (including
 non-finite numbers and a reference stiffness that is not positive
-definite), 3 non-convergence or divergence.
+definite), 3 non-convergence or divergence (CG diverges only when the
+arithmetic goes non-finite, as for a load whose squared norm overflows).
 """
 
 import argparse
@@ -68,6 +69,7 @@ from .solver import (
     effective_action,
     effective_tensor,
     report_summary,
+    residual_ls,
     write_strain_csv,
 )
 from .tensor import isotropic_stiffness, lame_stiffness
@@ -720,18 +722,16 @@ def run_selftest(seed=0):
         spec = KernelSpec.dlvp(mat, alpha)
         return periodised_green_table(c0, orthonormalize(coefficient_table(spec)))
 
-    def cg_matches_basic_scheme():
+    def cg_solves_lippmann_schwinger():
+        # a fresh operator application, not the residual CG's recurrence carries
         mat = _random_regular(rng)
         young = rng.uniform(1.0, 4.0, size=as_pattern_matrix(mat).m)
         c = np.stack([isotropic_stiffness(e, 0.3) for e in young])
         c0 = default_reference(c)
         table = dlvp_green_table(mat, c0)
         eps0 = rng.normal(size=3)
-        cg = basic_scheme(c, c0, eps0, table, tol=1e-13)
-        basic = basic_scheme(c, c0, eps0, table, tol=1e-13, method="basic")
-        return float(
-            np.linalg.norm(cg.strain - basic.strain) / np.linalg.norm(basic.strain + eps0)
-        )
+        strain = basic_scheme(c, c0, eps0, table, tol=1e-13).strain
+        return residual_ls(strain, c, c0, eps0, table) / float(np.linalg.norm(strain + eps0))
 
     def green_spectrum_bounded():
         a = rng.normal(size=(3, 3))
@@ -747,7 +747,7 @@ def run_selftest(seed=0):
     check("dirichlet green table is a projection", dirichlet_projects)
     check("green table is self-adjoint in the energy pairing", green_adjoint)
     check("green multiplier matches the acoustic-tensor route", green_matches_acoustic_route)
-    check("CG and the Basic Scheme reach the same fixed point", cg_matches_basic_scheme)
+    check("CG's strain solves the Lippmann-Schwinger equation", cg_solves_lippmann_schwinger)
     check("every class of C0^1/2 Gp C0^1/2 has its spectrum in [0, 1]", green_spectrum_bounded)
     return 0 if all(checks) else 1
 

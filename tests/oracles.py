@@ -142,6 +142,24 @@ def classical_basic_scheme(c_grid, lam0, mu0, eps0, tol=1e-10, max_iter=5000):
 # cross-checks: a second route to a library quantity
 
 
+def periodised_basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
+    """The paper's Basic Scheme E <- -Green_p (C - C0):(E + eps0) on a library
+    Green table, from E = 0, stopped on the relative Cauchy criterion
+    |E_new - E| / |E_new + eps0| <= tol.  Returns (strain, iterations).
+    """
+    m = table.matrix.m
+    dc = np.broadcast_to(np.asarray(c, dtype=float), (m, 3, 3)) - np.asarray(c0)
+    eps0 = np.asarray(eps0, dtype=float)
+    strain = np.zeros((m, 3))
+    for iterations in range(1, max_iter + 1):
+        new = -apply_green(table, np.einsum("mab,mb->ma", dc, strain + eps0))
+        num, den = np.linalg.norm(new - strain), np.linalg.norm(new + eps0)
+        strain = new
+        if num == 0.0 or (den > 0.0 and num / den <= tol):
+            return strain, iterations
+    raise AssertionError("periodised Basic Scheme did not converge")
+
+
 def grad_sym_multiplier(k, u):
     """Symmetrised gradient on one Fourier mode: (i/2)(k u^T + u k^T)."""
     k = np.asarray(k, dtype=float)

@@ -322,10 +322,20 @@ max_iter = 4
     assert "converged       false" in (out / "report.txt").read_text()
 
 
+def test_solve_exit_3_on_divergence(tmp_path, capsys):
+    # CG diverges only through overflow: |eps0|^2 exceeds the float range
+    text = replace(LAMINATE, "eps0 = 1 0 0", "eps0 = 1e155 0 0")
+    out = tmp_path / "out"
+    assert main(["solve", manifest_file(tmp_path, text), "--out", str(out)]) == 3
+    assert "error: diverged: non-finite residual at iteration 1" in capsys.readouterr().err
+    # the partial report is still written
+    assert "converged       false" in (out / "report.txt").read_text()
+
+
 def test_solve_converges_with_a_too_soft_reference(tmp_path, capsys):
-    # a reference far softer than both phases makes the Basic Scheme
-    # diverge; CG converges for any positive definite reference, to the
-    # same discrete solution as with the default reference
+    # the fixed-point Basic Scheme diverges with a reference far softer
+    # than both phases; CG converges for any positive definite reference,
+    # to the same discrete solution as with the default reference
     actions = []
     for solve in ("", "[solve]\nreference_lambda = 0.1\nreference_mu = 0.1\n"):
         out = tmp_path / f"out{len(actions)}"

@@ -1,4 +1,5 @@
-"""Property tests: lattice algebra, the fast transform and Green boundedness.
+"""Property tests: lattice algebra, the fast transform, Green boundedness
+and the solver's fixed point.
 
 Patterns, kernels and reference stiffnesses are drawn by hypothesis (see
 conftest.py for the profile); each property is exact or holds to a stated
@@ -13,8 +14,10 @@ from lathom.green import periodised_green_table
 from lathom.kernels import KernelSpec, coefficient_table, orthonormalize, three_direction_set
 from lathom.lattice import PatternMatrix, frac_coordinates, in_symmetric_box, reduce_mod
 from lathom.pattern_fft import pattern_dft, pattern_fft, smith_normal_form
+from lathom.solver import basic_scheme, default_reference, residual_ls
+from lathom.tensor import isotropic_stiffness
 
-from oracles import regular_pattern
+from oracles import periodised_basic_scheme, regular_pattern
 
 
 def patterns(dims=(2, 3), span=6, max_m=400):
@@ -96,3 +99,25 @@ def test_green_classes_are_bounded_by_one(data, c0):
     assert vals.max() <= 1.0 + 1e-12
     if spec.kind == "dirichlet":
         assert np.all(np.minimum(np.abs(vals), np.abs(vals - 1.0)) <= 1e-12)
+
+
+@given(data=st.data())
+def test_cg_solves_the_basic_scheme_fixed_point(data):
+    # Green_p is bounded for every kernel, so CG reaches the Basic Scheme's
+    # fixed point for Dirichlet, dlVP and box tables alike
+    pm = data.draw(patterns(dims=(2,), max_m=64), label="pattern")
+    spec = data.draw(kernel_specs(pm), label="kernel")
+    contrast = data.draw(st.floats(1.0, 10.0), label="contrast")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    young = rng.uniform(1.0, contrast, size=pm.m)
+    eps0 = rng.normal(size=3)
+    c = np.stack([isotropic_stiffness(e, 0.3) for e in young])
+    c0 = default_reference(c)
+    table = periodised_green_table(c0, orthonormalize(coefficient_table(spec)))
+    tol = 1e-10
+    strain = basic_scheme(c, c0, eps0, table, tol=tol).strain
+    total = np.linalg.norm(strain + eps0)
+    assert residual_ls(strain, c, c0, eps0, table) <= 10 * tol * total
+    basic_strain, _ = periodised_basic_scheme(c, c0, eps0, table, tol=tol)
+    assert np.linalg.norm(strain - basic_strain) <= 1e-8 * total

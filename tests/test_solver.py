@@ -21,9 +21,9 @@ from lathom.solver import (
     residual_ls,
     write_strain_csv,
 )
-from lathom.tensor import isotropic_stiffness, lame_parameters, lame_stiffness
+from lathom.tensor import isotropic_stiffness, lame_parameters
 
-from oracles import classical_basic_scheme, residual_variational
+from oracles import classical_basic_scheme, periodised_basic_scheme, residual_variational
 
 
 def green_table(m_mat, c0, kind="dirichlet", alpha=None):
@@ -78,9 +78,8 @@ def test_non_elliptic_field_rejected():
     # eigvalsh reads one triangle: a non-symmetric field must not pass
     c = np.broadcast_to(c0, (16, 3, 3)).copy()
     c[3, 0, 1] += 0.1
-    for method in ("cg", "basic"):
-        with pytest.raises(NonElliptic, match="not symmetric"):
-            basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), table, method=method)
+    with pytest.raises(NonElliptic, match="not symmetric"):
+        basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), table)
 
 
 def test_validation_guards():
@@ -93,19 +92,16 @@ def test_validation_guards():
         basic_scheme(c, c0, np.zeros(3), table, tol=0.0)
     with pytest.raises(ShapeMismatch):
         basic_scheme(c, c0, np.zeros(4), table)
-    with pytest.raises(ValidationError, match="unknown method"):
-        basic_scheme(c, c0, np.zeros(3), table, method="gmres")
-
-
-def test_not_converged_carries_partial_report():
-    c0 = isotropic_stiffness(1.0, 0.3)
-    table = green_table([[8, 0], [0, 8]], c0)
-    c = two_phase_field([[8, 0], [0, 8]], isotropic_stiffness(0.2, 0.3), isotropic_stiffness(9.0, 0.3))
-    with pytest.raises(NotConverged) as err:
-        basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), table, max_iter=2, method="basic")
-    assert err.value.iterations == 2
-    assert len(err.value.report.residual_history) == 2
-    assert not err.value.report.converged
+    # the manifest schema checks these for the command line; library
+    # callers get the same guard instead of a run that ignores them
+    for max_iter in (0, -1, 2.5):
+        with pytest.raises(ValidationError, match="max_iter"):
+            basic_scheme(c, c0, np.zeros(3), table, max_iter=max_iter)
+    for tol in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="tolerance"):
+            basic_scheme(c, c0, np.zeros(3), table, tol=tol)
+    with pytest.raises(ValidationError, match="finite"):
+        basic_scheme(c, c0, np.array([1.0, np.nan, 0.0]), table)
 
 
 def test_solution_satisfies_fixed_point_residual():
@@ -115,11 +111,10 @@ def test_solution_satisfies_fixed_point_residual():
     c0 = default_reference(c)
     table = green_table(mat, c0)
     eps0 = np.array([1.0, 0.0, 0.0])
-    report = basic_scheme(c, c0, eps0, table, tol=1e-10, method="basic")
+    report = basic_scheme(c, c0, eps0, table, tol=1e-10)
     assert report.converged
     res = residual_ls(report.strain, c, c0, eps0, table)
     assert res <= 1e-8 * np.linalg.norm(eps0)
-    assert report.monotone
 
 
 def test_residual_trivia():
@@ -174,7 +169,7 @@ def test_matches_classical_scheme_on_tensor_grids():
         for j in range(n2):
             c_grid[i, j] = isotropic_stiffness(young[i, j], 0.3)
     eps0 = np.array([1.0, -0.3, 0.7])
-    oracle_strain, oracle_iters = classical_basic_scheme(c_grid, lam0, mu0, eps0, tol=1e-11)
+    classical_strain, classical_iters = classical_basic_scheme(c_grid, lam0, mu0, eps0, tol=1e-11)
 
     mat = [[n1, 0], [0, n2]]
     pattern = pattern_points(mat)
@@ -185,11 +180,14 @@ def test_matches_classical_scheme_on_tensor_grids():
     c0 = lam0 * np.outer(iv, iv) + 2.0 * mu0 * np.eye(3)
     table = green_table(mat, c0)
     assert not table.even_table  # even axes present
-    report = basic_scheme(c_field, c0, eps0, table, tol=1e-11, method="basic")
+    # the same iteration on the library's Green table takes the same steps
+    basic_strain, basic_iters = periodised_basic_scheme(c_field, c0, eps0, table, tol=1e-11)
+    assert np.allclose(basic_strain[idx], classical_strain, atol=1e-10)
+    assert abs(basic_iters - classical_iters) <= 1
+    report = basic_scheme(c_field, c0, eps0, table, tol=1e-11)
     mine_on_grid = report.strain[idx]
     assert np.iscomplexobj(mine_on_grid)
-    assert np.allclose(mine_on_grid, oracle_strain, atol=1e-10)
-    assert abs(report.iterations - oracle_iters) <= 1
+    assert np.allclose(mine_on_grid, classical_strain, atol=1e-10)
     assert report.imag_fraction > 1e-8  # genuine leakage on the even grid
 
 
@@ -224,7 +222,11 @@ def test_effective_tensor_homogeneous_and_symmetry():
     eff_h, asym_h = effective_tensor(hetero, c0h, table_h, tol=1e-10)
     assert asym_h <= 1e-6
     assert np.allclose(eff_h, eff_h.T)
-    eff_basic, _ = effective_tensor(hetero, c0h, table_h, tol=1e-10, method="basic")
+    columns = [
+        effective_action(hetero, periodised_basic_scheme(hetero, c0h, eps0, table_h)[0], eps0)
+        for eps0 in np.eye(3)
+    ]
+    eff_basic = np.real(np.stack(columns, axis=1))
     assert np.linalg.norm(eff_basic - eff_h) <= 1e-9 * np.linalg.norm(eff_h)
 
 
@@ -259,11 +261,7 @@ def test_report_summary_mentions_key_fields():
     assert "iterations" in text
     assert "effective action" in text
     assert "wall time" in text
-    # the residual line names what the method stopped on
-    assert "method          cg\n" in text and "ls residual     0.0" in text
-    basic = basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), table, method="basic")
-    text = report_summary(basic)
-    assert "method          basic\n" in text and "cauchy residual 0.0" in text
+    assert "ls residual     0.0" in text
 
 
 def test_strain_csv_roundtrip_and_determinism(tmp_path):
@@ -342,16 +340,17 @@ def test_box_solve_returns_real_strain():
 
 
 def test_divergence_stops_at_first_non_finite_norm():
-    # a reference far softer than both phases makes the iteration diverge
+    # CG converges for every valid input, so only overflow can make a norm
+    # non-finite: |eps0|^2 exceeds the float range at 1e155
     mat = [[8, 0], [0, 8]]
     c = two_phase_field(mat, isotropic_stiffness(1.0, 0.3), isotropic_stiffness(10.0, 0.3))
-    c0 = lame_stiffness(0.1, 0.1)
+    c0 = default_reference(c)
     with pytest.raises(Diverged) as caught:
-        basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), green_table(mat, c0), method="basic")
+        basic_scheme(c, c0, np.array([1e155, 0.0, 0.0]), green_table(mat, c0))
     report = caught.value.report
-    assert caught.value.iterations == report.iterations + 1 < 200
-    assert len(report.residual_history) == report.iterations
-    assert not report.converged and np.all(np.isfinite(report.strain))
+    assert caught.value.iterations == 1 and report.iterations == 0
+    assert report.residual_history == [] and not report.converged
+    assert np.all(np.isfinite(report.strain)) and np.all(np.isfinite(report.effective_action))
 
 
 def random_field(m, seed, contrast=10.0):
@@ -381,16 +380,16 @@ def test_cg_reaches_the_basic_scheme_fixed_point(name):
     eps0 = np.array([1.0, -0.3, 0.5])
     tol = 1e-10
     cg = basic_scheme(c, c0, eps0, table, tol=tol)
-    basic = basic_scheme(c, c0, eps0, table, tol=tol, method="basic")
-    assert (cg.method, basic.method) == ("cg", "basic")
+    basic_strain, basic_iters = periodised_basic_scheme(c, c0, eps0, table, tol=tol)
     assert np.iscomplexobj(cg.strain) == (not table.even_table)
-    assert np.linalg.norm(cg.strain - basic.strain) <= 1e-8 * np.linalg.norm(basic.strain)
-    action_gap = np.linalg.norm(cg.effective_action - basic.effective_action)
-    assert action_gap <= 1e-9 * np.linalg.norm(basic.effective_action)
+    assert np.linalg.norm(cg.strain - basic_strain) <= 1e-8 * np.linalg.norm(basic_strain)
+    basic_action = effective_action(c, basic_strain, eps0)
+    action_gap = np.linalg.norm(cg.effective_action - basic_action)
+    assert action_gap <= 1e-9 * np.linalg.norm(basic_action)
     # the recorded residual is the relative LS residual of the returned strain
     ls = residual_ls(cg.strain, c, c0, eps0, table) / np.linalg.norm(cg.strain + eps0)
     assert cg.residual_history[-1] <= tol and ls <= 10 * tol
-    assert cg.iterations < basic.iterations
+    assert cg.iterations < basic_iters
 
 
 def test_cg_not_converged_carries_partial_report():
@@ -402,7 +401,7 @@ def test_cg_not_converged_carries_partial_report():
         basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), table, max_iter=3)
     report = err.value.report
     assert err.value.iterations == report.iterations == len(report.residual_history) == 3
-    assert not report.converged and report.method == "cg"
+    assert not report.converged
     assert report.residual_history[-1] > 1e-10 and np.all(np.isfinite(report.strain))
     assert report.effective_action is not None
 
