@@ -35,6 +35,21 @@ two-torsion pairs some boundary classes with their negatives
 asymmetrically.  The table records this; application to a real field
 returns a real field exactly when the table is even and an honestly
 complex one otherwise.
+
+apply_green has two paths, and the table decides which one runs:
+
+- An even table also stores its half table: the six unique entries
+  (00, 11, 22, 01, 02, 12) of each class matrix, sliced to the half
+  spectrum of the Smith grid, shape (6, d1, d2 // 2 + 1).  A real field
+  then runs through pattern_rfft, three multiply-add rows per class and
+  pattern_irfft: the spectrum of a real field is conjugate symmetric, and
+  an even table keeps it so, so half of it determines the result.
+- A table that is not even, or a complex field, takes the full spectrum:
+  pattern_fft, the 3 x 3 class matrices, pattern_ifft.
+
+Both paths write through `out`, and the real one takes its spectral
+scratch from GreenTable.workspace(), so a solver that allocates its
+buffers once allocates nothing per application.
 """
 
 from __future__ import annotations
@@ -45,7 +60,7 @@ import numpy as np
 
 from .errors import KernelNotOrthonormal, NonElliptic, ShapeMismatch
 from .lattice import PatternMatrix, generating_set
-from .pattern_fft import pattern_fft, pattern_ifft
+from .pattern_fft import half_grid, pattern_fft, pattern_ifft, pattern_irfft, pattern_rfft
 from .tensor import as_mandel_stiffness, ellipticity_bounds
 
 __all__ = [
@@ -117,13 +132,30 @@ class GreenTable:
     values[i] acts on frequency class freqs[i] of the generating set; the
     zero class is the zero matrix.  even_table records whether the values
     are even under h -> -h (class-wise), which decides whether real
-    fields stay real under application.
+    fields stay real under application.  An even table also holds half,
+    the unique entries on the half spectrum (see the module docstring);
+    it is None otherwise.
     """
 
     matrix: PatternMatrix
     c0: np.ndarray  # (3, 3) Mandel reference stiffness
     values: np.ndarray  # (m, 3, 3) real symmetric
     even_table: bool
+    half: np.ndarray | None = None  # (6,) + half_grid(matrix), even tables only
+
+    def workspace(self):
+        """Complex scratch for apply_green's real path; None without a half table."""
+        if self.half is None:
+            return None
+        return np.empty((_WORK_PLANES,) + self.half.shape[1:], dtype=np.complex128)
+
+
+# the unique entries of a symmetric class matrix, in the order of GreenTable.half
+_UNIQUE = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# row a of a class matrix as positions in _UNIQUE
+_ROWS = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+# spectrum (3), product (3) and one plane of products
+_WORK_PLANES = 7
 
 
 def periodised_green_table(c0, kernel):
@@ -156,23 +188,45 @@ def periodised_green_table(c0, kernel):
     neg = gen.index(-gen.freqs)
     scale = np.max(np.abs(values)) or 1.0
     even = bool(np.max(np.abs(values[neg] - values)) <= 1e-13 * scale)
-    return GreenTable(matrix=pm, c0=c0m.copy(), values=values, even_table=even)
+    half = None
+    if even:
+        d1, last = half_grid(pm)
+        cut = values.reshape(d1, -1, 3, 3)[:, :last]
+        half = np.stack([cut[..., a, b] for a, b in _UNIQUE])
+    return GreenTable(matrix=pm, c0=c0m.copy(), values=values, even_table=even, half=half)
 
 
-def apply_green(table, field):
+def apply_green(table, field, out=None, work=None):
     """Apply the periodised Green operator to a field sampled on the pattern.
 
-    field has shape (m, 3).  Real input comes back real whenever the table
-    is even under h -> -h; otherwise the honest complex result is returned
-    (its imaginary part is genuine, not roundoff).
+    field has shape (m, 3).  A real field on an even table takes the real
+    half-spectrum path and comes back real.  Otherwise the full complex
+    spectrum is used: a complex field, or a table that is not even, gives
+    the honest complex result (its imaginary part is genuine, not
+    roundoff).  out, if given, is a C-contiguous (m, 3) array of the result
+    type and receives the result; work is scratch from table.workspace(),
+    reused across calls (a fresh one is allocated when it is None).
     """
     pm = table.matrix
     field = np.asarray(field)
     if field.shape != (pm.m, 3):
         raise ShapeMismatch(f"expected field of shape {(pm.m, 3)}, got {field.shape}")
-    spectrum = pattern_fft(pm, field)
-    out_hat = np.einsum("mab,mb->ma", table.values, spectrum)
-    out = pattern_ifft(pm, out_hat)
-    if np.isrealobj(field) and table.even_table:
-        return out.real
-    return out
+    if table.half is None or np.iscomplexobj(field):
+        spectrum = pattern_fft(pm, field)
+        result = pattern_ifft(pm, np.einsum("mab,mb->ma", table.values, spectrum))
+        if np.isrealobj(field) and table.even_table:
+            result = result.real
+        if out is None:
+            return result
+        np.copyto(out, result)
+        return out
+    if work is None:
+        work = table.workspace()
+    spectrum, product, scratch = work[:3], work[3:6], work[6]
+    pattern_rfft(pm, field, out=spectrum)
+    for a, row in enumerate(_ROWS):
+        np.multiply(table.half[row[0]], spectrum[0], out=product[a])
+        for b in (1, 2):
+            np.multiply(table.half[row[b]], spectrum[b], out=scratch)
+            product[a] += scratch
+    return pattern_irfft(pm, product, out=out)

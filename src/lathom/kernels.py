@@ -224,14 +224,23 @@ class CoefficientTable:
         return self.coeffs.sum(axis=1)
 
 
+# classes per coeff call in coefficient_table: the call's temporaries stay
+# cache-sized, and the heap reuses them instead of returning the pages to
+# the system and faulting them in again for the next shift
+_TABLE_BLOCK_ROWS = 4096
+
+
 def coefficient_table(spec):
     """Evaluate the kernel coefficients on every class and retained shift."""
     pm = spec.matrix
     freqs = generating_set(pm).freqs
     shifts = shift_set(spec)
+    offsets = shifts @ pm.entries
     coeffs = np.empty((pm.m, len(shifts)))
-    for j, z in enumerate(shifts):
-        coeffs[:, j] = coeff(spec, freqs + z @ pm.entries)
+    for start in range(0, pm.m, _TABLE_BLOCK_ROWS):
+        rows = slice(start, start + _TABLE_BLOCK_ROWS)
+        for j, offset in enumerate(offsets):
+            coeffs[rows, j] = coeff(spec, freqs[rows] + offset)
     bracket = np.einsum("mt,mt->m", coeffs, coeffs)
     return CoefficientTable(spec=spec, freqs=freqs, shifts=shifts, coeffs=coeffs, bracket=bracket)
 

@@ -11,6 +11,12 @@ index i satisfy h.y = sum_l i_l j_l / d_l modulo 1, so the transform is a
 plain multidimensional FFT on the cyclic grid of shape diag(D), reached by
 reshaping.  pattern_dft is the O(m^2) reference oracle built directly from
 the exponential sum with exact rational phases.
+
+A real field needs only half of its spectrum: pattern_rfft returns the
+classes whose last Smith grid index is at most d_d // 2 (the others are
+their complex conjugates), component-major, and pattern_irfft maps such a
+half spectrum back to a real field.  Both write through `out`, so a loop
+that owns its buffers allocates nothing per transform.
 """
 
 from __future__ import annotations
@@ -28,7 +34,16 @@ from .lattice import (
     pattern_points,
 )
 
-__all__ = ["SmithDecomposition", "smith_normal_form", "pattern_dft", "pattern_fft", "pattern_ifft"]
+__all__ = [
+    "SmithDecomposition",
+    "smith_normal_form",
+    "pattern_dft",
+    "pattern_fft",
+    "pattern_ifft",
+    "half_grid",
+    "pattern_rfft",
+    "pattern_irfft",
+]
 
 
 @dataclass(frozen=True)
@@ -78,12 +93,16 @@ def pattern_dft(m_mat, a):
     return out
 
 
+def _grid(pm):
+    """Cyclic Smith grid diag(D) of a pattern matrix (cached in lattice)."""
+    return tuple(int(x) for x in _smith_grid(pm)[1])
+
+
 def _smith_transform(fftn, m_mat, a):
     """Unitary fftn or ifftn on the cyclic Smith grid, trailing axes kept."""
     pm = as_pattern_matrix(m_mat)
     a = _check_length(pm, a)
-    _, diag, _, _, _ = _smith_grid(pm)
-    grid = tuple(int(x) for x in diag)
+    grid = _grid(pm)
     work = np.asarray(a, dtype=np.complex128).reshape(grid + a.shape[1:])
     return fftn(work, axes=tuple(range(len(grid))), norm="ortho").reshape(a.shape)
 
@@ -96,3 +115,52 @@ def pattern_fft(m_mat, a):
 def pattern_ifft(m_mat, a_hat):
     """Inverse of pattern_fft."""
     return _smith_transform(np.fft.ifftn, m_mat, a_hat)
+
+
+def half_grid(m_mat):
+    """Shape of a half spectrum: the Smith grid with d_d cut to d_d // 2 + 1."""
+    grid = _grid(as_pattern_matrix(m_mat))
+    return grid[:-1] + (grid[-1] // 2 + 1,)
+
+
+def _component_grid(pm, a):
+    """View of a field a (m, ...) as (...,) + Smith grid, grid axes last."""
+    a = _check_length(pm, a)
+    grid = _grid(pm)
+    n = len(grid)
+    view = a.reshape(grid + a.shape[1:])
+    return np.moveaxis(view, tuple(range(n)), tuple(range(view.ndim - n, view.ndim))), grid
+
+
+def pattern_rfft(m_mat, a, out=None):
+    """Half spectrum of a real field a (m, ...), shape a.shape[1:] + half_grid.
+
+    The unitary rfftn of each component on the Smith grid: entry [..., i]
+    is pattern_fft's class with grid index i (C-order), for the indices
+    whose last entry is at most d_d // 2.  out, if given, is a complex128
+    array of that shape and receives the result.
+    """
+    pm = as_pattern_matrix(m_mat)
+    grid_view, grid = _component_grid(pm, np.asarray(a))
+    axes = tuple(range(-len(grid), 0))
+    return np.fft.rfftn(grid_view, axes=axes, norm="ortho", out=out)
+
+
+def pattern_irfft(m_mat, a_hat, out=None):
+    """Real field (m, ...) of a half spectrum; inverse of pattern_rfft.
+
+    a_hat is overwritten: the transforms along the full grid axes run in
+    place, and the last one writes the field into out.  out, if given, is
+    a C-contiguous float64 array of shape (m,) + a_hat's component axes.
+    """
+    pm = as_pattern_matrix(m_mat)
+    n = pm.dim
+    if out is None:
+        out = np.empty((pm.m,) + a_hat.shape[:-n])
+    elif not out.flags.c_contiguous:
+        raise ValueError("pattern_irfft writes into a C-contiguous array only")
+    grid_view, grid = _component_grid(pm, out)
+    for axis in range(-n, -1):
+        np.fft.ifft(a_hat, axis=axis, norm="ortho", out=a_hat)
+    np.fft.irfft(a_hat, n=grid[-1], axis=-1, norm="ortho", out=grid_view)
+    return out

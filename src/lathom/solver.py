@@ -18,9 +18,16 @@ symmetric positive definite C and C0.  Green_p^{-1} is never formed;
 w = Green_p^{-1} p follows the recurrence w <- r + beta w.  The
 preconditioned residual z = Green_p r is exactly minus the left-hand side
 above, so the run stops when the relative LS residual
-|z| / |E + eps0| <= tol, and that is what the residual history records.
+|z| / |E + eps0| <= tol, and that is what the residual history records
+from its first entry on (at E = 0 the denominator is the norm of the
+constant field eps0, sqrt(m) |eps0|).
 Each iteration costs one Green application and one stiffness product.  The
-run stops at the first iteration whose residual norms are not finite,
+seven fields of the iteration (x, its successor, r, z, p, w and the product
+q) and the Green application's spectral scratch are allocated once per
+solve, and every step writes into them: on an even table an iteration
+allocates no array (the full-spectrum application of the other tables
+still allocates its transforms).
+The run stops at the first iteration whose residual norms are not finite,
 which for validated input means the arithmetic overflowed, and keeps the
 last finite iterate.
 
@@ -105,38 +112,40 @@ def _cg_iteration(dc, eps0, table, tol, max_iter):
 
     r is the residual of (Green_p^{-1} + C - C0) x = -(C - C0) eps0, z =
     Green_p r, p the search direction and w = Green_p^{-1} p.  Each entry
-    of the history costs one Green application.  r, p and w are updated in
-    place; x is replaced only by a finite iterate.
+    of the history costs one Green application.  Every field lives in a
+    buffer allocated here, before the first iteration; x is replaced only
+    by a finite iterate.
     """
-    r = -apply(dc, eps0)
-    z = apply_green(table, r)
     # a table that is not even makes z complex: then all of them are
-    x = np.zeros_like(z)
-    r = r.astype(z.dtype, copy=False)
-    p, w = z, r.copy()
+    dtype = np.float64 if table.even_table else np.complex128
+    x, x_next, r, z, p, w, q = (np.zeros((table.matrix.m, 3), dtype) for _ in range(7))
+    work = table.workspace()
+    apply(dc, -eps0, out=r)
+    apply_green(table, r, out=z, work=work)
+    np.copyto(p, z)
+    np.copyto(w, r)
     rz = np.vdot(r, z).real
     history = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rel = _relative(_field_norm(z), _field_norm(eps0))
+        rel = _relative(_field_norm(z), _field_norm(np.add(x, eps0, out=q)))
         while rel is not None:
             history.append(rel)
             if rel <= tol:
                 return x, history, "converged"
             if len(history) == max_iter:
                 return x, history, "max_iter"
-            q = apply(dc, p)
+            apply(dc, p, out=q)
             q += w
             alpha = rz / np.vdot(p, q).real
             q *= alpha
             r -= q
-            del q, z  # not alive during the next Green application
-            z = apply_green(table, r)
-            x_next = alpha * p  # p != 0 here, so a non-finite alpha shows in x_next
+            apply_green(table, r, out=z, work=work)
+            np.multiply(alpha, p, out=x_next)  # p != 0 here, so a non-finite alpha shows in x_next
             x_next += x
-            rel = _relative(_field_norm(z), _field_norm(x_next + eps0))
+            rel = _relative(_field_norm(z), _field_norm(np.add(x_next, eps0, out=q)))
             if rel is None:
                 break
-            x = x_next
+            x, x_next = x_next, x
             rz, rz_old = np.vdot(r, z).real, rz
             beta = rz / rz_old
             p *= beta
@@ -247,8 +256,9 @@ def effective_tensor(c, c0, table, tol=1e-10, max_iter=5000):
 
     Returns (tensor, asymmetry) where the tensor is the symmetrised real
     matrix of effective actions and asymmetry = |A - A^T| / |A| before
-    symmetrisation.  The imaginary residue of the actions is transform
-    noise (each solve reports its own imag fraction) and is dropped.
+    symmetrisation.  On an even table the actions are real.  On a table
+    that is not even they carry a genuine imaginary part, which is
+    dropped (each solve reports its own imag fraction).
     """
     columns = [
         basic_scheme(c, c0, eps0, table, tol, max_iter).effective_action

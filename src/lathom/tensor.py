@@ -101,10 +101,13 @@ def ellipticity_bounds(cm):
     return lower, upper
 
 
-def apply(cm, e):
-    """C : e in Mandel coordinates; cm (3, 3) or batched (..., 3, 3)."""
+def apply(cm, e, out=None):
+    """C : e in Mandel coordinates; cm (3, 3) or batched (..., 3, 3).
+
+    out, if given, receives the result (einsum's out).
+    """
     cm = np.asarray(cm)
     e = np.asarray(e)
     if cm.shape[-1] != e.shape[-1]:
         raise ShapeMismatch(f"operator {cm.shape} vs vector {e.shape}")
-    return np.einsum("...ab,...b->...a", cm, e)
+    return np.einsum("...ab,...b->...a", cm, e, out=out)

@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from lathom.errors import LengthMismatch, ShapeMismatch, ZeroDeterminant
-from lathom.green import apply_green
 from lathom.kernels import coeff, shift_set
 from lathom.lattice import PatternMatrix, as_pattern_matrix, reduce_mod
 from lathom.pattern_fft import pattern_fft, pattern_ifft
@@ -142,17 +141,30 @@ def classical_basic_scheme(c_grid, lam0, mu0, eps0, tol=1e-10, max_iter=5000):
 # cross-checks: a second route to a library quantity
 
 
+def full_spectrum_green(table, field):
+    """Green application on the full complex spectrum of a library table:
+    pattern_fft, the 3 x 3 class matrices table.values, pattern_ifft.  The
+    real part is returned for a real field on an even table, where the
+    imaginary part is roundoff; otherwise the complex result.
+    """
+    out = pattern_ifft(
+        table.matrix, np.einsum("mab,mb->ma", table.values, pattern_fft(table.matrix, field))
+    )
+    return out.real if np.isrealobj(field) and table.even_table else out
+
+
 def periodised_basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
     """The paper's Basic Scheme E <- -Green_p (C - C0):(E + eps0) on a library
-    Green table, from E = 0, stopped on the relative Cauchy criterion
-    |E_new - E| / |E_new + eps0| <= tol.  Returns (strain, iterations).
+    Green table, applied by full_spectrum_green, from E = 0, stopped on the
+    relative Cauchy criterion |E_new - E| / |E_new + eps0| <= tol.  Returns
+    (strain, iterations).
     """
     m = table.matrix.m
     dc = np.broadcast_to(np.asarray(c, dtype=float), (m, 3, 3)) - np.asarray(c0)
     eps0 = np.asarray(eps0, dtype=float)
     strain = np.zeros((m, 3))
     for iterations in range(1, max_iter + 1):
-        new = -apply_green(table, np.einsum("mab,mb->ma", dc, strain + eps0))
+        new = -full_spectrum_green(table, np.einsum("mab,mb->ma", dc, strain + eps0))
         num, den = np.linalg.norm(new - strain), np.linalg.norm(new + eps0)
         strain = new
         if num == 0.0 or (den > 0.0 and num / den <= tol):
@@ -263,4 +275,4 @@ def residual_variational(strain, c, c0, eps0, table):
         raise ShapeMismatch(f"expected {(m, n_s)}, got {strain.shape}")
     c = np.broadcast_to(np.asarray(c, dtype=float), (m, n_s, n_s))
     total = np.einsum("mab,mb->ma", c, strain + np.asarray(eps0))
-    return float(np.linalg.norm(apply_green(table, total) @ np.asarray(c0).T))
+    return float(np.linalg.norm(full_spectrum_green(table, total) @ np.asarray(c0).T))

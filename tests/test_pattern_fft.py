@@ -8,7 +8,15 @@ import pytest
 
 from lathom.errors import LengthMismatch, ZeroDeterminant
 from lathom.lattice import PatternMatrix, generating_set, pattern_points
-from lathom.pattern_fft import pattern_dft, pattern_fft, pattern_ifft, smith_normal_form
+from lathom.pattern_fft import (
+    half_grid,
+    pattern_dft,
+    pattern_fft,
+    pattern_ifft,
+    pattern_irfft,
+    pattern_rfft,
+    smith_normal_form,
+)
 
 from oracles import random_regular
 
@@ -118,6 +126,24 @@ def test_real_field_roundtrip_stays_real():
     back = pattern_ifft(pm, pattern_fft(pm, a))
     assert np.max(np.abs(back.imag)) < 1e-12
     assert np.allclose(back.real, a, atol=1e-12)
+
+
+def test_half_spectrum_is_the_full_spectrum_cut_and_inverts():
+    rng = np.random.default_rng(10)
+    # Smith grids (1, 7), (1, 18), (5, 5), (2, 12) and a random 3-d one
+    cases = [[[1, 0], [0, 7]], [[3, 1], [0, 6]], [[5, 0], [0, 5]], [[4, 2], [0, 6]]]
+    for pm in [PatternMatrix(c) for c in cases] + [random_regular(rng, 3, max_m=300)]:
+        a = rng.standard_normal((pm.m, 3))
+        grid = tuple(int(x) for x in smith_normal_form(pm).d)
+        half = pattern_rfft(pm, a)
+        assert half.shape == (3,) + half_grid(pm)
+        full = np.moveaxis(pattern_fft(pm, a).reshape(grid + (3,)), -1, 0)
+        assert np.allclose(half, full[..., : grid[-1] // 2 + 1], atol=1e-12)
+        out = np.empty_like(a)
+        assert pattern_irfft(pm, half, out=out) is out
+        assert np.allclose(out, a, atol=1e-12)
+        with pytest.raises(ValueError):
+            pattern_irfft(pm, pattern_rfft(pm, a), out=np.empty((3, pm.m)).T)
 
 
 def test_batched_axes():

@@ -1,5 +1,5 @@
-"""Property tests: lattice algebra, the fast transform, Green boundedness
-and the solver's fixed point.
+"""Property tests: lattice algebra, the fast transform, Green boundedness,
+the real half-spectrum Green path and the solver's fixed point.
 
 Patterns, kernels and reference stiffnesses are drawn by hypothesis (see
 conftest.py for the profile); each property is exact or holds to a stated
@@ -7,17 +7,18 @@ floating-point tolerance.
 """
 
 import numpy as np
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lathom.green import periodised_green_table
+from lathom.green import apply_green, periodised_green_table
 from lathom.kernels import KernelSpec, coefficient_table, orthonormalize, three_direction_set
 from lathom.lattice import PatternMatrix, frac_coordinates, in_symmetric_box, reduce_mod
 from lathom.pattern_fft import pattern_dft, pattern_fft, smith_normal_form
 from lathom.solver import basic_scheme, default_reference, residual_ls
 from lathom.tensor import isotropic_stiffness
 
-from oracles import periodised_basic_scheme, regular_pattern
+from oracles import full_spectrum_green, periodised_basic_scheme, regular_pattern
 
 
 def patterns(dims=(2, 3), span=6, max_m=400):
@@ -99,6 +100,46 @@ def test_green_classes_are_bounded_by_one(data, c0):
     assert vals.max() <= 1.0 + 1e-12
     if spec.kind == "dirichlet":
         assert np.all(np.minimum(np.abs(vals), np.abs(vals - 1.0)) <= 1e-12)
+
+
+# Smith grids (1, 7), (1, 18), (5, 5), (3, 9) and (2, 12): d1 = 1 and odd or
+# even last divisors; None draws the pattern
+SMITH_CASES = [
+    [[1, 0], [0, 7]],
+    [[3, 1], [0, 6]],
+    [[5, 0], [0, 5]],
+    [[3, 0], [3, 9]],
+    [[4, 2], [0, 6]],
+    None,
+]
+
+
+@pytest.mark.parametrize("entries", SMITH_CASES)
+@settings(max_examples=25)
+@given(data=st.data(), c0=spd_mandel())
+def test_real_green_path_matches_the_full_spectrum(entries, data, c0):
+    # even tables (dlVP, box, Dirichlet on odd divisors) take the real
+    # half-spectrum path; the others stay honestly complex
+    if entries is None:
+        pm = data.draw(patterns(dims=(2,), max_m=400), label="pattern")
+    else:
+        pm = PatternMatrix(entries)
+    spec = data.draw(kernel_specs(pm), label="kernel")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    field = np.random.default_rng(seed).normal(size=(pm.m, 3))
+    table = periodised_green_table(c0, orthonormalize(coefficient_table(spec)))
+    reference = full_spectrum_green(table, field)
+    out = apply_green(table, field)
+    if table.even_table:
+        assert out.dtype == np.float64
+        assert np.linalg.norm(out - reference) <= 1e-12 * np.linalg.norm(reference)
+        again = np.empty_like(out)
+        assert apply_green(table, field, out=again, work=table.workspace()) is again
+        assert np.array_equal(again, out)
+    else:
+        assert spec.kind == "dirichlet"
+        assert np.array_equal(out, reference)
+        assert np.linalg.norm(out.imag) > 1e-6 * np.linalg.norm(out)
 
 
 @given(data=st.data())

@@ -392,6 +392,24 @@ def test_cg_reaches_the_basic_scheme_fixed_point(name):
     assert cg.iterations < basic_iters
 
 
+def test_first_residual_is_relative_to_the_total_strain():
+    # at E = 0 the history divides |Green_p (C - C0) eps0| by |E + eps0|,
+    # which is sqrt(m) |eps0| for the field, not |eps0| for the 3-vector
+    mat = [[16, 0], [8, 16]]
+    c = random_field(256, seed=3)
+    c0 = default_reference(c)
+    table = green_table(mat, c0, kind="dlvp", alpha=(0.25, 0.25))
+    eps0 = np.array([1.0, -0.3, 0.5])
+    zero = np.zeros((256, 3))
+    first = residual_ls(zero, c, c0, eps0, table) / np.linalg.norm(zero + eps0)
+    report = basic_scheme(c, c0, eps0, table)
+    assert abs(report.residual_history[0] - first) <= 1e-12 * first
+    # an initial residual within the tolerance ends the run before a step
+    report = basic_scheme(c, c0, eps0, table, tol=2.0 * first)
+    assert report.converged and report.iterations == 1
+    assert np.array_equal(report.strain, zero)
+
+
 def test_cg_not_converged_carries_partial_report():
     mat = [[8, 0], [0, 8]]
     c = random_field(64, seed=2)
