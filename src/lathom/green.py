@@ -38,18 +38,24 @@ complex one otherwise.
 
 apply_green has two paths, and the table decides which one runs:
 
-- An even table also stores its half table: the six unique entries
-  (00, 11, 22, 01, 02, 12) of each class matrix, sliced to the half
+- An even table also stores its half table: the six unique entries of
+  each class matrix in the symmetric layout of tensor.symmetric_entries
+  (the one the solver's stiffness contrast uses too), sliced to the half
   spectrum of the Smith grid, shape (6, d1, d2 // 2 + 1).  A real field
-  then runs through pattern_rfft, three multiply-add rows per class and
-  pattern_irfft: the spectrum of a real field is conjugate symmetric, and
-  an even table keeps it so, so half of it determines the result.
+  then runs through pattern_rfft, the three fused rows of
+  tensor.apply_symmetric and pattern_irfft: the spectrum of a real field
+  is conjugate symmetric, and an even table keeps it so, so half of it
+  determines the result.
 - A table that is not even, or a complex field, takes the full spectrum:
   pattern_fft, the 3 x 3 class matrices, pattern_ifft.
 
-Both paths write through `out`, and the real one takes its spectral
-scratch from GreenTable.workspace(), so a solver that allocates its
-buffers once allocates nothing per application.
+Fields are (m, 3) at this interface.  The solver keeps its fields
+component-major, (3, m), and passes their transposes: such an (m, 3) view
+is a contiguous (3, d1, d2) array on the Smith grid, so the real path's
+transforms read and write it without strides.  Both paths write through
+`out`, and the real one takes its spectral scratch from
+GreenTable.workspace(), so a solver that allocates its buffers once
+allocates nothing per application.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ import numpy as np
 from .errors import KernelNotOrthonormal, NonElliptic, ShapeMismatch
 from .lattice import PatternMatrix, generating_set
 from .pattern_fft import half_grid, pattern_fft, pattern_ifft, pattern_irfft, pattern_rfft
-from .tensor import as_mandel_stiffness, ellipticity_bounds
+from .tensor import apply_symmetric, as_mandel_stiffness, ellipticity_bounds, symmetric_entries
 
 __all__ = [
     "GreenTable",
@@ -133,8 +139,8 @@ class GreenTable:
     zero class is the zero matrix.  even_table records whether the values
     are even under h -> -h (class-wise), which decides whether real
     fields stay real under application.  An even table also holds half,
-    the unique entries on the half spectrum (see the module docstring);
-    it is None otherwise.
+    the six unique entries (tensor.symmetric_entries) on the half spectrum
+    (see the module docstring); it is None otherwise.
     """
 
     matrix: PatternMatrix
@@ -150,10 +156,6 @@ class GreenTable:
         return np.empty((_WORK_PLANES,) + self.half.shape[1:], dtype=np.complex128)
 
 
-# the unique entries of a symmetric class matrix, in the order of GreenTable.half
-_UNIQUE = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-# row a of a class matrix as positions in _UNIQUE
-_ROWS = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 # spectrum (3), product (3) and one plane of products
 _WORK_PLANES = 7
 
@@ -192,7 +194,7 @@ def periodised_green_table(c0, kernel):
     if even:
         d1, last = half_grid(pm)
         cut = values.reshape(d1, -1, 3, 3)[:, :last]
-        half = np.stack([cut[..., a, b] for a, b in _UNIQUE])
+        half = symmetric_entries(cut)
     return GreenTable(matrix=pm, c0=c0m.copy(), values=values, even_table=even, half=half)
 
 
@@ -203,8 +205,9 @@ def apply_green(table, field, out=None, work=None):
     half-spectrum path and comes back real.  Otherwise the full complex
     spectrum is used: a complex field, or a table that is not even, gives
     the honest complex result (its imaginary part is genuine, not
-    roundoff).  out, if given, is a C-contiguous (m, 3) array of the result
-    type and receives the result; work is scratch from table.workspace(),
+    roundoff).  out, if given, is an (m, 3) array of the result type in
+    any memory layout (the solver passes transposes of its (3, m) buffers)
+    and receives the result.  work is scratch from table.workspace(),
     reused across calls (a fresh one is allocated when it is None).
     """
     pm = table.matrix
@@ -224,9 +227,5 @@ def apply_green(table, field, out=None, work=None):
         work = table.workspace()
     spectrum, product, scratch = work[:3], work[3:6], work[6]
     pattern_rfft(pm, field, out=spectrum)
-    for a, row in enumerate(_ROWS):
-        np.multiply(table.half[row[0]], spectrum[0], out=product[a])
-        for b in (1, 2):
-            np.multiply(table.half[row[b]], spectrum[b], out=scratch)
-            product[a] += scratch
+    apply_symmetric(table.half, spectrum, product, scratch)
     return pattern_irfft(pm, product, out=out)

@@ -16,7 +16,10 @@ A real field needs only half of its spectrum: pattern_rfft returns the
 classes whose last Smith grid index is at most d_d // 2 (the others are
 their complex conjugates), component-major, and pattern_irfft maps such a
 half spectrum back to a real field.  Both write through `out`, so a loop
-that owns its buffers allocates nothing per transform.
+that owns its buffers allocates nothing per transform.  Fields are
+(m, ...) at this interface; the transpose of a component-major (3, m)
+buffer is such a field, and on the Smith grid it is a contiguous
+(3, d1, d2) array, so both transforms then run without strides.
 """
 
 from __future__ import annotations
@@ -151,14 +154,17 @@ def pattern_irfft(m_mat, a_hat, out=None):
 
     a_hat is overwritten: the transforms along the full grid axes run in
     place, and the last one writes the field into out.  out, if given, is
-    a C-contiguous float64 array of shape (m,) + a_hat's component axes.
+    a writeable float64 array of shape (m,) + a_hat's component axes in
+    any memory layout (splitting its leading axis onto the grid is always
+    a view); ValueError otherwise.
     """
     pm = as_pattern_matrix(m_mat)
     n = pm.dim
+    shape = (pm.m,) + a_hat.shape[:-n]
     if out is None:
-        out = np.empty((pm.m,) + a_hat.shape[:-n])
-    elif not out.flags.c_contiguous:
-        raise ValueError("pattern_irfft writes into a C-contiguous array only")
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.writeable:
+        raise ValueError(f"pattern_irfft writes into a writeable float64 {shape} array only")
     grid_view, grid = _component_grid(pm, out)
     for axis in range(-n, -1):
         np.fft.ifft(a_hat, axis=axis, norm="ortho", out=a_hat)

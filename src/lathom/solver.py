@@ -1,7 +1,7 @@
 """Solvers for the discretised Lippmann-Schwinger equation.
 
-Fields live on the pattern as Mandel vectors per point: strain-like
-quantities have shape (m, 3), stiffness fields (m, 3, 3).  The
+Fields live on the pattern as Mandel vectors per point: at this API
+strain-like quantities have shape (m, 3), stiffness fields (m, 3, 3).  The
 coefficients are those of fundamental-interpolant translates, which equal
 the point values at 2 pi y, so no basis change happens anywhere.
 
@@ -21,15 +21,28 @@ above, so the run stops when the relative LS residual
 |z| / |E + eps0| <= tol, and that is what the residual history records
 from its first entry on (at E = 0 the denominator is the norm of the
 constant field eps0, sqrt(m) |eps0|).
-Each iteration costs one Green application and one stiffness product.  The
-seven fields of the iteration (x, its successor, r, z, p, w and the product
-q) and the Green application's spectral scratch are allocated once per
-solve, and every step writes into them: on an even table an iteration
-allocates no array (the full-spectrum application of the other tables
-still allocates its transforms).
+Each iteration costs one Green application and one stiffness product.
+Inside the solver the fields are component-major: the seven fields of the
+iteration (x, its successor, r, z, p, w and the product q) are C-contiguous
+(3, m) buffers, and apply_green receives their (m, 3) transposes, which
+the transforms read and write without strides.  C - C0 is stored by its
+six unique entries, (6, m) (tensor.symmetric_entries, read from the lower
+triangle that the positivity check examines), and multiplied in three
+fused rows (tensor.apply_symmetric) through one (m,) scratch plane.
+These buffers and the Green application's spectral scratch are allocated
+once per solve, and every step writes into them: on an even table an
+iteration allocates no array (the full-spectrum application of the other
+tables still allocates its transforms).  The strain is transposed to
+(m, 3) once, at exit.  The CG coefficients come from inner products by
+pairwise summation, and |E + eps0| from |E|, sum_y E and |eps0| without
+forming the sum.
 The run stops at the first iteration whose residual norms are not finite,
 which for validated input means the arithmetic overflowed, and keeps the
 last finite iterate.
+
+Positivity of C is decided by the three leading principal minors at every
+point, O(m) (tensor.certainly_elliptic); only when they leave doubt does
+the batched eigvalsh of ellipticity_bounds decide, and word the error.
 
 On patterns whose Green table is not even under h -> -h (strict Dirichlet
 box with two-torsion, see green.py) the fixed point is genuinely complex;
@@ -40,6 +53,7 @@ instead of discarding imaginary parts midway.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import os
@@ -53,10 +67,13 @@ from .green import apply_green
 from .lattice import pattern_points
 from .tensor import (
     apply,
+    apply_symmetric,
     as_mandel_stiffness,
+    certainly_elliptic,
     ellipticity_bounds,
     isotropic_parts,
     lame_stiffness,
+    symmetric_entries,
 )
 
 __all__ = [
@@ -107,52 +124,114 @@ def _relative(num, den):
     return math.inf if den == 0.0 else num / den
 
 
-def _cg_iteration(dc, eps0, table, tol, max_iter):
-    """CG preconditioned by Green_p: (strain, LS residual history, stop reason).
+def _total_norm(e, eps0):
+    """|e + eps0| of a (3, m) field e, without forming the sum.
 
-    r is the residual of (Green_p^{-1} + C - C0) x = -(C - C0) eps0, z =
-    Green_p r, p the search direction and w = Green_p^{-1} p.  Each entry
-    of the history costs one Green application.  Every field lives in a
-    buffer allocated here, before the first iteration; x is replaced only
-    by a finite iterate.
+    eps0 is real, so |e + eps0|^2 = |e|^2 + 2 eps0 . Re(sum_y e) + m |eps0|^2.
     """
+    cross = float(eps0 @ e.sum(axis=1).real)
+    square = np.vdot(e, e).real + 2.0 * cross + e.shape[1] * float(eps0 @ eps0)
+    return math.sqrt(max(square, 0.0))
+
+
+def _inner(a, b, scratch):
+    """Re <a, b> of two (3, m) fields by numpy's pairwise summation.
+
+    scratch is a float64 plane as long as a row of a.view(float64).  The
+    CG coefficients come from these sums; BLAS dot products of the same
+    fields are an order of magnitude less accurate, enough to show at the
+    rounding floor of exactly solved cells.
+    """
+    total = np.float64(0.0)  # numpy scalars: x / 0 is inf, as the solver expects
+    for ak, bk in zip(a.view(np.float64), b.view(np.float64)):
+        np.multiply(ak, bk, out=scratch)
+        total += scratch.sum()
+    return total
+
+
+def _cg_iteration(dc, eps0, table, tol, max_iter):
+    """CG preconditioned by Green_p: (strain (3, m), LS residual history, stop reason).
+
+    dc holds the six unique entries of C - C0, (6, m).  r is the residual
+    of (Green_p^{-1} + C - C0) x = -(C - C0) eps0, z = Green_p r, p the
+    search direction and w = Green_p^{-1} p.  Each entry of the history
+    costs one Green application.  Every field lives in a buffer allocated
+    here, before the first iteration; x is replaced only by a finite
+    iterate.
+    """
+    m = table.matrix.m
     # a table that is not even makes z complex: then all of them are
     dtype = np.float64 if table.even_table else np.complex128
-    x, x_next, r, z, p, w, q = (np.zeros((table.matrix.m, 3), dtype) for _ in range(7))
+    x, x_next, r, z, p, w, q = (np.zeros((3, m), dtype) for _ in range(7))
+    plane = np.empty(m, dtype)
+    real_plane = plane.view(np.float64)
     work = table.workspace()
-    apply(dc, -eps0, out=r)
-    apply_green(table, r, out=z, work=work)
-    np.copyto(p, z)
-    np.copyto(w, r)
-    rz = np.vdot(r, z).real
     history = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rel = _relative(_field_norm(z), _field_norm(np.add(x, eps0, out=q)))
+        apply_symmetric(dc, -eps0[:, None], r, plane)
+        apply_green(table, r.T, out=z.T, work=work)
+        np.copyto(p, z)
+        np.copyto(w, r)
+        rz = _inner(r, z, real_plane)
+        rel = _relative(_field_norm(z), _total_norm(x, eps0))
         while rel is not None:
             history.append(rel)
             if rel <= tol:
                 return x, history, "converged"
             if len(history) == max_iter:
                 return x, history, "max_iter"
-            apply(dc, p, out=q)
+            apply_symmetric(dc, p, q, plane)
             q += w
-            alpha = rz / np.vdot(p, q).real
+            alpha = rz / _inner(p, q, real_plane)
             q *= alpha
             r -= q
-            apply_green(table, r, out=z, work=work)
+            apply_green(table, r.T, out=z.T, work=work)
             np.multiply(alpha, p, out=x_next)  # p != 0 here, so a non-finite alpha shows in x_next
             x_next += x
-            rel = _relative(_field_norm(z), _field_norm(np.add(x_next, eps0, out=q)))
+            rel = _relative(_field_norm(z), _total_norm(x_next, eps0))
             if rel is None:
                 break
             x, x_next = x_next, x
-            rz, rz_old = np.vdot(r, z).real, rz
+            rz, rz_old = _inner(r, z, real_plane), rz
             beta = rz / rz_old
             p *= beta
             p += z
             w *= beta
             w += r
     return x, history, "diverged"
+
+
+def _solve_inputs(c, c0, eps0, table):
+    """(c, c0, eps0) of one cell problem on table, as basic_scheme takes them.
+
+    c becomes an (m, 3, 3) field (a single (3, 3) is broadcast).  Raises
+    ShapeMismatch for a wrong shape, ValidationError unless c0 is the
+    table's reference and eps0 is finite.
+    """
+    c = _as_stiffness_field(c, table.matrix.m)
+    c0 = as_mandel_stiffness(c0)
+    if not np.allclose(c0, table.c0, rtol=1e-12, atol=1e-12):
+        raise ValidationError("reference stiffness differs from the table's")
+    eps0 = np.asarray(eps0, dtype=float)
+    if eps0.shape != (3,):
+        raise ShapeMismatch(f"macroscopic strain must be (3,), got {eps0.shape}")
+    if not np.all(np.isfinite(eps0)):
+        raise ValidationError("macroscopic strain must be finite")
+    return c, c0, eps0
+
+
+def _require_elliptic(c, lower=None):
+    """NonElliptic unless the stiffness field c (m, 3, 3) is symmetric positive definite.
+
+    certainly_elliptic accepts in O(m); in any doubt ellipticity_bounds
+    decides, and its lower bound goes into the message.  lower is passed
+    on to certainly_elliptic.
+    """
+    if certainly_elliptic(c, lower):
+        return
+    lower, _ = ellipticity_bounds(c)
+    if lower <= 0.0:
+        raise NonElliptic(f"stiffness field has lower bound {lower:.3e}")
 
 
 def basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
@@ -171,24 +250,17 @@ def basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
     NotConverged(iterations, report) when max_iter runs out.
     """
     start = time.perf_counter()
-    pm = table.matrix
-    c = _as_stiffness_field(c, pm.m)
-    c0 = as_mandel_stiffness(c0)
-    if not np.allclose(c0, table.c0, rtol=1e-12, atol=1e-12):
-        raise ValidationError("reference stiffness differs from the table's")
-    eps0 = np.asarray(eps0, dtype=float)
-    if eps0.shape != (3,):
-        raise ShapeMismatch(f"macroscopic strain must be (3,), got {eps0.shape}")
-    if not np.all(np.isfinite(eps0)):
-        raise ValidationError("macroscopic strain must be finite")
+    c, c0, eps0 = _solve_inputs(c, c0, eps0, table)
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError("tolerance must be finite and positive")
     if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-    lower, _ = ellipticity_bounds(c)
-    if lower <= 0.0:
-        raise NonElliptic(f"stiffness field has lower bound {lower:.3e}")
-    strain, history, stop = _cg_iteration(c - c0, eps0, table, tol, max_iter)
+    # the lower triangle: the solver applies the matrix that eigvalsh reads
+    dc = symmetric_entries(np.swapaxes(c, -1, -2))
+    _require_elliptic(c, dc)
+    dc -= symmetric_entries(c0)[:, None]
+    strain, history, stop = _cg_iteration(dc, eps0, table, tol, max_iter)
+    strain = strain.T.copy()
     scale = _field_norm(strain)
     imag = 0.0
     if np.iscomplexobj(strain) and scale > 0.0:
@@ -213,14 +285,15 @@ def basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
 
 
 def residual_ls(strain, c, c0, eps0, table):
-    """l2 residual of the fixed-point form, E + Green_p (C - C0):(E + eps0)."""
+    """l2 residual of the fixed-point form, E + Green_p (C - C0):(E + eps0).
+
+    The inputs are validated as basic_scheme validates them.
+    """
     pm = table.matrix
     strain = np.asarray(strain)
     if strain.shape != (pm.m, 3):
         raise ShapeMismatch(f"expected {(pm.m, 3)}, got {strain.shape}")
-    c = _as_stiffness_field(c, pm.m)
-    c0 = as_mandel_stiffness(c0)
-    eps0 = np.asarray(eps0)
+    c, c0, eps0 = _solve_inputs(c, c0, eps0, table)
     tau = apply(c - c0, strain + eps0)
     return _field_norm(strain + apply_green(table, tau))
 
@@ -306,9 +379,14 @@ def report_summary(report):
 def _write_atomic(path, *chunks):
     """Write byte chunks to path via a temporary sibling and an atomic rename."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as handle:
-        handle.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            handle.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # rows per formatting template in _write_csv: bounds the temporary strings

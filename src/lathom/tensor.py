@@ -5,6 +5,12 @@ the vector (a11, a22, sqrt(2) a12), so the Frobenius inner product of
 matrices is the plain dot product of component vectors.  A fourth-order
 tensor with minor symmetries (a stiffness) is the 3 x 3 matrix acting on
 those vectors.
+
+A symmetric 3 x 3 field is also stored by its six unique entries,
+component-major: symmetric_entries gives shape (6,) + batch in the order
+(00, 11, 22, 01, 02, 12), and apply_symmetric multiplies such a field by a
+component-major vector field (3,) + batch in three fused rows.  The Green
+operator's half table and the solver's stiffness contrast both use it.
 """
 
 from __future__ import annotations
@@ -21,11 +27,23 @@ __all__ = [
     "isotropic_parts",
     "lame_parameters",
     "ellipticity_bounds",
+    "certainly_elliptic",
     "apply",
+    "symmetric_entries",
+    "apply_symmetric",
 ]
 
 IDENTITY_VECTOR = np.array([1.0, 1.0, 0.0])  # the 2 x 2 identity matrix
 IDENTITY_VECTOR.setflags(write=False)
+
+# the unique entries of a symmetric 3 x 3 matrix, in the order of symmetric_entries
+_UNIQUE = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# row a of the matrix as positions in _UNIQUE
+_ROWS = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+# relative asymmetry a stiffness may carry, against its largest |eigenvalue|
+_SYMMETRY_RTOL = 1e-12
+# certainly_elliptic's margin: leading minors above it times |C|_F^k
+_MINOR_MARGIN = 1e-10
 
 
 def as_mandel_stiffness(c):
@@ -78,6 +96,12 @@ def isotropic_parts(cm):
     return lam, mu
 
 
+def _asymmetry(cm):
+    """max |c_ij - c_ji| over the batch (..., 3, 3); NaN for a non-finite entry."""
+    pairs = ((0, 1), (0, 2), (1, 2))
+    return float(np.max([np.max(np.abs(cm[..., i, j] - cm[..., j, i])) for i, j in pairs]))
+
+
 def ellipticity_bounds(cm):
     """(smallest, largest) eigenvalue of the Mandel matrix; elliptic iff l > 0.
 
@@ -93,12 +117,48 @@ def ellipticity_bounds(cm):
     vals = np.linalg.eigvalsh(cm)
     lower, upper = float(vals[..., 0].min()), float(vals[..., -1].max())
     scale = max(abs(lower), abs(upper))
-    asymmetry = max(
-        float(np.max(np.abs(cm[..., i, j] - cm[..., j, i]))) for i, j in ((0, 1), (0, 2), (1, 2))
-    )
-    if asymmetry > 1e-12 * scale:
+    asymmetry = _asymmetry(cm)
+    if asymmetry > _SYMMETRY_RTOL * scale:
         raise NonElliptic(f"stiffness is not symmetric (|c - c^T| = {asymmetry:.3e})")
     return lower, upper
+
+
+def certainly_elliptic(cm, lower=None):
+    """True when ellipticity_bounds would accept the batch cm (..., 3, 3).
+
+    A cheap sufficient test in O(batch) arithmetic, no eigenvalues:
+
+    - symmetry against half the largest |diagonal entry|, which is at most
+      half the largest |eigenvalue| that ellipticity_bounds measures
+      against;
+    - the leading minors of the lower triangle (the one eigvalsh reads),
+      a00 > 0, d2 > 1e-10 |C|_F^2 and d3 > 1e-10 |C|_F^3 at every point.
+      Their rounding errors are below eps |C|_F^k, so the minors are
+      truly positive (Sylvester) and the smallest eigenvalue is at least
+      d3 / |C|_F^2 > 1e-10 |C|_F, far above eigvalsh's rounding.
+
+    lower, if given, is symmetric_entries(np.swapaxes(cm, -1, -2)), that
+    triangle's entries, which a caller may hold anyway.  False means
+    undecided, not rejected: the caller asks ellipticity_bounds.  A
+    non-finite entry turns some comparison into one with NaN, which is
+    False.
+    """
+    cm = np.asarray(cm)
+    if lower is None:
+        lower = symmetric_entries(np.swapaxes(cm, -1, -2))
+    a00, a11, a22, a10, a20, a21 = lower
+    diagonal = float(np.max(np.abs(lower[:3])))
+    if not _asymmetry(cm) <= 0.5 * _SYMMETRY_RTOL * diagonal:
+        return False
+    if not np.all(a00 > 0.0):
+        return False
+    frobenius2 = a00 * a00 + a11 * a11 + a22 * a22 + 2.0 * (a10 * a10 + a20 * a20 + a21 * a21)
+    if not np.all(a00 * a11 - a10 * a10 > _MINOR_MARGIN * frobenius2):
+        return False
+    det = a00 * (a11 * a22 - a21 * a21)
+    det -= a10 * (a10 * a22 - a21 * a20)
+    det += a20 * (a10 * a21 - a11 * a20)
+    return bool(np.all(det > _MINOR_MARGIN * frobenius2 * np.sqrt(frobenius2)))
 
 
 def apply(cm, e, out=None):
@@ -111,3 +171,28 @@ def apply(cm, e, out=None):
     if cm.shape[-1] != e.shape[-1]:
         raise ShapeMismatch(f"operator {cm.shape} vs vector {e.shape}")
     return np.einsum("...ab,...b->...a", cm, e, out=out)
+
+
+def symmetric_entries(cm):
+    """The six unique entries of symmetric matrices cm (..., 3, 3), shape (6, ...).
+
+    Ordered (00, 11, 22, 01, 02, 12), read from the upper triangle.
+    """
+    cm = np.asarray(cm)
+    return np.stack([cm[..., a, b] for a, b in _UNIQUE])
+
+
+def apply_symmetric(entries, e, out, scratch):
+    """out[a] = sum_b C_ab e[b] for C stored as symmetric_entries, component-major.
+
+    entries is (6, ...), e and out are (3, ...) and scratch is one plane of
+    out's dtype, all broadcasting against each other.  Each row is one
+    product and two multiply-adds through scratch, so nothing is
+    allocated.  Returns out.
+    """
+    for a, row in enumerate(_ROWS):
+        np.multiply(entries[row[0]], e[0], out=out[a])
+        for b in (1, 2):
+            np.multiply(entries[row[b]], e[b], out=scratch)
+            out[a] += scratch
+    return out

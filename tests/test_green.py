@@ -304,6 +304,30 @@ def test_dirichlet_even_pattern_is_honestly_complex():
     assert np.max(np.abs(out.imag)) > 1e-6
 
 
+def test_apply_green_on_transposed_component_major_buffers():
+    # the solver keeps (3, m) buffers and applies the operator to their
+    # transposes, reading and writing through the (m, 3) views
+    c0 = isotropic_stiffness(1.0, 0.3)
+    rng = np.random.default_rng(21)
+    even = dlvp_green([[12, 0], [6, 12]], (0.25, 0.1), c0)
+    odd = dirichlet_green([[8, 0], [0, 8]], c0)
+    assert even.even_table and not odd.even_table
+    for table in (even, odd):
+        m = table.matrix.m
+        field = rng.normal(size=(m, 3))
+        dtype = np.float64 if table.even_table else np.complex128
+        reference = apply_green(table, field)
+        source = np.ascontiguousarray(field.T)
+        target = np.full((3, m), np.nan, dtype)
+        view = target.T
+        assert apply_green(table, source.T, out=view, work=table.workspace()) is view
+        if table.even_table:
+            assert np.array_equal(target.T, reference)
+        else:
+            gap = np.linalg.norm(target.T - reference)
+            assert gap <= 1e-15 * np.linalg.norm(reference)
+
+
 def green_of_c0(table, c0m, field):
     return apply_green(table, tensor_apply(c0m, field))
 

@@ -142,8 +142,14 @@ def test_half_spectrum_is_the_full_spectrum_cut_and_inverts():
         out = np.empty_like(a)
         assert pattern_irfft(pm, half, out=out) is out
         assert np.allclose(out, a, atol=1e-12)
-        with pytest.raises(ValueError):
-            pattern_irfft(pm, pattern_rfft(pm, a), out=np.empty((3, pm.m)).T)
+        # the solver's layout: the transpose of a component-major buffer
+        transposed = np.empty((3, pm.m)).T
+        assert pattern_irfft(pm, pattern_rfft(pm, a), out=transposed) is transposed
+        assert np.array_equal(transposed, out)
+        # an out that cannot receive the result
+        for bad in (np.empty((pm.m, 2)), np.empty((pm.m, 3), np.float32)):
+            with pytest.raises(ValueError):
+                pattern_irfft(pm, pattern_rfft(pm, a), out=bad)
 
 
 def test_batched_axes():

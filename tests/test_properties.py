@@ -1,5 +1,6 @@
 """Property tests: lattice algebra, the fast transform, Green boundedness,
-the real half-spectrum Green path and the solver's fixed point.
+the real half-spectrum Green path, the solver's positivity check and its
+fixed point.
 
 Patterns, kernels and reference stiffnesses are drawn by hypothesis (see
 conftest.py for the profile); each property is exact or holds to a stated
@@ -11,12 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lathom.errors import NonElliptic
 from lathom.green import apply_green, periodised_green_table
 from lathom.kernels import KernelSpec, coefficient_table, orthonormalize, three_direction_set
 from lathom.lattice import PatternMatrix, frac_coordinates, in_symmetric_box, reduce_mod
 from lathom.pattern_fft import pattern_dft, pattern_fft, smith_normal_form
-from lathom.solver import basic_scheme, default_reference, residual_ls
-from lathom.tensor import isotropic_stiffness
+from lathom.solver import _require_elliptic, basic_scheme, default_reference, residual_ls
+from lathom.tensor import certainly_elliptic, ellipticity_bounds, isotropic_stiffness
 
 from oracles import full_spectrum_green, periodised_basic_scheme, regular_pattern
 
@@ -162,3 +164,68 @@ def test_cg_solves_the_basic_scheme_fixed_point(data):
     assert residual_ls(strain, c, c0, eps0, table) <= 10 * tol * total
     basic_strain, _ = periodised_basic_scheme(c, c0, eps0, table, tol=tol)
     assert np.linalg.norm(strain - basic_strain) <= 1e-8 * total
+
+
+def stiffness_batch(kind, n, scale, rng):
+    """n Mandel matrices Q diag(lambda) Q^T, eigenvalues in [0.1, 1] scale,
+    made exactly symmetric; kind then spoils them (see the test)."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    lam = rng.uniform(0.1, 1.0, size=(n, 3)) * scale
+    point = rng.integers(n)
+    if kind == "indefinite":
+        lam[point, 0] = -rng.uniform(0.1, 1.0) * scale
+    elif kind in ("near_singular_positive", "near_singular_negative"):
+        lam[point, 0] = (1e-6 if kind.endswith("positive") else -1e-6) * scale
+    c = np.einsum("nab,nb,ncb->nac", q, lam, q)
+    c = 0.5 * (c + np.swapaxes(c, 1, 2))
+    if kind == "nan":
+        c[point, rng.integers(3), rng.integers(3)] = np.nan
+    elif kind.startswith("asymmetric"):
+        # eigvalsh reads the lower triangle, so spoiling the upper one keeps
+        # the eigenvalues that ellipticity_bounds measures against
+        vals = np.linalg.eigvalsh(c)
+        bound = 1e-12 * max(abs(vals[:, 0].min()), abs(vals[:, -1].max()))
+        c[point, 0, 1] += (0.99 if kind.endswith("below") else 1.01) * bound
+    return c
+
+
+@given(
+    kind=st.sampled_from(
+        [
+            "spd",
+            "indefinite",
+            "near_singular_positive",
+            "near_singular_negative",
+            "nan",
+            "asymmetric_below",
+            "asymmetric_above",
+        ]
+    ),
+    n=st.integers(1, 8),
+    exponent=st.integers(-3, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_positivity_decision_agrees_with_eigvalsh(kind, n, exponent, seed):
+    # the solver accepts by leading minors and asks ellipticity_bounds in
+    # any doubt, so its decision and message must be eigvalsh's
+    c = stiffness_batch(kind, n, 10.0**exponent, np.random.default_rng(seed))
+    try:
+        lower, _ = ellipticity_bounds(c)
+    except NonElliptic:
+        expected, lower = False, None
+    else:
+        expected = lower > 0.0
+    try:
+        _require_elliptic(c)
+        accepted = True
+    except NonElliptic as err:
+        accepted = False
+        if lower is not None:
+            assert f"lower bound {lower:.3e}" in str(err)
+    assert accepted == expected
+    if kind == "spd":
+        assert certainly_elliptic(c)  # the cheap test decides alone
+    if kind in ("spd", "near_singular_positive", "asymmetric_below"):
+        assert accepted
+    else:
+        assert not accepted

@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from lathom.green import periodised_green_table
 from lathom.kernels import KernelSpec, coefficient_table, orthonormalize, three_direction_set
 from lathom.lattice import pattern_points
 from lathom.solver import (
+    _write_atomic,
     _write_csv,
     basic_scheme,
     default_reference,
@@ -21,7 +25,7 @@ from lathom.solver import (
     residual_ls,
     write_strain_csv,
 )
-from lathom.tensor import isotropic_stiffness, lame_parameters
+from lathom.tensor import ellipticity_bounds, isotropic_stiffness, lame_parameters
 
 from oracles import classical_basic_scheme, periodised_basic_scheme, residual_variational
 
@@ -82,6 +86,17 @@ def test_non_elliptic_field_rejected():
         basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), table)
 
 
+def test_non_elliptic_message_carries_the_eigvalsh_bound():
+    c0 = isotropic_stiffness(1.0, 0.3)
+    table = green_table([[4, 0], [0, 4]], c0)
+    c = np.broadcast_to(c0, (16, 3, 3)).copy()
+    c[5] = -0.25 * c0
+    lower, _ = ellipticity_bounds(c)
+    assert lower < 0.0
+    with pytest.raises(NonElliptic, match=f"lower bound {lower:.3e}"):
+        basic_scheme(c, c0, np.array([1.0, 0.0, 0.0]), table)
+
+
 def test_validation_guards():
     c0 = isotropic_stiffness(1.0, 0.3)
     table = green_table([[4, 0], [0, 4]], c0)
@@ -134,6 +149,26 @@ def test_residual_trivia():
         residual_ls(np.zeros((m, 4)), hetero, c0, eps0, table)
     with pytest.raises(ShapeMismatch):
         residual_variational(np.zeros((m + 1, 3)), hetero, c0, eps0, table)
+
+
+def test_residual_ls_validates_as_the_solver_does():
+    # a broadcast eps0 or a foreign reference would be the residual of
+    # another equation
+    mat = [[4, 0], [0, 4]]
+    c0 = isotropic_stiffness(1.0, 0.3)
+    table = green_table(mat, c0)
+    m = table.matrix.m
+    zero = np.zeros((m, 3))
+    c = two_phase_field(mat, isotropic_stiffness(1.0, 0.3), isotropic_stiffness(3.0, 0.3))
+    for eps0 in (np.ones(1), np.ones((1, 3)), np.ones((m, 3))):
+        with pytest.raises(ShapeMismatch):
+            residual_ls(zero, c, c0, eps0, table)
+        with pytest.raises(ShapeMismatch):
+            basic_scheme(c, c0, eps0, table)
+    with pytest.raises(ValidationError, match="finite"):
+        residual_ls(zero, c, c0, np.array([1.0, np.inf, 0.0]), table)
+    with pytest.raises(ValidationError, match="reference"):
+        residual_ls(zero, c, isotropic_stiffness(2.0, 0.3), np.ones(3), table)
 
 
 def test_variational_residual_distinguishes_kernels():
@@ -317,6 +352,15 @@ def test_strain_csv_matches_per_value_formatting(tmp_path):
         assert path.read_bytes() == reference_strain_csv(mat, field)
 
 
+def test_write_atomic_leaves_nothing_behind_on_failure(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(TypeError):
+        _write_atomic(str(path), b"first\n", "not bytes")
+    assert os.listdir(tmp_path) == ["out.csv"]
+    assert path.read_bytes() == b"kept\n"
+
+
 def test_write_csv_matches_fstring_rows(tmp_path):
     # the CLI's sweep, effective and metrics rows used to be f-strings:
     # floats as {x:.17g}, iteration counts and flags as plain integers
@@ -423,3 +467,43 @@ def test_cg_not_converged_carries_partial_report():
     assert report.residual_history[-1] > 1e-10 and np.all(np.isfinite(report.strain))
     assert report.effective_action is not None
 
+
+
+def _traced_peak(solve):
+    """Peak traced memory above the level at entry, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            solve()
+        except NotConverged:
+            pass
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_solver_memory_is_its_named_buffers():
+    # tracemalloc sees numpy's buffers.  The module docstring names them:
+    # seven (3, m) fields, one (m,) plane, the (6, m) entries of C - C0
+    # and the Green workspace; nothing else of field size may stay alive,
+    # and no iteration may allocate more than the one before
+    n = 64
+    mat = [[n, 0], [0, n]]
+    m = n * n
+    c = random_field(m, seed=5)
+    c0 = default_reference(c)
+    table = green_table(mat, c0, kind="dlvp", alpha=(0.25, 0.25))
+    assert table.even_table
+    eps0 = np.array([1.0, -0.3, 0.5])
+    basic_scheme(c, c0, eps0, table)  # the FFT plans are cached from here on
+    field = 3 * m * 8
+    named = (7 + 2 + 1 / 3) * field + table.workspace().nbytes
+    short = _traced_peak(lambda: basic_scheme(c, c0, eps0, table, max_iter=5))
+    full = _traced_peak(lambda: basic_scheme(c, c0, eps0, table))
+    # margin: one field for transform temporaries and small objects
+    assert full <= named + field
+    # the residual history and a few cached tuples add some hundred bytes
+    # per iteration (~0.09 field over 25 iterations here), far below any
+    # array of field size
+    assert abs(full - short) <= 0.25 * field
