@@ -24,7 +24,14 @@ the generating set receives the convex combination
 
 over the retained lattice shifts of an orthonormalised coefficient table
 (the weights sum to one per class).  For the Dirichlet kernel only the
-canonical representative survives, so Gp_h = G(h).
+canonical representative survives, so Gp_h = G(h).  With c = m |c_k|^2
+the sum is
+
+    Gp_h = (sum c) S - sum (c / q) u u^T,   u = S v(k), q = v^T S v,
+
+accumulated for blocks of classes over all their shifts at once, as
+planes, for the six unique entries only; green_multiplier is the same sum
+with one term of weight one.
 
 The per-class matrices are real and symmetric, and G(-k) = G(k).  The
 whole table is even under h -> -h when the retained frequencies of each
@@ -67,7 +74,13 @@ import numpy as np
 from .errors import KernelNotOrthonormal, NonElliptic, ShapeMismatch
 from .lattice import PatternMatrix, generating_set
 from .pattern_fft import half_grid, pattern_fft, pattern_ifft, pattern_irfft, pattern_rfft
-from .tensor import apply_symmetric, as_mandel_stiffness, ellipticity_bounds, symmetric_entries
+from .tensor import (
+    SYMMETRIC_PAIRS,
+    apply_symmetric,
+    as_mandel_stiffness,
+    ellipticity_bounds,
+    symmetric_matrices,
+)
 
 __all__ = [
     "GreenTable",
@@ -105,17 +118,23 @@ def _compliance(c0m):
     return np.linalg.inv(c0m)
 
 
-def _green_values(s, ks):
-    """Multipliers G(k) for a batch of 2-d integer frequencies, zeros at k = 0."""
-    ks = np.asarray(ks, dtype=float)
-    k1, k2 = ks[..., 0], ks[..., 1]
-    v = np.stack([k2 * k2, k1 * k1, -np.sqrt(2.0) * k1 * k2], axis=-1)
-    u = v @ s
-    with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 at k = 0
-        u_over = u / np.einsum("...a,...a->...", v, u)[..., None]
-        out = s - u[..., :, None] * u_over[..., None, :]
-    out[~np.any(ks != 0.0, axis=-1)] = 0.0
-    return out
+def _green_sums(s, k1, k2, c):
+    """Six entries of sum_t c G(k) per row: (sum c) S - sum (c / q) u u^T,
+    with u = S v(k) and q = v^T S v.
+
+    k1, k2 and the weights c are (b, t) planes; the result is (6, b) in the
+    order of tensor.SYMMETRIC_PAIRS.  A row that holds k = 0 divides by
+    q = 0 and comes back non-finite, so its caller overwrites it.
+    """
+    v = np.stack([k2 * k2, k1 * k1, -np.sqrt(2.0) * k1 * k2])
+    u = np.matmul(s, v.reshape(3, -1)).reshape(v.shape)
+    with np.errstate(invalid="ignore", divide="ignore"):  # q = 0 at k = 0
+        ratio = c / np.einsum("a...,a...->...", v, u)
+        scaled = [ratio * ua for ua in u]
+        total = c.sum(axis=1)
+        return np.stack(
+            [total * s[a, b] - np.einsum("bt,bt->b", scaled[a], u[b]) for a, b in SYMMETRIC_PAIRS]
+        )
 
 
 def green_multiplier(c0, k):
@@ -128,7 +147,11 @@ def green_multiplier(c0, k):
     k = np.asarray(k, dtype=np.int64)
     if k.shape != (2,):
         raise ShapeMismatch(f"frequency must have shape (2,), got {k.shape}")
-    return _green_values(_compliance(as_mandel_stiffness(c0)), k[None])[0]
+    s = _compliance(as_mandel_stiffness(c0))
+    if not k.any():
+        return np.zeros((3, 3))
+    k1, k2 = k.astype(float).reshape(2, 1, 1)
+    return symmetric_matrices(_green_sums(s, k1, k2, np.ones((1, 1)))[:, 0])
 
 
 @dataclass(frozen=True)
@@ -158,13 +181,21 @@ class GreenTable:
 
 # spectrum (3), product (3) and one plane of products
 _WORK_PLANES = 7
+# classes x shifts per block of periodised_green_table: its dozen planes
+# (3 MB together) run in cache and keep the build's transient memory small
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def periodised_green_table(c0, kernel):
     """Assemble Gp_h = m sum_z |c_{h+M^T z}|^2 G(h+M^T z) per class.
 
+    Row blocks of classes take all their shifts as (classes, shifts)
+    planes, and each class becomes (sum c) S - sum (c / q) u u^T for its
+    six unique entries (see the module docstring); values and half are
+    built from those entries.  Evenness is measured on them, not assumed.
     The kernel table must be orthonormalised so the weights m |c|^2 sum to
-    one within each class; the zero class is forced to the zero matrix.
+    one within each class; the zero class, whose k = 0 term is 0/0, is
+    forced to the zero matrix.
     Raises ShapeMismatch unless the pattern is two-dimensional and
     NonElliptic unless c0 is positive definite.
     """
@@ -178,23 +209,25 @@ def periodised_green_table(c0, kernel):
     c0m = as_mandel_stiffness(c0)
     s = _compliance(c0m)
     gen = generating_set(pm)
-    values = np.zeros((pm.m, 3, 3))
-    for j in range(len(kernel.shifts)):
-        weights = pm.m * kernel.coeffs[:, j] ** 2
-        rows = np.nonzero(weights)[0]
-        if rows.size == 0:
-            continue
-        ks = kernel.freqs[rows] + kernel.shifts[j] @ pm.entries
-        values[rows] += weights[rows, None, None] * _green_values(s, ks)
-    values[gen.index(np.zeros(2, dtype=np.int64))] = 0.0
+    offsets = kernel.shifts @ pm.entries
+    entries = np.empty((6, pm.m))
+    step = max(1, _BLOCK_ELEMENTS // len(offsets))
+    for start in range(0, pm.m, step):
+        rows = slice(start, start + step)
+        k1 = (kernel.freqs[rows, 0, None] + offsets[:, 0]).astype(float)
+        k2 = (kernel.freqs[rows, 1, None] + offsets[:, 1]).astype(float)
+        weights = kernel.coeffs[rows] ** 2
+        weights *= pm.m
+        entries[:, rows] = _green_sums(s, k1, k2, weights)
+    entries[:, gen.index(np.zeros(2, dtype=np.int64))] = 0.0
     neg = gen.index(-gen.freqs)
-    scale = np.max(np.abs(values)) or 1.0
-    even = bool(np.max(np.abs(values[neg] - values)) <= 1e-13 * scale)
+    scale = np.max(np.abs(entries)) or 1.0
+    even = bool(np.max(np.abs(entries[:, neg] - entries)) <= 1e-13 * scale)
     half = None
     if even:
         d1, last = half_grid(pm)
-        cut = values.reshape(d1, -1, 3, 3)[:, :last]
-        half = symmetric_entries(cut)
+        half = np.ascontiguousarray(entries.reshape(6, d1, -1)[:, :, :last])
+    values = symmetric_matrices(entries)
     return GreenTable(matrix=pm, c0=c0m.copy(), values=values, even_table=even, half=half)
 
 

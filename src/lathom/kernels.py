@@ -9,10 +9,15 @@ Three families generate the ansatz spaces on a pattern P(M):
   tensor-product trapezoid window with per-axis slopes alpha_i in [0, 1/2].
   alpha_i = 0 degenerates to the modified Dirichlet kernel (boundary weight
   1/2 on both faces), alpha_i = 1/2 to a Fejer-type window.
-* periodised Box splines: unnormalised coefficient prod_xi sinc(pi xi.t)
-  with t = M^{-T} k, truncated to |t_i| <= r_i for a per-axis radius r
-  (default 16); the absolute scale is irrelevant because every downstream
-  use passes through orthonormalisation.
+* periodised Box splines: unnormalised coefficient prod_xi sinc(xi.t)
+  (sinc(x) = sin(pi x) / (pi x)) with t = M^{-T} k, truncated to
+  |t_i| <= r_i for a per-axis radius r (default 16); the absolute scale is
+  irrelevant because every downstream use passes through
+  orthonormalisation.  The directions xi are integer vectors, so with
+  t = w / n exact, xi.t = num / n for an integer num, and the sinc is
+  taken in closed form: num = q n + r with q the nearest integer gives
+  sinc = (-1)^q sin(pi r / n) / (pi num / n), exactly 1 at num = 0 and
+  exactly 0 at the other multiples of n.
 
 A CoefficientTable stores, per frequency class h, the coefficients at the
 retained lattice shifts h + M^T z.  For Dirichlet and dlVP windows the
@@ -22,6 +27,15 @@ d = 2 at the default radius.  Truncating in t rather than in z keeps the
 retained frequencies of every class the negatives of those of its
 partner -h, also on boundary classes where t_i = -1/2, so the truncated
 spectrum stays even.
+
+Every coefficient is scale x a product of factors, each a function of
+one integer: the numerator w_i on axis i (Dirichlet box, dlVP ramp, box
+truncation) or xi.w for a direction column (box sinc).  A shift moves the
+numerators of its class by n z, so coefficient_table evaluates each factor
+once per class on the few distinct offsets z_i or xi.z, in row blocks, and
+multiplies the factor tables into the shift grid through broadcast and
+strided views; coeff evaluates the same factors at single frequencies,
+and the two agree bit for bit.
 
 Boundary classifications (is M^{-T}k inside the box, on a face, outside)
 are made in exact integer arithmetic, so no coefficient can be
@@ -37,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateClass, InvalidSpec, LengthMismatch, NoInterpolant
-from .lattice import as_pattern_matrix, frac_coordinates, generating_set, in_symmetric_box
+from .lattice import as_pattern_matrix, frac_coordinates, generating_set
 
 __all__ = [
     "KernelSpec",
@@ -106,6 +120,10 @@ class KernelSpec:
             xi = np.atleast_2d(np.asarray(xi, dtype=float))
             if xi.shape[0] != d:
                 raise InvalidSpec(f"direction matrix must have {d} rows, got {xi.shape[0]}")
+            if not np.all(np.isfinite(xi) & (xi == np.round(xi))):
+                # xi . z must be an integer: the closed-form sinc and the
+                # evenness of the truncated spectrum both rest on it
+                raise InvalidSpec("box directions must be integer vectors")
             counts = _three_direction_counts(xi)
             if counts is not None and sum(1 for c in counts if c > 0) < 2:
                 # single-direction families generate dependent translates
@@ -166,37 +184,98 @@ def _dlvp_axis_exact(alpha_i, w, n):
     return np.clip(ramp, 0.0, 1.0)
 
 
+def _sinc_factor(base, offsets, n):
+    """sinc(num / n) at the integer numerators num = base + n * offsets, shape (b, u).
+
+    With num = q n + r and q the nearest integer to num / n,
+    sin(pi num / n) = (-1)^q sin(pi r / n), and r does not depend on the
+    offset: one sine per class, exact zeros at nonzero multiples of n, and
+    exactly 1 at num = 0.
+    """
+    q = (2 * base + n) // (2 * n)
+    sine = np.sin(np.pi * (base - q * n) / n)[:, None]
+    q = q[:, None] + offsets
+    num = base[:, None] + n * offsets
+    out = np.ones(num.shape)
+    np.divide(np.where(q & 1, -sine, sine), num * (np.pi / n), out=out, where=num != 0)
+    return out
+
+
+def _coeff_block(spec, radii, w, n, out):
+    """Coefficients at the numerators w + n z of classes w (b, d) for the
+    shifts z on the grid prod_i [-radii_i, radii_i], written to out of
+    shape (b,) + grid.
+
+    Each factor is evaluated per class on its distinct integer offsets,
+    z_i for an axis factor and xi_c . z for a direction column, and read
+    on the grid through a view: broadcast along the other axes, or strided
+    by xi_c, because xi_c . z is affine in the grid index.  So the block
+    allocates nothing of its own size.
+    """
+    d = len(radii)
+    out[...] = 1.0 if spec.kind == "box" else 1.0 / math.sqrt(spec.matrix.m)
+    outside = []
+    for i, radius in enumerate(radii):
+        num = w[:, i, None] + n * np.arange(-radius, radius + 1)
+        num = num.reshape((len(w),) + (1,) * i + (-1,) + (1,) * (d - 1 - i))
+        if spec.kind == "dirichlet":
+            out *= (2 * num >= -n) & (2 * num < n)
+        elif spec.kind == "dlvp":
+            out *= _dlvp_axis_exact(spec.alpha[i], num, n)
+        else:
+            outside.append(np.abs(num) > spec.radius[i] * n)
+    if spec.kind == "box":
+        cols, powers = np.unique(spec.xi.T.astype(np.int64), axis=0, return_counts=True)
+        for col, power in zip(cols, powers):
+            reach = int(np.abs(col) @ radii)
+            table = _sinc_factor(w @ col, np.arange(-reach, reach + 1), n) ** power
+            # grid index g holds the offset xi_c . (g - radii), which sits
+            # at column start + xi_c . g of the table
+            start = reach - int(col @ radii)
+            out *= np.lib.stride_tricks.as_strided(
+                table[:, start:],
+                shape=out.shape,
+                strides=(table.strides[0],) + tuple(int(c) * table.itemsize for c in col),
+                writeable=False,
+            )
+        for mask in outside:
+            np.copyto(out, 0.0, where=mask)
+    return out
+
+
 def coeff(spec, k):
-    """Fourier coefficient c_k(f) of the generator, vectorised over k (..., d)."""
+    """Fourier coefficient c_k(f) of the generator, vectorised over k (..., d).
+
+    A product of factors of the exact fractional coordinates w / n of k:
+    the Dirichlet box indicator or the dlVP ramps per axis, or for box
+    splines one closed-form sinc per direction column, kept where
+    |w_i| <= r_i n.  coefficient_table evaluates the same factors, so its
+    entries equal coeff at the shifted frequencies bit for bit.
+    """
     pm = spec.matrix
-    k = np.asarray(k, dtype=np.int64)
-    scale = 1.0 / math.sqrt(pm.m)
-    if spec.kind == "dirichlet":
-        return scale * in_symmetric_box(pm.mt, k).astype(float)
-    if spec.kind == "dlvp":
-        w, n = frac_coordinates(pm.mt, k)
-        out = np.full(k.shape[:-1], scale)
-        for i, a in enumerate(spec.alpha):
-            out = out * _dlvp_axis_exact(a, w[..., i], n)
-        return out
     w, n = frac_coordinates(pm.mt, k)
-    inside = np.all(np.abs(w) <= np.array(spec.radius) * n, axis=-1)
-    return np.where(inside, np.prod(np.sinc((w / float(n)) @ spec.xi), axis=-1), 0.0)
+    flat = w.reshape(-1, pm.dim)
+    out = _coeff_block(spec, (0,) * pm.dim, flat, n, np.empty((len(flat),) + (1,) * pm.dim))
+    return out.reshape(w.shape[:-1])[()]
+
+
+def _shift_radii(spec):
+    """Per-axis reach of the retained shifts: z_i in [-radii_i, radii_i]."""
+    if spec.kind == "dirichlet":
+        return (0,) * spec.matrix.dim
+    if spec.kind == "dlvp":
+        return (1,) * spec.matrix.dim
+    return spec.radius
 
 
 def shift_set(spec):
     """Retained lattice shifts z for bracket sums, shape (t, d).
 
     Exact for dirichlet ({0}) and dlvp ({-1,0,1}^d covers the window
-    support); for box splines [-r, r]^d covers |M^{-T} k|_inf <= r.
+    support); for box splines [-r, r]^d covers |M^{-T} k|_inf <= r.  The
+    shifts run over that grid in C order.
     """
-    d = spec.matrix.dim
-    if spec.kind == "dirichlet":
-        ranges = [(0,)] * d
-    elif spec.kind == "dlvp":
-        ranges = [(-1, 0, 1)] * d
-    else:
-        ranges = [tuple(range(-r, r + 1)) for r in spec.radius]
+    ranges = [range(-r, r + 1) for r in _shift_radii(spec)]
     return np.array(list(itertools.product(*ranges)), dtype=np.int64)
 
 
@@ -224,23 +303,24 @@ class CoefficientTable:
         return self.coeffs.sum(axis=1)
 
 
-# classes per coeff call in coefficient_table: the call's temporaries stay
-# cache-sized, and the heap reuses them instead of returning the pages to
-# the system and faulting them in again for the next shift
-_TABLE_BLOCK_ROWS = 4096
+# coefficients per row block of coefficient_table: the block's passes run in
+# cache, and its factor tables stay small
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def coefficient_table(spec):
     """Evaluate the kernel coefficients on every class and retained shift."""
     pm = spec.matrix
     freqs = generating_set(pm).freqs
+    radii = _shift_radii(spec)
     shifts = shift_set(spec)
-    offsets = shifts @ pm.entries
+    w, n = frac_coordinates(pm.mt, freqs)
     coeffs = np.empty((pm.m, len(shifts)))
-    for start in range(0, pm.m, _TABLE_BLOCK_ROWS):
-        rows = slice(start, start + _TABLE_BLOCK_ROWS)
-        for j, offset in enumerate(offsets):
-            coeffs[rows, j] = coeff(spec, freqs[rows] + offset)
+    grid = coeffs.reshape((pm.m,) + tuple(2 * r + 1 for r in radii))
+    step = max(1, _BLOCK_ELEMENTS // len(shifts))
+    for start in range(0, pm.m, step):
+        rows = slice(start, start + step)
+        _coeff_block(spec, radii, w[rows], n, grid[rows])
     bracket = np.einsum("mt,mt->m", coeffs, coeffs)
     return CoefficientTable(spec=spec, freqs=freqs, shifts=shifts, coeffs=coeffs, bracket=bracket)
 

@@ -8,9 +8,10 @@ those vectors.
 
 A symmetric 3 x 3 field is also stored by its six unique entries,
 component-major: symmetric_entries gives shape (6,) + batch in the order
-(00, 11, 22, 01, 02, 12), and apply_symmetric multiplies such a field by a
-component-major vector field (3,) + batch in three fused rows.  The Green
-operator's half table and the solver's stiffness contrast both use it.
+SYMMETRIC_PAIRS = (00, 11, 22, 01, 02, 12), symmetric_matrices unpacks it,
+and apply_symmetric multiplies such a field by a component-major vector
+field (3,) + batch in three fused rows.  The Green operator's table and
+the solver's stiffness contrast both use it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ __all__ = [
     "ellipticity_bounds",
     "certainly_elliptic",
     "apply",
+    "SYMMETRIC_PAIRS",
     "symmetric_entries",
+    "symmetric_matrices",
     "apply_symmetric",
 ]
 
@@ -37,8 +40,8 @@ IDENTITY_VECTOR = np.array([1.0, 1.0, 0.0])  # the 2 x 2 identity matrix
 IDENTITY_VECTOR.setflags(write=False)
 
 # the unique entries of a symmetric 3 x 3 matrix, in the order of symmetric_entries
-_UNIQUE = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-# row a of the matrix as positions in _UNIQUE
+SYMMETRIC_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# row a of the matrix as positions in SYMMETRIC_PAIRS
 _ROWS = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 # relative asymmetry a stiffness may carry, against its largest |eigenvalue|
 _SYMMETRY_RTOL = 1e-12
@@ -179,7 +182,14 @@ def symmetric_entries(cm):
     Ordered (00, 11, 22, 01, 02, 12), read from the upper triangle.
     """
     cm = np.asarray(cm)
-    return np.stack([cm[..., a, b] for a, b in _UNIQUE])
+    return np.stack([cm[..., a, b] for a, b in SYMMETRIC_PAIRS])
+
+
+def symmetric_matrices(entries):
+    """The symmetric matrices (..., 3, 3) whose six entries (6, ...) are given."""
+    entries = np.asarray(entries)
+    full = entries[np.ravel(_ROWS)]
+    return np.ascontiguousarray(np.moveaxis(full, 0, -1)).reshape(entries.shape[1:] + (3, 3))
 
 
 def apply_symmetric(entries, e, out, scratch):

@@ -14,7 +14,7 @@ import numpy as np
 
 from lathom.errors import LengthMismatch, ShapeMismatch, ZeroDeterminant
 from lathom.kernels import coeff, shift_set
-from lathom.lattice import PatternMatrix, as_pattern_matrix, reduce_mod
+from lathom.lattice import PatternMatrix, as_pattern_matrix, frac_coordinates, reduce_mod
 from lathom.pattern_fft import pattern_fft, pattern_ifft
 
 # the 2-d Mandel layout (a11, a22, sqrt(2) a12), written out independently
@@ -46,16 +46,24 @@ def isotropic_green_closed_form(lam, mu, k):
 
 
 def green_index_form(c0_full, k):
-    """Acoustic-tensor route written out index by index."""
+    """Acoustic-tensor route written out index by index, batched over k (..., d)."""
     k = np.asarray(k, dtype=float)
-    acoustic = np.einsum("pjql,j,l->pq", c0_full, k, k)
+    acoustic = np.einsum("pjql,...j,...l->...pq", c0_full, k, k)
     n = np.linalg.inv(acoustic)
     return 0.25 * (
-        np.einsum("ip,j,q->ijpq", n, k, k)
-        + np.einsum("jp,i,q->ijpq", n, k, k)
-        + np.einsum("iq,j,p->ijpq", n, k, k)
-        + np.einsum("jq,i,p->ijpq", n, k, k)
+        np.einsum("...ip,...j,...q->...ijpq", n, k, k)
+        + np.einsum("...jp,...i,...q->...ijpq", n, k, k)
+        + np.einsum("...iq,...j,...p->...ijpq", n, k, k)
+        + np.einsum("...jq,...i,...p->...ijpq", n, k, k)
     )
+
+
+def box_coeff_sinc(spec, k):
+    """Box-spline coefficient prod_xi sinc(xi . t) at t = M^{-T} k (..., d),
+    through np.sinc of the float coordinates, kept where |t_i| <= r_i."""
+    w, n = frac_coordinates(spec.matrix.mt, k)
+    inside = np.all(np.abs(w) <= np.array(spec.radius) * n, axis=-1)
+    return np.where(inside, np.prod(np.sinc((w / float(n)) @ spec.xi), axis=-1), 0.0)
 
 
 def random_spd_mandel(rng, n_s, shift=0.5):
@@ -93,11 +101,12 @@ def to_mandel(sym):
 
 
 def mandel_operator_2d(full):
-    """Hand-coded 2-d Mandel matrix of a minor-symmetric 4-tensor."""
-    out = np.zeros((3, 3))
+    """Hand-coded 2-d Mandel matrices (..., 3, 3) of minor-symmetric 4-tensors."""
+    full = np.asarray(full)
+    out = np.zeros(full.shape[:-4] + (3, 3))
     for a, ((i, j), wa) in enumerate(zip(MANDEL_PAIRS, MANDEL_WEIGHTS)):
         for b, ((p, q), wb) in enumerate(zip(MANDEL_PAIRS, MANDEL_WEIGHTS)):
-            out[a, b] = wa * wb * full[i, j, p, q]
+            out[..., a, b] = wa * wb * full[..., i, j, p, q]
     return out
 
 
@@ -242,6 +251,21 @@ def bracket_sum(spec, h, weight=None):
     if total is None:
         total = 0.0 if weight is None else np.asarray(weight(h)) * 0.0
     return total
+
+
+def periodised_green_index_form(c0m, kernel):
+    """Gp_h = m sum_z |c_{h + M^T z}|^2 G(h + M^T z) per class of an
+    orthonormalised coefficient table, every term through green_index_form;
+    the zero class stays the zero matrix.  Returns (m, 3, 3).
+    """
+    pm = kernel.matrix
+    ks = kernel.freqs[:, None, :] + kernel.shifts @ pm.entries
+    weights = pm.m * kernel.coeffs**2
+    keep = (weights != 0.0) & kernel.freqs.any(axis=1)[:, None]
+    terms = mandel_operator_2d(green_index_form(from_mandel_operator(c0m), ks[keep]))
+    out = np.zeros((pm.m, 3, 3))
+    np.add.at(out, np.nonzero(keep)[0], weights[keep][:, None, None] * terms)
+    return out
 
 
 def pattern_samples(table):

@@ -147,7 +147,10 @@ def test_box_truncation_is_symmetric():
         ks = table.freqs[:, None, :] + table.shifts[None, :, :] @ spec.matrix.entries
         w, n = frac_coordinates(spec.matrix.mt, ks)
         inside = np.all(np.abs(w) <= radius * n, axis=-1)
-        assert np.array_equal(table.coeffs != 0.0, inside)
+        # kept means the untruncated value, which a wider radius gives; that
+        # value is itself exactly 0 where xi.t is a nonzero integer
+        wide = KernelSpec.box_spline(m_mat, three_direction_set(1, 1, 1), radius=4 * radius)
+        assert np.array_equal(table.coeffs, np.where(inside, coeff(wide, ks), 0.0))
         kept = {tuple(k): c for k, c in zip(*full_coefficient_set(table))}
         assert all(kept.get(tuple(-x for x in k)) == c for k, c in kept.items())
 
@@ -314,6 +317,11 @@ def test_invalid_specs_rejected():
         KernelSpec.box_spline(m_mat, three_direction_set(2, 0, 0))
     with pytest.raises(InvalidSpec):
         KernelSpec.box_spline(m_mat, np.array([[1.0, 2.0], [0.5, 1.0]]))
+    with pytest.raises(InvalidSpec):
+        # spanning, but xi . z is not an integer
+        KernelSpec.box_spline(m_mat, [[1, 0.5], [0, 1]])
+    with pytest.raises(InvalidSpec):
+        KernelSpec.box_spline(m_mat, [[1, 0, np.nan], [0, 1, 1]])
     with pytest.raises(InvalidSpec):
         KernelSpec.box_spline(m_mat, three_direction_set(1, 1, 0), radius=0)
     with pytest.raises(InvalidSpec):

@@ -1,6 +1,6 @@
-"""Property tests: lattice algebra, the fast transform, Green boundedness,
-the real half-spectrum Green path, the solver's positivity check and its
-fixed point.
+"""Property tests: lattice algebra, the fast transform, the kernel and
+Green tables, Green boundedness, the real half-spectrum Green path, the
+solver's positivity check and its fixed point.
 
 Patterns, kernels and reference stiffnesses are drawn by hypothesis (see
 conftest.py for the profile); each property is exact or holds to a stated
@@ -14,13 +14,19 @@ from hypothesis.extra import numpy as hnp
 
 from lathom.errors import NonElliptic
 from lathom.green import apply_green, periodised_green_table
-from lathom.kernels import KernelSpec, coefficient_table, orthonormalize, three_direction_set
+from lathom.kernels import KernelSpec, coeff, coefficient_table, orthonormalize, three_direction_set
 from lathom.lattice import PatternMatrix, frac_coordinates, in_symmetric_box, reduce_mod
 from lathom.pattern_fft import pattern_dft, pattern_fft, smith_normal_form
 from lathom.solver import _require_elliptic, basic_scheme, default_reference, residual_ls
 from lathom.tensor import certainly_elliptic, ellipticity_bounds, isotropic_stiffness
 
-from oracles import full_spectrum_green, periodised_basic_scheme, regular_pattern
+from oracles import (
+    box_coeff_sinc,
+    full_spectrum_green,
+    periodised_basic_scheme,
+    periodised_green_index_form,
+    regular_pattern,
+)
 
 
 def patterns(dims=(2, 3), span=6, max_m=400):
@@ -35,9 +41,20 @@ def patterns(dims=(2, 3), span=6, max_m=400):
     return st.sampled_from(dims).flatmap(of_dim)
 
 
+def two_d_patterns(max_m):
+    """Diagonal and general (sheared) 2 x 2 patterns with |det| <= max_m."""
+    sides = st.integers(1, max_m)
+    diagonal = st.tuples(sides, sides).map(lambda d: regular_pattern(np.diag(d), max_m))
+    return st.one_of(diagonal.filter(lambda pm: pm is not None), patterns(dims=(2,), max_m=max_m))
+
+
 def kernel_specs(pm):
-    """Dirichlet, dlVP and box-spline (radius <= 4) kernels on pattern pm."""
-    slopes = st.floats(0.0, 0.5)
+    """Dirichlet, dlVP and box-spline (radius <= 4) kernels on pattern pm.
+
+    Half of the slope draws lie in [0, 1/m], where a ramp is no wider than
+    the spacing of the coordinates.
+    """
+    slopes = st.one_of(st.floats(0.0, 0.5), st.floats(0.0, 1.0 / pm.m))
     return st.one_of(
         st.just(KernelSpec.dirichlet(pm)),
         st.tuples(slopes, slopes).map(lambda alpha: KernelSpec.dlvp(pm, alpha)),
@@ -85,6 +102,33 @@ def test_pattern_fft_matches_dft(pm, seed):
     a = rng.normal(size=pm.m) + 1j * rng.normal(size=pm.m)
     fast, direct = pattern_fft(pm, a), pattern_dft(pm, a)
     assert np.linalg.norm(fast - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+@given(data=st.data())
+def test_coefficient_table_is_coeff_at_the_shifted_frequencies(data):
+    pm = data.draw(two_d_patterns(max_m=64), label="pattern")
+    spec = data.draw(kernel_specs(pm), label="kernel")
+    table = coefficient_table(spec)
+    ks = table.freqs[:, None, :] + table.shifts @ pm.entries
+    for j in range(len(table.shifts)):
+        assert np.array_equal(table.coeffs[:, j], coeff(spec, ks[:, j]))
+    if spec.kind == "box":
+        # the closed-form sinc against np.sinc, and its exact zeros
+        assert np.max(np.abs(table.coeffs - box_coeff_sinc(spec, ks))) <= 1e-15
+        w, n = frac_coordinates(pm.mt, ks)
+        dots = w @ spec.xi.astype(np.int64)
+        on_zero = np.any((dots % n == 0) & (dots != 0), axis=-1)
+        assert np.all(table.coeffs[on_zero] == 0.0)
+
+
+@given(data=st.data(), c0=spd_mandel())
+def test_green_table_matches_the_index_form_sum(data, c0):
+    pm = data.draw(two_d_patterns(max_m=64), label="pattern")
+    spec = data.draw(kernel_specs(pm), label="kernel")
+    kern = orthonormalize(coefficient_table(spec))
+    table = periodised_green_table(c0, kern)
+    expected = periodised_green_index_form(c0, kern)
+    assert np.max(np.abs(table.values - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 @given(data=st.data(), c0=spd_mandel())

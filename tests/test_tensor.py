@@ -16,6 +16,8 @@ from lathom.tensor import (
     isotropic_stiffness,
     lame_parameters,
     lame_stiffness,
+    symmetric_entries,
+    symmetric_matrices,
 )
 
 from oracles import from_mandel, from_mandel_operator, mandel_operator_2d, to_mandel
@@ -135,3 +137,15 @@ def test_pair_order_and_weights():
     assert np.allclose(strain_basis([1, 0]) @ [0.0, 1.0], [0.0, 0.0, np.sqrt(0.5)])
     # orthonormal components: 2 mu Id is the shear response on every slot
     assert np.array_equal(lame_stiffness(0.0, 0.5), np.eye(3))
+
+
+def test_six_entry_layout_round_trips():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 5, 3, 3))
+    sym = a + np.swapaxes(a, -1, -2)
+    entries = symmetric_entries(sym)
+    assert entries.shape == (6, 4, 5)
+    assert np.array_equal(entries[:, 1, 2], sym[1, 2][[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]])
+    back = symmetric_matrices(entries)
+    assert back.shape == sym.shape and back.flags.c_contiguous
+    assert np.array_equal(back, sym)
