@@ -44,7 +44,12 @@ for name, spec in (
     right = np.vdot(g, apply_green(table, d) @ c0.T)
     print(f"{name:18s} idempotence defect {defect:.3e}   adjointness gap {abs(left - right):.3e}")
 
-# the table stores one small symmetric matrix per frequency class
-table = periodised_green_table(c0, orthonormalize(coefficient_table(KernelSpec.dirichlet(mat))))
-print("table values shape:", table.values.shape, " symmetric:",
-      np.max(np.abs(table.values - np.swapaxes(table.values, 1, 2))))
+# the table stores the six unique entries of one symmetric matrix per
+# frequency class: an even table on the half spectrum of the Smith grid,
+# the Dirichlet table on these even divisors on the whole grid
+for name, spec in (
+    ("dirichlet", KernelSpec.dirichlet(mat)),
+    ("dlvp(0.25, 0.25)", KernelSpec.dlvp(mat, (0.25, 0.25))),
+):
+    table = periodised_green_table(c0, orthonormalize(coefficient_table(spec)))
+    print(f"{name:18s} even {str(table.even_table):5s}   table entries shape {table.entries.shape}")

@@ -372,4 +372,4 @@ def write_phase_pgm(path, m_mat, phases, shape=None):
     levels = ((span - np.arange(span + 1)) * 255 // span).astype(np.uint8)
     img = levels[phases[grid]]
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    _write_atomic(path, header + img.tobytes())
+    _write_atomic(path, [header + img.tobytes()])

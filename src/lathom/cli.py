@@ -72,7 +72,7 @@ from .solver import (
     residual_ls,
     write_strain_csv,
 )
-from .tensor import isotropic_stiffness, lame_stiffness
+from .tensor import isotropic_stiffness, lame_stiffness, symmetric_matrices
 
 __all__ = [
     "RunManifest",
@@ -505,8 +505,8 @@ def emit_heatmap(m_mat, field, colormap, path, shape=None):
         levels = np.rint((field[grid] - lo) / span * 255.0).astype(np.intp)
     img = _colormap_lut(colormap)[levels]
     header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    _write_atomic(path, header + img.tobytes())
-    _write_atomic(f"{path}.txt", f"min {lo:.17g}\nmax {hi:.17g}\n".encode("ascii"))
+    _write_atomic(path, [header + img.tobytes()])
+    _write_atomic(f"{path}.txt", [f"min {lo:.17g}\nmax {hi:.17g}\n".encode("ascii")])
 
 
 def _heatmap_field(manifest, report, e_log):
@@ -539,7 +539,7 @@ def _run_solve(manifest):
     os.makedirs(outdir, exist_ok=True)
     report = _solve_kept(manifest, c, table)
     summary = report_summary(report)
-    _write_atomic(os.path.join(outdir, "report.txt"), summary.encode("ascii"))
+    _write_atomic(os.path.join(outdir, "report.txt"), [summary.encode("ascii")])
     sys.stdout.write(summary)
     if manifest.strain_csv:
         write_strain_csv(os.path.join(outdir, "strain.csv"), manifest.matrix, report.strain)
@@ -739,7 +739,9 @@ def run_selftest(seed=0):
         table = dlvp_green_table(_random_regular(rng), c0)
         w, v = np.linalg.eigh(c0)
         root = (v * np.sqrt(w)) @ v.T
-        vals = np.linalg.eigvalsh(root @ table.values @ root)
+        # the stored classes: the others of an even table repeat their matrices
+        classes = symmetric_matrices(table.entries.reshape(6, -1))
+        vals = np.linalg.eigvalsh(root @ classes @ root)
         return float(max(-vals.min(), vals.max() - 1.0, 0.0))
 
     check("pattern fft matches the direct transform", fft_matches_dft)

@@ -43,26 +43,28 @@ asymmetrically.  The table records this; application to a real field
 returns a real field exactly when the table is even and an honestly
 complex one otherwise.
 
-apply_green has two paths, and the table decides which one runs:
+The table has one layout: the six unique entries of each class matrix,
+component-major in the order of tensor.symmetric_entries (the layout of
+the solver's stiffness contrast too), on the Smith grid.  An even table
+keeps only the half spectrum, shape (6, d1, d2 // 2 + 1): the other
+classes are the negatives of these and carry the same matrices.  A table
+that is not even keeps every class, shape (6, d1, d2).  apply_green
+multiplies by the three fused rows of tensor.apply_symmetric either way,
+and the table decides the transforms:
 
-- An even table also stores its half table: the six unique entries of
-  each class matrix in the symmetric layout of tensor.symmetric_entries
-  (the one the solver's stiffness contrast uses too), sliced to the half
-  spectrum of the Smith grid, shape (6, d1, d2 // 2 + 1).  A real field
-  then runs through pattern_rfft, the three fused rows of
-  tensor.apply_symmetric and pattern_irfft: the spectrum of a real field
-  is conjugate symmetric, and an even table keeps it so, so half of it
-  determines the result.
-- A table that is not even, or a complex field, takes the full spectrum:
-  pattern_fft, the 3 x 3 class matrices, pattern_ifft.
+- Even table, real field: pattern_rfft, the rows on the half spectrum,
+  pattern_irfft.  The spectrum of a real field is conjugate symmetric and
+  an even table keeps it so, so half of it determines the result.  A
+  complex field runs as G(a + ib) = Ga + iGb, twice through the same path.
+- Table that is not even: pattern_fft, the rows on the full spectrum,
+  pattern_ifft, with a complex result.
 
 Fields are (m, 3) at this interface.  The solver keeps its fields
 component-major, (3, m), and passes their transposes: such an (m, 3) view
-is a contiguous (3, d1, d2) array on the Smith grid, so the real path's
-transforms read and write it without strides.  Both paths write through
-`out`, and the real one takes its spectral scratch from
-GreenTable.workspace(), so a solver that allocates its buffers once
-allocates nothing per application.
+is a contiguous (3, d1, d2) array on the Smith grid, so the transforms
+read and write it without strides.  Both paths write through `out` and
+take their spectral scratch from GreenTable.workspace(), so a solver that
+allocates its buffers once allocates nothing per application.
 """
 
 from __future__ import annotations
@@ -158,25 +160,22 @@ def green_multiplier(c0, k):
 class GreenTable:
     """Per-class multipliers of the periodised Green operator.
 
-    values[i] acts on frequency class freqs[i] of the generating set; the
-    zero class is the zero matrix.  even_table records whether the values
-    are even under h -> -h (class-wise), which decides whether real
-    fields stay real under application.  An even table also holds half,
-    the six unique entries (tensor.symmetric_entries) on the half spectrum
-    (see the module docstring); it is None otherwise.
+    entries holds the six unique entries (tensor.symmetric_entries) of the
+    class matrix of each frequency class on the Smith grid: (6,) +
+    half_grid(matrix) when even_table, (6, d1, d2) otherwise (see the
+    module docstring).  The zero class is the zero matrix.  even_table
+    records whether the matrices are even under h -> -h (class-wise),
+    which decides whether real fields stay real under application.
     """
 
     matrix: PatternMatrix
     c0: np.ndarray  # (3, 3) Mandel reference stiffness
-    values: np.ndarray  # (m, 3, 3) real symmetric
+    entries: np.ndarray  # (6,) + half or full Smith grid, real
     even_table: bool
-    half: np.ndarray | None = None  # (6,) + half_grid(matrix), even tables only
 
     def workspace(self):
-        """Complex scratch for apply_green's real path; None without a half table."""
-        if self.half is None:
-            return None
-        return np.empty((_WORK_PLANES,) + self.half.shape[1:], dtype=np.complex128)
+        """Complex scratch for apply_green, reused across applications."""
+        return np.empty((_WORK_PLANES,) + self.entries.shape[1:], dtype=np.complex128)
 
 
 # spectrum (3), product (3) and one plane of products
@@ -191,8 +190,8 @@ def periodised_green_table(c0, kernel):
 
     Row blocks of classes take all their shifts as (classes, shifts)
     planes, and each class becomes (sum c) S - sum (c / q) u u^T for its
-    six unique entries (see the module docstring); values and half are
-    built from those entries.  Evenness is measured on them, not assumed.
+    six unique entries (see the module docstring).  Evenness is measured
+    on them, not assumed, and an even table keeps its half spectrum only.
     The kernel table must be orthonormalised so the weights m |c|^2 sum to
     one within each class; the zero class, whose k = 0 term is 0/0, is
     forced to the zero matrix.
@@ -223,42 +222,42 @@ def periodised_green_table(c0, kernel):
     neg = gen.index(-gen.freqs)
     scale = np.max(np.abs(entries)) or 1.0
     even = bool(np.max(np.abs(entries[:, neg] - entries)) <= 1e-13 * scale)
-    half = None
+    d1, last = half_grid(pm)
+    entries = entries.reshape(6, d1, -1)
     if even:
-        d1, last = half_grid(pm)
-        half = np.ascontiguousarray(entries.reshape(6, d1, -1)[:, :, :last])
-    values = symmetric_matrices(entries)
-    return GreenTable(matrix=pm, c0=c0m.copy(), values=values, even_table=even, half=half)
+        entries = np.ascontiguousarray(entries[:, :, :last])
+    return GreenTable(matrix=pm, c0=c0m.copy(), entries=entries, even_table=even)
 
 
 def apply_green(table, field, out=None, work=None):
     """Apply the periodised Green operator to a field sampled on the pattern.
 
-    field has shape (m, 3).  A real field on an even table takes the real
-    half-spectrum path and comes back real.  Otherwise the full complex
-    spectrum is used: a complex field, or a table that is not even, gives
-    the honest complex result (its imaginary part is genuine, not
-    roundoff).  out, if given, is an (m, 3) array of the result type in
-    any memory layout (the solver passes transposes of its (3, m) buffers)
-    and receives the result.  work is scratch from table.workspace(),
-    reused across calls (a fresh one is allocated when it is None).
+    field has shape (m, 3).  On an even table a real field comes back
+    real, and a complex field as G(Re) + i G(Im).  A table that is not
+    even gives the honest complex result (its imaginary part is genuine,
+    not roundoff).  out, if given, is an (m, 3) array of the result type
+    in any memory layout (the solver passes transposes of its (3, m)
+    buffers) and receives the result.  work is scratch from
+    table.workspace(), reused across calls (a fresh one is allocated when
+    it is None).
     """
     pm = table.matrix
     field = np.asarray(field)
     if field.shape != (pm.m, 3):
         raise ShapeMismatch(f"expected field of shape {(pm.m, 3)}, got {field.shape}")
-    if table.half is None or np.iscomplexobj(field):
-        spectrum = pattern_fft(pm, field)
-        result = pattern_ifft(pm, np.einsum("mab,mb->ma", table.values, spectrum))
-        if np.isrealobj(field) and table.even_table:
-            result = result.real
-        if out is None:
-            return result
-        np.copyto(out, result)
-        return out
     if work is None:
         work = table.workspace()
     spectrum, product, scratch = work[:3], work[3:6], work[6]
+    if np.iscomplexobj(field) or not table.even_table:
+        if out is None:
+            out = np.empty((pm.m, 3), dtype=np.complex128)
+        if table.even_table:  # G(a + ib) = Ga + iGb, on the real path
+            apply_green(table, field.real, out=out.real, work=work)
+            apply_green(table, field.imag, out=out.imag, work=work)
+            return out
+        pattern_fft(pm, field, out=spectrum.reshape(3, -1).T)
+        apply_symmetric(table.entries, spectrum, product, scratch)
+        return pattern_ifft(pm, product.reshape(3, -1).T, out=out)
     pattern_rfft(pm, field, out=spectrum)
-    apply_symmetric(table.half, spectrum, product, scratch)
+    apply_symmetric(table.entries, spectrum, product, scratch)
     return pattern_irfft(pm, product, out=out)

@@ -15,11 +15,12 @@ the exponential sum with exact rational phases.
 A real field needs only half of its spectrum: pattern_rfft returns the
 classes whose last Smith grid index is at most d_d // 2 (the others are
 their complex conjugates), component-major, and pattern_irfft maps such a
-half spectrum back to a real field.  Both write through `out`, so a loop
-that owns its buffers allocates nothing per transform.  Fields are
-(m, ...) at this interface; the transpose of a component-major (3, m)
-buffer is such a field, and on the Smith grid it is a contiguous
-(3, d1, d2) array, so both transforms then run without strides.
+half spectrum back to a real field.  All four transforms write through
+`out`, so a loop that owns its buffers allocates nothing per transform
+(pattern_fft of a complex field).  Fields are (m, ...) at this interface;
+the transpose of a component-major (3, m) buffer is such a field, and on
+the Smith grid it is a contiguous (3, d1, d2) array, so the transforms
+then run without strides.
 """
 
 from __future__ import annotations
@@ -101,23 +102,37 @@ def _grid(pm):
     return tuple(int(x) for x in _smith_grid(pm)[1])
 
 
-def _smith_transform(fftn, m_mat, a):
-    """Unitary fftn or ifftn on the cyclic Smith grid, trailing axes kept."""
+def _smith_transform(fftn, m_mat, a, out):
+    """Unitary fftn or ifftn on the cyclic Smith grid, trailing axes kept.
+
+    out, if given, is a complex128 array of a's shape in any memory layout
+    (splitting its leading axis onto the grid is always a view) and
+    receives the result; ValueError otherwise.
+    """
     pm = as_pattern_matrix(m_mat)
     a = _check_length(pm, a)
     grid = _grid(pm)
-    work = np.asarray(a, dtype=np.complex128).reshape(grid + a.shape[1:])
-    return fftn(work, axes=tuple(range(len(grid))), norm="ortho").reshape(a.shape)
+    if out is None:
+        out = np.empty(a.shape, dtype=np.complex128)
+    elif out.shape != a.shape or out.dtype != np.complex128 or not out.flags.writeable:
+        raise ValueError(f"expected a writeable complex128 {a.shape} array for out")
+    shape = grid + a.shape[1:]
+    fftn(a.reshape(shape), axes=tuple(range(len(grid))), norm="ortho", out=out.reshape(shape))
+    return out
 
 
-def pattern_fft(m_mat, a):
-    """Fast forward transform; accepts trailing component axes on a."""
-    return _smith_transform(np.fft.fftn, m_mat, a)
+def pattern_fft(m_mat, a, out=None):
+    """Fast forward transform; accepts trailing component axes on a.
+
+    out, if given, receives the result (see _smith_transform): for a
+    complex field the transform then allocates nothing.
+    """
+    return _smith_transform(np.fft.fftn, m_mat, a, out)
 
 
-def pattern_ifft(m_mat, a_hat):
-    """Inverse of pattern_fft."""
-    return _smith_transform(np.fft.ifftn, m_mat, a_hat)
+def pattern_ifft(m_mat, a_hat, out=None):
+    """Inverse of pattern_fft, with the same out."""
+    return _smith_transform(np.fft.ifftn, m_mat, a_hat, out)
 
 
 def half_grid(m_mat):

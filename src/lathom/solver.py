@@ -30,9 +30,8 @@ six unique entries, (6, m) (tensor.symmetric_entries, read from the lower
 triangle that the positivity check examines), and multiplied in three
 fused rows (tensor.apply_symmetric) through one (m,) scratch plane.
 These buffers and the Green application's spectral scratch are allocated
-once per solve, and every step writes into them: on an even table an
-iteration allocates no array (the full-spectrum application of the other
-tables still allocates its transforms).  The strain is transposed to
+once per solve, and every step writes into them: an iteration allocates
+no array, on either kind of Green table.  The strain is transposed to
 (m, 3) once, at exit.  The CG coefficients come from inner products by
 pairwise summation, and |E + eps0| from |E|, sum_y E and |eps0| without
 forming the sum.
@@ -299,17 +298,22 @@ def residual_ls(strain, c, c0, eps0, table):
 
 
 def _exact_mean(values):
-    """Column means via compensated summation (exact for constant columns)."""
+    """Column means via compensated summation (exact for constant columns).
+
+    math.fsum is correctly rounded, so the container it reads does not
+    change the result: it reads each column as a list of Python floats,
+    which is faster than iterating over a strided numpy column.
+    """
     values = np.asarray(values)
     m = values.shape[0]
     if np.iscomplexobj(values):
         return np.array(
             [
-                complex(math.fsum(col.real), math.fsum(col.imag)) / m
+                complex(math.fsum(col.real.tolist()), math.fsum(col.imag.tolist())) / m
                 for col in values.T
             ]
         )
-    return np.array([math.fsum(col) / m for col in values.T])
+    return np.array([math.fsum(col.tolist()) / m for col in values.T])
 
 
 def effective_action(c, strain, eps0):
@@ -376,8 +380,14 @@ def report_summary(report):
     return "\n".join(lines) + "\n"
 
 
-def _write_atomic(path, *chunks):
-    """Write byte chunks to path via a temporary sibling and an atomic rename."""
+def _write_atomic(path, chunks):
+    """Write an iterable of byte chunks to path via a temporary sibling and an
+    atomic rename.
+
+    The chunks are consumed while the file is written, so a generator
+    streams.  If producing or writing a chunk fails, the temporary is
+    removed and path is left as it was.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as handle:
@@ -393,20 +403,46 @@ def _write_atomic(path, *chunks):
 _CSV_BLOCK_ROWS = 4096
 
 
+def _csv_blocks(header, columns):
+    """Encoded CSV text, block by block: the header line, then rows."""
+    row = []
+    for col in columns:
+        width = 1 if col.ndim == 1 else col.shape[1]
+        row += ["%s" if col.dtype == object else "%.17g"] * width
+    row = ",".join(row) + "\n"
+    yield f"{','.join(header)}\n".encode("ascii")
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        part = np.column_stack([col[start : start + _CSV_BLOCK_ROWS] for col in columns])
+        yield ((row * len(part)) % tuple(part.ravel().tolist())).encode("ascii")
+
+
 def _write_csv(path, header, columns):
     """CSV of %.17g numbers under a header line, written atomically.
 
-    The columns are stacked into one float array, and each block of rows is
-    formatted by one template: the same bytes as formatting every value on
-    its own, in less than half the time.
+    The columns (each (n,) or (n, k)) are stacked block by block, and each
+    block of rows is formatted by one template: the same bytes as
+    formatting every value on its own, in less than half the time.  A
+    column of dtype object holds its text already (see _formatted_once).
+    The blocks are formatted as the file is written, one at a time.
     """
-    data = np.column_stack(columns)
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    blocks = [f"{','.join(header)}\n".encode("ascii")]
-    for start in range(0, len(data), _CSV_BLOCK_ROWS):
-        part = data[start : start + _CSV_BLOCK_ROWS]
-        blocks.append(((row * len(part)) % tuple(part.ravel().tolist())).encode("ascii"))
-    _write_atomic(path, *blocks)
+    _write_atomic(path, _csv_blocks(header, [np.asarray(col) for col in columns]))
+
+
+def _formatted_once(column):
+    """The %.17g text of a float column (n,) as an object array, each
+    distinct value formatted once.
+
+    Pattern coordinates take a few hundred values per column on diagonal
+    patterns.  A column whose values are mostly distinct comes back as it
+    is, for _write_csv to format.  Values are told apart by their bits, so
+    -0.0 keeps its sign.
+    """
+    column = np.asarray(column, dtype=np.float64)
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    if 2 * len(bits) > len(column):
+        return column
+    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse]
 
 
 def write_strain_csv(path, m_mat, strain):
@@ -421,7 +457,7 @@ def write_strain_csv(path, m_mat, strain):
     if strain.shape[0] != len(pattern):
         raise ShapeMismatch(f"{strain.shape[0]} rows for {len(pattern)} points")
     header = ["y1", "y2", "eps_11", "eps_22", "eps_12"]
-    columns = [pattern.points, strain.real]
+    columns = [*map(_formatted_once, pattern.points.T), strain.real]
     if np.iscomplexobj(strain) and np.max(np.abs(strain.imag)) > 0.0:
         header += ["imag_11", "imag_22", "imag_12"]
         columns.append(strain.imag)

@@ -15,7 +15,7 @@ import numpy as np
 from lathom.errors import LengthMismatch, ShapeMismatch, ZeroDeterminant
 from lathom.kernels import coeff, shift_set
 from lathom.lattice import PatternMatrix, as_pattern_matrix, frac_coordinates, reduce_mod
-from lathom.pattern_fft import pattern_fft, pattern_ifft
+from lathom.pattern_fft import pattern_fft, pattern_ifft, smith_normal_form
 
 # the 2-d Mandel layout (a11, a22, sqrt(2) a12), written out independently
 MANDEL_PAIRS = ((0, 0), (1, 1), (0, 1))
@@ -150,14 +150,35 @@ def classical_basic_scheme(c_grid, lam0, mu0, eps0, tol=1e-10, max_iter=5000):
 # cross-checks: a second route to a library quantity
 
 
+def class_matrices(table):
+    """The (m, 3, 3) class matrices of a library Green table, unpacked by
+    hand from its six entries (00, 11, 22, 01, 02, 12) on the Smith grid.
+
+    An even table stores the half spectrum, last grid index j <= d2 // 2;
+    the class at grid index (i, j) beyond it is the negative of the class
+    at (-i mod d1, -j mod d2) and carries the same matrix.
+    """
+    d1, d2 = smith_normal_form(table.matrix).grid
+    stored = table.entries
+    kept = stored.shape[-1]
+    full = np.empty((6, d1, d2))
+    full[:, :, :kept] = stored
+    i, j = np.meshgrid(np.arange(d1), np.arange(kept, d2), indexing="ij")
+    full[:, i, j] = stored[:, -i % d1, -j % d2]
+    rows = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+    return np.stack([np.stack([full[e].ravel() for e in row], axis=-1) for row in rows], axis=-2)
+
+
 def full_spectrum_green(table, field):
     """Green application on the full complex spectrum of a library table:
-    pattern_fft, the 3 x 3 class matrices table.values, pattern_ifft.  The
-    real part is returned for a real field on an even table, where the
-    imaginary part is roundoff; otherwise the complex result.
+    pattern_fft, the 3 x 3 class matrices of class_matrices(table),
+    pattern_ifft.  The real part is returned for a real field on an even
+    table, where the imaginary part is roundoff; otherwise the complex
+    result.
     """
     out = pattern_ifft(
-        table.matrix, np.einsum("mab,mb->ma", table.values, pattern_fft(table.matrix, field))
+        table.matrix,
+        np.einsum("mab,mb->ma", class_matrices(table), pattern_fft(table.matrix, field)),
     )
     return out.real if np.isrealobj(field) and table.even_table else out
 
@@ -291,12 +312,12 @@ def discrete_coeffs(m_mat, samples):
 def residual_variational(strain, c, c0, eps0, table):
     """l2 norm of C0 Green_p C:(E + eps0), the weak-form discretisation.
 
-    c is a stiffness field (m, n_s, n_s) or one constant stiffness.
+    c is a stiffness field (m, 3, 3) or one constant stiffness.
     """
-    m, n_s = table.matrix.m, table.values.shape[-1]
+    m = table.matrix.m
     strain = np.asarray(strain)
-    if strain.shape != (m, n_s):
-        raise ShapeMismatch(f"expected {(m, n_s)}, got {strain.shape}")
-    c = np.broadcast_to(np.asarray(c, dtype=float), (m, n_s, n_s))
+    if strain.shape != (m, 3):
+        raise ShapeMismatch(f"expected {(m, 3)}, got {strain.shape}")
+    c = np.broadcast_to(np.asarray(c, dtype=float), (m, 3, 3))
     total = np.einsum("mab,mb->ma", c, strain + np.asarray(eps0))
     return float(np.linalg.norm(full_spectrum_green(table, total) @ np.asarray(c0).T))

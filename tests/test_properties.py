@@ -1,6 +1,6 @@
 """Property tests: lattice algebra, the fast transform, the kernel and
-Green tables, Green boundedness, the real half-spectrum Green path, the
-solver's positivity check and its fixed point.
+Green tables, Green boundedness, the Green table layout and both Green
+paths, the solver's positivity check and its fixed point.
 
 Patterns, kernels and reference stiffnesses are drawn by hypothesis (see
 conftest.py for the profile); each property is exact or holds to a stated
@@ -16,12 +16,13 @@ from lathom.errors import NonElliptic
 from lathom.green import apply_green, periodised_green_table
 from lathom.kernels import KernelSpec, coeff, coefficient_table, orthonormalize, three_direction_set
 from lathom.lattice import PatternMatrix, frac_coordinates, in_symmetric_box, reduce_mod
-from lathom.pattern_fft import pattern_dft, pattern_fft, smith_normal_form
+from lathom.pattern_fft import half_grid, pattern_dft, pattern_fft, smith_normal_form
 from lathom.solver import _require_elliptic, basic_scheme, default_reference, residual_ls
 from lathom.tensor import certainly_elliptic, ellipticity_bounds, isotropic_stiffness
 
 from oracles import (
     box_coeff_sinc,
+    class_matrices,
     full_spectrum_green,
     periodised_basic_scheme,
     periodised_green_index_form,
@@ -128,7 +129,7 @@ def test_green_table_matches_the_index_form_sum(data, c0):
     kern = orthonormalize(coefficient_table(spec))
     table = periodised_green_table(c0, kern)
     expected = periodised_green_index_form(c0, kern)
-    assert np.max(np.abs(table.values - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert np.max(np.abs(class_matrices(table) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 @given(data=st.data(), c0=spd_mandel())
@@ -141,7 +142,7 @@ def test_green_classes_are_bounded_by_one(data, c0):
     table = periodised_green_table(c0, orthonormalize(coefficient_table(spec)))
     w, v = np.linalg.eigh(c0)
     root = (v * np.sqrt(w)) @ v.T
-    vals = np.linalg.eigvalsh(root @ table.values @ root)
+    vals = np.linalg.eigvalsh(root @ class_matrices(table) @ root)
     assert vals.min() >= -1e-12
     assert vals.max() <= 1.0 + 1e-12
     if spec.kind == "dirichlet":
@@ -186,6 +187,36 @@ def test_real_green_path_matches_the_full_spectrum(entries, data, c0):
         assert spec.kind == "dirichlet"
         assert np.array_equal(out, reference)
         assert np.linalg.norm(out.imag) > 1e-6 * np.linalg.norm(out)
+
+
+@pytest.mark.parametrize("entries", SMITH_CASES)
+@settings(max_examples=25)
+@given(data=st.data(), c0=spd_mandel())
+def test_green_table_layout_and_complex_fields(entries, data, c0):
+    # one layout: six entries on the half spectrum of an even table and on
+    # the whole Smith grid otherwise; apply_green matches the full-spectrum
+    # oracle for complex fields on both (real fields: the test above)
+    if entries is None:
+        pm = data.draw(patterns(dims=(2,), max_m=400), label="pattern")
+    else:
+        pm = PatternMatrix(entries)
+    spec = data.draw(kernel_specs(pm), label="kernel")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    real, imag = rng.normal(size=(2, pm.m, 3))
+    table = periodised_green_table(c0, orthonormalize(coefficient_table(spec)))
+    grid = half_grid(pm) if table.even_table else smith_normal_form(pm).grid
+    assert table.entries.shape == (6,) + grid
+    assert table.workspace().shape == (7,) + grid
+    field = real + 1j * imag
+    out = apply_green(table, field)
+    assert out.dtype == np.complex128
+    reference = full_spectrum_green(table, field)
+    assert np.linalg.norm(out - reference) <= 1e-12 * np.linalg.norm(reference)
+    if table.even_table:
+        # G(a + ib) = Ga + iGb, both through the real path
+        parts = apply_green(table, real) + 1j * apply_green(table, imag)
+        assert np.array_equal(out, parts)
 
 
 @given(data=st.data())

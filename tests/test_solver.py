@@ -15,6 +15,7 @@ from lathom.green import periodised_green_table
 from lathom.kernels import KernelSpec, coefficient_table, orthonormalize, three_direction_set
 from lathom.lattice import pattern_points
 from lathom.solver import (
+    _formatted_once,
     _write_atomic,
     _write_csv,
     basic_scheme,
@@ -356,9 +357,34 @@ def test_write_atomic_leaves_nothing_behind_on_failure(tmp_path):
     path = tmp_path / "out.csv"
     path.write_bytes(b"kept\n")
     with pytest.raises(TypeError):
-        _write_atomic(str(path), b"first\n", "not bytes")
+        _write_atomic(str(path), [b"first\n", "not bytes"])
     assert os.listdir(tmp_path) == ["out.csv"]
     assert path.read_bytes() == b"kept\n"
+
+
+def test_write_atomic_streams_and_leaves_nothing_when_the_chunks_fail(tmp_path):
+    path = tmp_path / "out.csv"
+
+    def chunks():
+        yield b"first\n"
+        # the first chunk is consumed before the second is produced
+        assert os.listdir(tmp_path) == [f"out.csv.tmp.{os.getpid()}"]
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        _write_atomic(str(path), chunks())
+    assert os.listdir(tmp_path) == []
+
+
+def test_formatted_once_matches_per_value_formatting():
+    # signed zeros are told apart; a column of mostly distinct values is
+    # left for the CSV template to format
+    column = np.tile([0.5, -0.0, 0.0, 1 / 3, 5e-324], 3)
+    text = _formatted_once(column)
+    assert text.dtype == object
+    assert text.tolist() == [f"{x:.17g}" for x in column]
+    distinct = np.arange(8) / 7.0
+    assert _formatted_once(distinct).dtype == np.float64
 
 
 def test_write_csv_matches_fstring_rows(tmp_path):
@@ -483,22 +509,17 @@ def _traced_peak(solve):
         tracemalloc.stop()
 
 
-def test_solver_memory_is_its_named_buffers():
-    # tracemalloc sees numpy's buffers.  The module docstring names them:
-    # seven (3, m) fields, one (m,) plane, the (6, m) entries of C - C0
-    # and the Green workspace; nothing else of field size may stay alive,
-    # and no iteration may allocate more than the one before
-    n = 64
-    mat = [[n, 0], [0, n]]
-    m = n * n
-    c = random_field(m, seed=5)
-    c0 = default_reference(c)
-    table = green_table(mat, c0, kind="dlvp", alpha=(0.25, 0.25))
-    assert table.even_table
+def _assert_named_buffers(table, m, seed):
+    """A solve on table allocates its named buffers and the Green workspace,
+    and no iteration allocates more than the one before."""
+    c = random_field(m, seed=seed)
+    c0 = table.c0
     eps0 = np.array([1.0, -0.3, 0.5])
     basic_scheme(c, c0, eps0, table)  # the FFT plans are cached from here on
-    field = 3 * m * 8
-    named = (7 + 2 + 1 / 3) * field + table.workspace().nbytes
+    field = 3 * m * (8 if table.even_table else 16)
+    # seven (3, m) fields and one (m,) plane of the solve's dtype, and the
+    # real (6, m) entries of C - C0
+    named = (7 + 1 / 3) * field + 6 * m * 8 + table.workspace().nbytes
     short = _traced_peak(lambda: basic_scheme(c, c0, eps0, table, max_iter=5))
     full = _traced_peak(lambda: basic_scheme(c, c0, eps0, table))
     # margin: one field for transform temporaries and small objects
@@ -507,3 +528,28 @@ def test_solver_memory_is_its_named_buffers():
     # per iteration (~0.09 field over 25 iterations here), far below any
     # array of field size
     assert abs(full - short) <= 0.25 * field
+
+
+def test_solver_memory_is_its_named_buffers():
+    # tracemalloc sees numpy's buffers.  The module docstring names them:
+    # seven (3, m) fields, one (m,) plane, the (6, m) entries of C - C0
+    # and the Green workspace; nothing else of field size may stay alive,
+    # and no iteration may allocate more than the one before
+    n = 64
+    mat = [[n, 0], [0, n]]
+    c0 = default_reference(random_field(n * n, seed=5))
+    table = green_table(mat, c0, kind="dlvp", alpha=(0.25, 0.25))
+    assert table.even_table
+    _assert_named_buffers(table, n * n, seed=5)
+
+
+def test_complex_solver_memory_is_its_named_buffers():
+    # a Dirichlet table on even divisors is not even: the solve is complex
+    # and every Green application takes the full spectrum, written through
+    # the same workspace, so it too allocates only its named buffers
+    n = 64
+    mat = [[n, 0], [0, n]]
+    c0 = default_reference(random_field(n * n, seed=6))
+    table = green_table(mat, c0)
+    assert not table.even_table
+    _assert_named_buffers(table, n * n, seed=6)
