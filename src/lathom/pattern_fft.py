@@ -105,12 +105,14 @@ def _grid(pm):
 def _smith_transform(fftn, m_mat, a, out):
     """Unitary fftn or ifftn on the cyclic Smith grid, trailing axes kept.
 
+    The transform runs in double precision whatever a's dtype (numpy's fft
+    follows its input's precision); for a complex128 a the cast is a view.
     out, if given, is a complex128 array of a's shape in any memory layout
     (splitting its leading axis onto the grid is always a view) and
     receives the result; ValueError otherwise.
     """
     pm = as_pattern_matrix(m_mat)
-    a = _check_length(pm, a)
+    a = np.asarray(_check_length(pm, a), dtype=np.complex128)
     grid = _grid(pm)
     if out is None:
         out = np.empty(a.shape, dtype=np.complex128)

@@ -432,15 +432,12 @@ def _formatted_once(column):
     """The %.17g text of a float column (n,) as an object array, each
     distinct value formatted once.
 
-    Pattern coordinates take a few hundred values per column on diagonal
-    patterns.  A column whose values are mostly distinct comes back as it
-    is, for _write_csv to format.  Values are told apart by their bits, so
-    -0.0 keeps its sign.
+    A pattern coordinate column takes at most d_d values, the last Smith
+    divisor (512 at 512²), since d_d y is an integer vector.
+    Values are told apart by their bits, so -0.0 keeps its sign.
     """
     column = np.asarray(column, dtype=np.float64)
     bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    if 2 * len(bits) > len(column):
-        return column
     text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
     return text[inverse]
 

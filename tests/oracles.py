@@ -169,16 +169,18 @@ def class_matrices(table):
     return np.stack([np.stack([full[e].ravel() for e in row], axis=-1) for row in rows], axis=-2)
 
 
-def full_spectrum_green(table, field):
+def full_spectrum_green(table, field, matrices=None):
     """Green application on the full complex spectrum of a library table:
-    pattern_fft, the 3 x 3 class matrices of class_matrices(table),
-    pattern_ifft.  The real part is returned for a real field on an even
-    table, where the imaginary part is roundoff; otherwise the complex
-    result.
+    pattern_fft, the 3 x 3 class matrices, pattern_ifft.  matrices (m, 3, 3)
+    defaults to class_matrices(table); periodised_green_index_form gives
+    them without reading the table.  The real part is returned for a real
+    field on an even table, where the imaginary part is roundoff; otherwise
+    the complex result.
     """
+    if matrices is None:
+        matrices = class_matrices(table)
     out = pattern_ifft(
-        table.matrix,
-        np.einsum("mab,mb->ma", class_matrices(table), pattern_fft(table.matrix, field)),
+        table.matrix, np.einsum("mab,mb->ma", matrices, pattern_fft(table.matrix, field))
     )
     return out.real if np.isrealobj(field) and table.even_table else out
 

@@ -126,6 +126,10 @@ def test_real_field_roundtrip_stays_real():
     back = pattern_ifft(pm, pattern_fft(pm, a))
     assert np.max(np.abs(back.imag)) < 1e-12
     assert np.allclose(back.real, a, atol=1e-12)
+    # single-precision input is transformed in double precision
+    single = a.astype(np.float32)
+    assert np.array_equal(pattern_fft(pm, single), pattern_fft(pm, single.astype(np.float64)))
+    assert np.array_equal(pattern_ifft(pm, single.astype(np.complex64)), pattern_ifft(pm, single.astype(complex)))
 
 
 def test_half_spectrum_is_the_full_spectrum_cut_and_inverts():
@@ -150,6 +154,18 @@ def test_half_spectrum_is_the_full_spectrum_cut_and_inverts():
         for bad in (np.empty((pm.m, 2)), np.empty((pm.m, 3), np.float32)):
             with pytest.raises(ValueError):
                 pattern_irfft(pm, pattern_rfft(pm, a), out=bad)
+        # the full transforms take the same out, in the same layouts
+        z = a + 1j * rng.standard_normal((pm.m, 3))
+        for transform in (pattern_fft, pattern_ifft):
+            expected = transform(pm, z)
+            for buffer in (np.empty((pm.m, 3), complex), np.empty((3, pm.m), complex).T):
+                assert transform(pm, z, out=buffer) is buffer
+                assert np.array_equal(buffer, expected)
+            readonly = np.empty((pm.m, 3), complex)
+            readonly.setflags(write=False)
+            for bad in (np.empty((pm.m, 2), complex), np.empty((pm.m, 3)), readonly):
+                with pytest.raises(ValueError):
+                    transform(pm, z, out=bad)
 
 
 def test_batched_axes():

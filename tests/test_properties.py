@@ -195,7 +195,8 @@ def test_real_green_path_matches_the_full_spectrum(entries, data, c0):
 def test_green_table_layout_and_complex_fields(entries, data, c0):
     # one layout: six entries on the half spectrum of an even table and on
     # the whole Smith grid otherwise; apply_green matches the full-spectrum
-    # oracle for complex fields on both (real fields: the test above)
+    # oracle on class matrices summed in index form, independent of the
+    # table's storage, for real and complex fields on both
     if entries is None:
         pm = data.draw(patterns(dims=(2,), max_m=400), label="pattern")
     else:
@@ -204,15 +205,17 @@ def test_green_table_layout_and_complex_fields(entries, data, c0):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rng = np.random.default_rng(seed)
     real, imag = rng.normal(size=(2, pm.m, 3))
-    table = periodised_green_table(c0, orthonormalize(coefficient_table(spec)))
+    kern = orthonormalize(coefficient_table(spec))
+    table = periodised_green_table(c0, kern)
     grid = half_grid(pm) if table.even_table else smith_normal_form(pm).grid
     assert table.entries.shape == (6,) + grid
     assert table.workspace().shape == (7,) + grid
-    field = real + 1j * imag
-    out = apply_green(table, field)
-    assert out.dtype == np.complex128
-    reference = full_spectrum_green(table, field)
-    assert np.linalg.norm(out - reference) <= 1e-12 * np.linalg.norm(reference)
+    matrices = periodised_green_index_form(c0, kern)
+    for field in (real, real + 1j * imag):
+        out = apply_green(table, field)
+        reference = full_spectrum_green(table, field, matrices)
+        assert out.dtype == reference.dtype
+        assert np.linalg.norm(out - reference) <= 1e-12 * np.linalg.norm(reference)
     if table.even_table:
         # G(a + ib) = Ga + iGb, both through the real path
         parts = apply_green(table, real) + 1j * apply_green(table, imag)

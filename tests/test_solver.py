@@ -377,14 +377,11 @@ def test_write_atomic_streams_and_leaves_nothing_when_the_chunks_fail(tmp_path):
 
 
 def test_formatted_once_matches_per_value_formatting():
-    # signed zeros are told apart; a column of mostly distinct values is
-    # left for the CSV template to format
-    column = np.tile([0.5, -0.0, 0.0, 1 / 3, 5e-324], 3)
-    text = _formatted_once(column)
-    assert text.dtype == object
-    assert text.tolist() == [f"{x:.17g}" for x in column]
-    distinct = np.arange(8) / 7.0
-    assert _formatted_once(distinct).dtype == np.float64
+    # signed zeros are told apart, repeated and distinct values alike
+    for column in (np.tile([0.5, -0.0, 0.0, 1 / 3, 5e-324], 3), np.arange(8) / 7.0):
+        text = _formatted_once(column)
+        assert text.dtype == object
+        assert text.tolist() == [f"{x:.17g}" for x in column]
 
 
 def test_write_csv_matches_fstring_rows(tmp_path):
