@@ -5,7 +5,8 @@ kernel over an integer-matrix pattern; the cell problem is solved by
 conjugate gradients preconditioned by a per-frequency periodised Green
 operator.  Submodules:
 
-- lattice: patterns P(M), generating sets, congruence arithmetic
+- lattice: patterns P(M) of 2 x 2 integer matrices, generating sets,
+  congruence arithmetic
 - pattern_fft: Smith-form fast Fourier transform on a pattern
 - tensor: two-dimensional Mandel layout of strains and stiffnesses
 - kernels: Dirichlet / de la Vallee Poussin / box-spline coefficients

@@ -288,8 +288,6 @@ def restrict_field(field, fine_mat, coarse_mat):
     """
     fm = as_pattern_matrix(fine_mat)
     cm = as_pattern_matrix(coarse_mat)
-    if fm.dim != cm.dim:
-        raise PatternMismatch(f"dimension {fm.dim} vs {cm.dim}")
     lf = fm.entries @ np.linalg.inv(cm.entries.astype(float))
     l_int = np.rint(lf).astype(np.int64)
     if not np.array_equal(l_int @ cm.entries, fm.entries):
@@ -315,8 +313,6 @@ def nearest_point_grid(m_mat, shape=None):
     deterministic.
     """
     pm = as_pattern_matrix(m_mat)
-    if pm.dim != 2:
-        raise ShapeMismatch(f"rasters are 2-d only, got a {pm.dim}-d pattern")
     if shape is None:
         a = pm.entries
         if a[0, 1] == 0 and a[1, 0] == 0:

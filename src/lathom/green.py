@@ -195,16 +195,14 @@ def periodised_green_table(c0, kernel):
     The kernel table must be orthonormalised so the weights m |c|^2 sum to
     one within each class; the zero class, whose k = 0 term is 0/0, is
     forced to the zero matrix.
-    Raises ShapeMismatch unless the pattern is two-dimensional and
-    NonElliptic unless c0 is positive definite.
+    Raises ShapeMismatch unless c0 is a (3, 3) Mandel matrix and
+    NonElliptic unless it is positive definite.
     """
     if not kernel.orthonormal:
         raise KernelNotOrthonormal("periodisation needs an orthonormalised table")
     pm = kernel.matrix
     if np.max(np.abs(pm.m * kernel.bracket - 1.0)) > 1e-8:
         raise KernelNotOrthonormal("bracket sums are not normalised to 1/m")
-    if pm.dim != 2:
-        raise ShapeMismatch(f"the Green operator is two-dimensional, got d = {pm.dim}")
     c0m = as_mandel_stiffness(c0)
     s = _compliance(c0m)
     gen = generating_set(pm)

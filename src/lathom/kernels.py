@@ -21,9 +21,9 @@ Three families generate the ansatz spaces on a pattern P(M):
 
 A CoefficientTable stores, per frequency class h, the coefficients at the
 retained lattice shifts h + M^T z.  For Dirichlet and dlVP windows the
-shift sets are exact ({0} and {-1,0,1}^d).  For box splines the shifts
-z_i in [-r_i, r_i] cover the truncated support, i.e. up to 33^2 terms in
-d = 2 at the default radius.  Truncating in t rather than in z keeps the
+shift sets are exact ({0} and {-1, 0, 1}^2).  For box splines the shifts
+z_i in [-r_i, r_i] cover the truncated support, i.e. up to 33^2 terms at
+the default radius.  Truncating in t rather than in z keeps the
 retained frequencies of every class the negatives of those of its
 partner -h, also on boundary classes where t_i = -1/2, so the truncated
 spectrum stays even.
@@ -77,9 +77,7 @@ def three_direction_set(p, q, r):
 
 
 def _three_direction_counts(xi):
-    """(p, q, r) if xi is a two-dimensional three-direction set, else None."""
-    if xi.shape[0] != 2:
-        return None
+    """(p, q, r) if the direction matrix xi (2, s) is a three-direction set, else None."""
     counts = {(1, 0): 0, (0, 1): 0, (1, 1): 0}
     for col in xi.T:
         key = tuple(int(round(x)) for x in col)
@@ -96,7 +94,6 @@ class KernelSpec:
 
     def __init__(self, m_mat, kind, alpha=None, xi=None, radius=None):
         self.matrix = as_pattern_matrix(m_mat)
-        d = self.matrix.dim
         if kind not in ("dirichlet", "dlvp", "box"):
             raise InvalidSpec(f"unknown kernel kind {kind!r}")
         self.kind = kind
@@ -108,9 +105,9 @@ class KernelSpec:
                 raise InvalidSpec("dlvp kernel needs slopes alpha")
             alpha = tuple(float(a) for a in np.atleast_1d(alpha))
             if len(alpha) == 1:
-                alpha = alpha * d
-            if len(alpha) != d:
-                raise InvalidSpec(f"need {d} slopes, got {len(alpha)}")
+                alpha = alpha * 2
+            if len(alpha) != 2:
+                raise InvalidSpec(f"need 2 slopes, got {len(alpha)}")
             if any(not (0.0 <= a <= 0.5) for a in alpha):
                 raise InvalidSpec(f"slopes must lie in [0, 1/2], got {alpha}")
             self.alpha = alpha
@@ -118,8 +115,8 @@ class KernelSpec:
             if xi is None:
                 raise InvalidSpec("box kernel needs a direction matrix xi")
             xi = np.atleast_2d(np.asarray(xi, dtype=float))
-            if xi.shape[0] != d:
-                raise InvalidSpec(f"direction matrix must have {d} rows, got {xi.shape[0]}")
+            if xi.shape[0] != 2:
+                raise InvalidSpec(f"direction matrix must have 2 rows, got {xi.shape[0]}")
             if not np.all(np.isfinite(xi) & (xi == np.round(xi))):
                 # xi . z must be an integer: the closed-form sinc and the
                 # evenness of the truncated spectrum both rest on it
@@ -128,18 +125,19 @@ class KernelSpec:
             if counts is not None and sum(1 for c in counts if c > 0) < 2:
                 # single-direction families generate dependent translates
                 raise InvalidSpec(f"three-direction set {counts} is degenerate")
-            if xi.shape[1] < d or np.linalg.matrix_rank(xi) < d:
+            if xi.shape[1] < 2 or np.linalg.matrix_rank(xi) < 2:
                 raise InvalidSpec("directions must span the space")
             xi = xi.copy()
             xi.setflags(write=False)
             self.xi = xi
-            radius = 16 if radius is None else radius
-            rad = tuple(int(r) for r in np.atleast_1d(radius))
-            if len(rad) == 1:
-                rad = rad * d
-            if len(rad) != d or any(r < 1 for r in rad):
+            rad = np.atleast_1d(16 if radius is None else radius)
+            if rad.shape == (1,):
+                rad = np.repeat(rad, 2)
+            whole = np.isfinite(rad) & (rad == np.round(rad))
+            if rad.shape != (2,) or not np.all(whole & (rad >= 1)):
+                # a fractional radius would be truncated to a smaller one
                 raise InvalidSpec(f"bad truncation radius {radius}")
-            self.radius = rad
+            self.radius = tuple(int(r) for r in rad)
         elif alpha is not None or xi is not None or radius is not None:
             raise InvalidSpec("dirichlet kernel takes no parameters")
 
@@ -202,7 +200,7 @@ def _sinc_factor(base, offsets, n):
 
 
 def _coeff_block(spec, radii, w, n, out):
-    """Coefficients at the numerators w + n z of classes w (b, d) for the
+    """Coefficients at the numerators w + n z of classes w (b, 2) for the
     shifts z on the grid prod_i [-radii_i, radii_i], written to out of
     shape (b,) + grid.
 
@@ -212,12 +210,11 @@ def _coeff_block(spec, radii, w, n, out):
     by xi_c, because xi_c . z is affine in the grid index.  So the block
     allocates nothing of its own size.
     """
-    d = len(radii)
     out[...] = 1.0 if spec.kind == "box" else 1.0 / math.sqrt(spec.matrix.m)
     outside = []
     for i, radius in enumerate(radii):
         num = w[:, i, None] + n * np.arange(-radius, radius + 1)
-        num = num.reshape((len(w),) + (1,) * i + (-1,) + (1,) * (d - 1 - i))
+        num = num[:, :, None] if i == 0 else num[:, None, :]
         if spec.kind == "dirichlet":
             out *= (2 * num >= -n) & (2 * num < n)
         elif spec.kind == "dlvp":
@@ -244,7 +241,7 @@ def _coeff_block(spec, radii, w, n, out):
 
 
 def coeff(spec, k):
-    """Fourier coefficient c_k(f) of the generator, vectorised over k (..., d).
+    """Fourier coefficient c_k(f) of the generator, vectorised over k (..., 2).
 
     A product of factors of the exact fractional coordinates w / n of k:
     the Dirichlet box indicator or the dlVP ramps per axis, or for box
@@ -254,26 +251,26 @@ def coeff(spec, k):
     """
     pm = spec.matrix
     w, n = frac_coordinates(pm.mt, k)
-    flat = w.reshape(-1, pm.dim)
-    out = _coeff_block(spec, (0,) * pm.dim, flat, n, np.empty((len(flat),) + (1,) * pm.dim))
+    flat = w.reshape(-1, 2)
+    out = _coeff_block(spec, (0, 0), flat, n, np.empty((len(flat), 1, 1)))
     return out.reshape(w.shape[:-1])[()]
 
 
 def _shift_radii(spec):
     """Per-axis reach of the retained shifts: z_i in [-radii_i, radii_i]."""
     if spec.kind == "dirichlet":
-        return (0,) * spec.matrix.dim
+        return (0, 0)
     if spec.kind == "dlvp":
-        return (1,) * spec.matrix.dim
+        return (1, 1)
     return spec.radius
 
 
 def shift_set(spec):
-    """Retained lattice shifts z for bracket sums, shape (t, d).
+    """Retained lattice shifts z for bracket sums, shape (t, 2).
 
-    Exact for dirichlet ({0}) and dlvp ({-1,0,1}^d covers the window
-    support); for box splines [-r, r]^d covers |M^{-T} k|_inf <= r.  The
-    shifts run over that grid in C order.
+    Exact for dirichlet ({0}) and dlvp ({-1, 0, 1}^2 covers the window
+    support); for box splines [-r1, r1] x [-r2, r2] covers |t_i| <= r_i
+    with t = M^{-T} k.  The shifts run over that grid in C order.
     """
     ranges = [range(-r, r + 1) for r in _shift_radii(spec)]
     return np.array(list(itertools.product(*ranges)), dtype=np.int64)
@@ -288,8 +285,8 @@ class CoefficientTable:
     """
 
     spec: KernelSpec
-    freqs: np.ndarray  # (m, d) canonical representatives
-    shifts: np.ndarray  # (t, d)
+    freqs: np.ndarray  # (m, 2) canonical representatives
+    shifts: np.ndarray  # (t, 2)
     coeffs: np.ndarray  # (m, t) real
     bracket: np.ndarray  # (m,)
     orthonormal: bool = False
@@ -353,7 +350,7 @@ def interpolant_coeffs(target_class_sums, table):
 
 
 def synthesize(freqs, coeffs, x):
-    """Evaluate sum_k c_k e^{i k.x} at points x (..., d).
+    """Evaluate sum_k c_k e^{i k.x} at points x (..., 2).
 
     Periodic in 2 pi; pattern points correspond to x = 2 pi y.  The result
     is returned real exactly when the coefficient set is conjugate-symmetric

@@ -1,15 +1,15 @@
 """Integer lattice algebra for anisotropic sampling patterns.
 
-A regular integer matrix M defines the sampling lattice M^{-1} Z^d.  The
-pattern P(M) collects the m = |det M| residues of that lattice modulo 1,
-kept in the symmetric unit cube [-1/2, 1/2)^d.  Its Fourier companion is
-the generating set G(M^T), the m integer frequency vectors that are
-pairwise distinct modulo M^T Z^d, again with representatives chosen so
-that M^{-T} h lies in the symmetric cube.
+A regular 2 x 2 integer matrix M defines the sampling lattice M^{-1} Z^2.
+The pattern P(M) collects the m = |det M| residues of that lattice modulo
+1, kept in the symmetric unit square [-1/2, 1/2)^2.  Its Fourier companion
+is the generating set G(M^T), the m integer frequency vectors that are
+pairwise distinct modulo M^T Z^2, again with representatives chosen so
+that M^{-T} h lies in the symmetric square.
 
 All congruence arithmetic is exact.  Reductions run on int64 vectors via
 the adjugate (h = k - A u with u = floor((2 adj(A) k + n) / (2n))), so no
-point can be misclassified near a cube boundary.  Floats appear only when
+point can be misclassified near a square boundary.  Floats appear only when
 a caller asks for the rational pattern points as floating vectors.
 
 Orderings of both sets are canonical: they follow the Smith coordinates
@@ -35,64 +35,50 @@ __all__ = [
     "reduce_mod",
     "reduce_point",
     "frac_coordinates",
-    "in_symmetric_box",
 ]
 
 
-def _int_det(rows):
-    """Exact determinant of a small square matrix of python ints."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    det = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        det += (-1) ** j * rows[0][j] * _int_det(minor)
-    return det
+def _int_det(a):
+    """Exact determinant of a 2 x 2 matrix of python ints."""
+    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
 
 
-def _adjugate(rows):
-    """Exact adjugate: adj(A)[i][j] = cofactor(A)[j][i]."""
-    n = len(rows)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j]
-            adj[i][j] = (-1) ** (i + j) * _int_det(minor)
-    return adj
+def _adjugate(a):
+    """Exact adjugate of a 2 x 2 matrix of python ints: A adj(A) = det(A) I."""
+    return [[a[1][1], -a[0][1]], [-a[1][0], a[0][0]]]
+
+
+def _int_entry(x):
+    """x as a python int in the int64 range; ValueError otherwise."""
+    try:
+        value = int(x)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value != x or not -(2**63) <= value < 2**63:
+        raise ValueError(f"pattern matrix entries must be int64 integers, got {x!r}")
+    return value
 
 
 class PatternMatrix:
-    """Regular d x d integer matrix defining pattern and frequency sets.
+    """Regular 2 x 2 integer matrix defining pattern and frequency sets.
 
     Immutable and hashable; derived data (pattern, generating set, Smith
     decomposition) is cached per instance through the module functions.
     """
 
-    __slots__ = ("entries", "dim", "det", "m")
+    __slots__ = ("entries", "det", "m")
 
     def __init__(self, entries):
         arr = np.asarray(entries)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise ValueError("pattern matrix must be square")
-        if not np.issubdtype(arr.dtype, np.integer):
-            rounded = np.rint(arr)
-            if not np.array_equal(arr, rounded):
-                raise ValueError("pattern matrix entries must be integers")
-            arr = rounded
-        arr = arr.astype(np.int64).copy()
+        if arr.shape != (2, 2):
+            raise ValueError(f"pattern matrix must be 2 x 2, got shape {arr.shape}")
+        rows = [[_int_entry(x) for x in row] for row in arr.tolist()]
+        arr = np.array(rows, dtype=np.int64)
         arr.setflags(write=False)
         self.entries = arr
-        self.dim = int(arr.shape[0])
-        self.det = int(_int_det([[int(x) for x in row] for row in arr]))
+        self.det = _int_det(rows)
         if self.det == 0:
-            raise ZeroDeterminant(f"singular pattern matrix {arr.tolist()}")
+            raise ZeroDeterminant(f"singular pattern matrix {rows}")
         self.m = abs(self.det)
 
     @property
@@ -101,14 +87,10 @@ class PatternMatrix:
         return self.entries.T
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PatternMatrix)
-            and self.dim == other.dim
-            and np.array_equal(self.entries, other.entries)
-        )
+        return isinstance(other, PatternMatrix) and np.array_equal(self.entries, other.entries)
 
     def __hash__(self):
-        return hash((self.dim, self.entries.tobytes()))
+        return hash(self.entries.tobytes())
 
     def __repr__(self):
         return f"PatternMatrix({self.entries.tolist()})"
@@ -124,9 +106,8 @@ def as_pattern_matrix(m_mat):
 @functools.lru_cache(maxsize=None)
 def _reduction_data(key):
     """Sign-normalised (adjugate, |det|) for the int matrix behind key."""
-    rows = [list(map(int, row)) for row in key]
-    n = _int_det(rows)
-    adj = _adjugate(rows)
+    n = _int_det(key)
+    adj = _adjugate(key)
     if n < 0:
         n = -n
         adj = [[-x for x in row] for row in adj]
@@ -140,7 +121,7 @@ def _matrix_key(a):
 def frac_coordinates(a, k):
     """Exact fractional coordinates A^{-1} k as (numerators, denominator).
 
-    k may have any leading shape (..., d).  Returns int64 numerators w and
+    k may have any leading shape (..., 2).  Returns int64 numerators w and
     a positive int n with A^{-1} k = w / n elementwise.
     """
     adj, n = _reduction_data(_matrix_key(np.asarray(a)))
@@ -149,7 +130,7 @@ def frac_coordinates(a, k):
 
 
 def _reduce(a, k):
-    """Reduce k modulo A Z^d so that A^{-1} h lies in [-1/2, 1/2)^d."""
+    """Reduce k modulo A Z^2 so that A^{-1} h lies in [-1/2, 1/2)^2."""
     a = np.asarray(a, dtype=np.int64)
     w, n = frac_coordinates(a, k)
     u = (2 * w + n) // (2 * n)
@@ -157,7 +138,7 @@ def _reduce(a, k):
 
 
 def reduce_mod(m_mat, k):
-    """Canonical representative of k modulo M^T Z^d (frequency side).
+    """Canonical representative of k modulo M^T Z^2 (frequency side).
 
     Vectorised over leading axes of k; idempotent; exact.
     """
@@ -166,15 +147,9 @@ def reduce_mod(m_mat, k):
 
 
 def reduce_point(m_mat, z):
-    """Canonical representative of z = M y modulo M Z^d (point side)."""
+    """Canonical representative of z = M y modulo M Z^2 (point side)."""
     pm = as_pattern_matrix(m_mat)
     return _reduce(pm.entries, z)
-
-
-def in_symmetric_box(a, k):
-    """Exact test whether A^{-1} k lies in [-1/2, 1/2)^d (vectorised)."""
-    w, n = frac_coordinates(a, k)
-    return np.all((2 * w >= -n) & (2 * w < n), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -183,101 +158,59 @@ def in_symmetric_box(a, k):
 # re-exports the public wrapper type.
 
 def _smith_ints(mat):
-    """Smith normal form with transforms over python ints.
+    """Smith normal form of a regular 2 x 2 matrix over python ints.
 
-    Returns (S, diag, T) with mat = S @ diag(d) @ T, S and T unimodular and
-    the elementary divisors positive with d1 | d2 | ... | dd.
+    Returns (S, diag, T) with mat = S @ diag(d1, d2) @ T, S and T
+    unimodular and 0 < d1 | d2.  The pivot is the nonzero entry of least
+    magnitude, the first in row-major order; it is swapped to (0, 0), and
+    row 1 and column 1 are reduced by its floor quotients.  A remainder
+    starts the next round; so does a11 not divisible by the pivot, after
+    row 1 is added to row 0.  Every operation on the matrix is compensated
+    on S (rows of the matrix, columns of S) or T (columns, rows of T), so
+    S @ a @ T stays equal to mat.
     """
     a = [[int(x) for x in row] for row in mat]
-    d = len(a)
-    s = [[int(i == j) for j in range(d)] for i in range(d)]
-    t = [[int(i == j) for j in range(d)] for i in range(d)]
-
-    # Elementary operations on `a`, each compensated on s or t so that
-    # s @ a @ t stays equal to the input matrix.
-    def row_axpy(i, j, q):  # a[i] -= q * a[j]
-        for c in range(d):
-            a[i][c] -= q * a[j][c]
-        for r in range(d):
-            s[r][j] += q * s[r][i]
-
-    def col_axpy(i, j, q):  # a[:,i] -= q * a[:,j]
-        for r in range(d):
-            a[r][i] -= q * a[r][j]
-        for c in range(d):
-            t[j][c] += q * t[i][c]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in range(d):
-            s[r][i], s[r][j] = s[r][j], s[r][i]
-
-    def col_swap(i, j):
-        for r in range(d):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        t[i], t[j] = t[j], t[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        for r in range(d):
-            s[r][i] = -s[r][i]
-
-    for p in range(d):
-        while True:
-            pivot = None
-            for i in range(p, d):
-                for j in range(p, d):
-                    if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
-                break  # remaining block is zero
-            if pivot != (p, p):
-                if pivot[0] != p:
-                    row_swap(p, pivot[0])
-                if pivot[1] != p:
-                    col_swap(p, pivot[1])
-            for i in range(p + 1, d):
-                q = a[i][p] // a[p][p]
-                if q:
-                    row_axpy(i, p, q)
-            for j in range(p + 1, d):
-                q = a[p][j] // a[p][p]
-                if q:
-                    col_axpy(j, p, q)
-            if any(a[i][p] for i in range(p + 1, d)) or any(a[p][j] for j in range(p + 1, d)):
-                continue  # smaller remainders appeared; repeat with new pivot
-            offender = None
-            for i in range(p + 1, d):
-                for j in range(p + 1, d):
-                    if a[i][j] % a[p][p] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_axpy(p, offender, -1)  # pull the offending row up, re-reduce
-        if a[p][p] < 0:
-            row_negate(p)
-
-    diag = [a[i][i] for i in range(d)]
-    return s, diag, t
+    s = [[1, 0], [0, 1]]
+    t = [[1, 0], [0, 1]]
+    while True:
+        _, i, j = min((abs(a[i][j]), i, j) for i in (0, 1) for j in (0, 1) if a[i][j])
+        if i:
+            a.reverse()
+            s = [row[::-1] for row in s]
+        if j:
+            a = [row[::-1] for row in a]
+            t.reverse()
+        pivot = a[0][0]
+        q = a[1][0] // pivot  # row 1 -= q row 0
+        a[1] = [a[1][0] - q * a[0][0], a[1][1] - q * a[0][1]]
+        s = [[r0 + q * r1, r1] for r0, r1 in s]
+        q = a[0][1] // pivot  # column 1 -= q column 0
+        a = [[r0, r1 - q * r0] for r0, r1 in a]
+        t[0] = [c0 + q * c1 for c0, c1 in zip(*t)]
+        if a[1][0] or a[0][1]:
+            continue
+        if a[1][1] % pivot == 0:
+            break
+        a[0] = [a[0][0] + a[1][0], a[0][1] + a[1][1]]  # row 0 += row 1
+        s = [[r0, r1 - r0] for r0, r1 in s]
+    for p in (0, 1):
+        if a[p][p] < 0:  # negate row p
+            for row in s:
+                row[p] = -row[p]
+    return s, [abs(a[0][0]), abs(a[1][1])], t
 
 
 @functools.lru_cache(maxsize=None)
 def _smith_grid(pm):
     """(S, diag, T, S^{-1}, T^{-1}) for the canonical orderings."""
     s, diag, t = _smith_ints(pm.entries)
-    if any(x == 0 for x in diag):
-        raise ZeroDeterminant(f"singular pattern matrix {pm.entries.tolist()}")
     s_arr = np.array(s, dtype=np.int64)
     t_arr = np.array(t, dtype=np.int64)
     d_arr = np.array(diag, dtype=np.int64)
-    # Invariants are cheap for the small d used here; verify unconditionally.
+    # Invariants are cheap for a 2 x 2 matrix; verify unconditionally.
     assert np.array_equal(s_arr @ np.diag(d_arr) @ t_arr, pm.entries)
     assert abs(_int_det(s)) == 1 and abs(_int_det(t)) == 1
-    for i in range(len(diag) - 1):
-        assert diag[i + 1] % diag[i] == 0
+    assert diag[0] > 0 and diag[1] % diag[0] == 0
     s_inv = np.array(_adjugate(s), dtype=np.int64) * _int_det(s)  # det is +-1
     t_inv = np.array(_adjugate(t), dtype=np.int64) * _int_det(t)
     for arr in (s_arr, t_arr, d_arr, s_inv, t_inv):
@@ -286,19 +219,18 @@ def _smith_grid(pm):
 
 
 def _box_enumeration(diag):
-    """All integer tuples in prod range(d_i), C-order, as an (m, d) array."""
-    grids = np.meshgrid(*[np.arange(int(x), dtype=np.int64) for x in diag], indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    """All integer pairs in range(d1) x range(d2), C-order, as an (m, 2) array."""
+    return np.indices(tuple(int(x) for x in diag), dtype=np.int64).reshape(2, -1).T
 
 
 class Pattern:
-    """Ordered pattern P(M): points y with M y integer, reduced into the cube.
+    """Ordered pattern P(M): points y with M y integer, reduced into the square.
 
     Attributes
     ----------
     matrix : PatternMatrix
-    z : (m, d) int64, canonical integer coordinates z = M y
-    points : (m, d) float64, the points y themselves
+    z : (m, 2) int64, canonical integer coordinates z = M y
+    points : (m, 2) float64, the points y themselves
     numerators, denominator : exact rationals, y = numerators / denominator
     """
 
@@ -306,6 +238,7 @@ class Pattern:
         self.matrix = pm
         s_arr, diag, t_arr, s_inv, t_inv = _smith_grid(pm)
         self._diag = diag
+        self._strides = np.array([diag[1], 1])  # C-order index on the Smith grid
         self._s_inv = s_inv
         j = _box_enumeration(diag)
         z = reduce_point(pm, j @ s_arr.T)
@@ -325,8 +258,7 @@ class Pattern:
     def index(self, z):
         """Indices of integer coordinates z (any representatives), vectorised."""
         z = np.asarray(z, dtype=np.int64)
-        coords = np.mod(z @ self._s_inv.T, self._diag)
-        return np.ravel_multi_index(tuple(np.moveaxis(coords, -1, 0)), tuple(self._diag))
+        return np.mod(z @ self._s_inv.T, self._diag) @ self._strides
 
 
 class GeneratingSet:
@@ -336,6 +268,7 @@ class GeneratingSet:
         self.matrix = pm
         s_arr, diag, t_arr, s_inv, t_inv = _smith_grid(pm)
         self._diag = diag
+        self._strides = np.array([diag[1], 1])  # C-order index on the Smith grid
         self._t_inv = t_inv
         i = _box_enumeration(diag)
         self.freqs = reduce_mod(pm, i @ t_arr)
@@ -347,8 +280,7 @@ class GeneratingSet:
     def index(self, k):
         """Indices of frequencies k (any representatives mod M^T), vectorised."""
         k = np.asarray(k, dtype=np.int64)
-        coords = np.mod(k @ self._t_inv, self._diag)
-        return np.ravel_multi_index(tuple(np.moveaxis(coords, -1, 0)), tuple(self._diag))
+        return np.mod(k @ self._t_inv, self._diag) @ self._strides
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,13 +7,13 @@ arithmetic on them.
 The forward transform is a_hat[h] = m^{-1/2} sum_y a[y] exp(-2 pi i h.y),
 which is unitary (Parseval).  The fast path exploits the canonical Smith
 orderings of lattice.py: with M = S D T, pattern index j and frequency
-index i satisfy h.y = sum_l i_l j_l / d_l modulo 1, so the transform is a
-plain multidimensional FFT on the cyclic grid of shape diag(D), reached by
-reshaping.  pattern_dft is the O(m^2) reference oracle built directly from
-the exponential sum with exact rational phases.
+index i satisfy h.y = i_1 j_1 / d1 + i_2 j_2 / d2 modulo 1, so the
+transform is a plain two-dimensional FFT on the cyclic d1 x d2 grid,
+reached by reshaping.  pattern_dft is the O(m^2) reference oracle built
+directly from the exponential sum with exact rational phases.
 
 A real field needs only half of its spectrum: pattern_rfft returns the
-classes whose last Smith grid index is at most d_d // 2 (the others are
+classes whose second Smith grid index is at most d2 // 2 (the others are
 their complex conjugates), component-major, and pattern_irfft maps such a
 half spectrum back to a real field.  All four transforms write through
 `out`, so a loop that owns its buffers allocates nothing per transform
@@ -52,7 +52,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """M = S @ diag(d) @ T with unimodular S, T and d1 | d2 | ... | dd."""
+    """M = S @ diag(d1, d2) @ T with unimodular S, T and d1 | d2."""
 
     matrix: PatternMatrix
     s: np.ndarray
@@ -83,7 +83,7 @@ def pattern_dft(m_mat, a):
     """O(m^2) reference transform from the literal exponential sum.
 
     Phases h.y are assembled from exact integer numerators, so the oracle
-    is trustworthy near cube boundaries.  Intended for m up to a few
+    is trustworthy near square boundaries.  Intended for m up to a few
     thousand; use pattern_fft for production work.
     """
     pm = as_pattern_matrix(m_mat)
@@ -119,7 +119,7 @@ def _smith_transform(fftn, m_mat, a, out):
     elif out.shape != a.shape or out.dtype != np.complex128 or not out.flags.writeable:
         raise ValueError(f"expected a writeable complex128 {a.shape} array for out")
     shape = grid + a.shape[1:]
-    fftn(a.reshape(shape), axes=tuple(range(len(grid))), norm="ortho", out=out.reshape(shape))
+    fftn(a.reshape(shape), axes=(0, 1), norm="ortho", out=out.reshape(shape))
     return out
 
 
@@ -138,18 +138,15 @@ def pattern_ifft(m_mat, a_hat, out=None):
 
 
 def half_grid(m_mat):
-    """Shape of a half spectrum: the Smith grid with d_d cut to d_d // 2 + 1."""
-    grid = _grid(as_pattern_matrix(m_mat))
-    return grid[:-1] + (grid[-1] // 2 + 1,)
+    """Shape of a half spectrum: the Smith grid with d2 cut to d2 // 2 + 1."""
+    d1, d2 = _grid(as_pattern_matrix(m_mat))
+    return d1, d2 // 2 + 1
 
 
 def _component_grid(pm, a):
     """View of a field a (m, ...) as (...,) + Smith grid, grid axes last."""
     a = _check_length(pm, a)
-    grid = _grid(pm)
-    n = len(grid)
-    view = a.reshape(grid + a.shape[1:])
-    return np.moveaxis(view, tuple(range(n)), tuple(range(view.ndim - n, view.ndim))), grid
+    return np.moveaxis(a.reshape(_grid(pm) + a.shape[1:]), (0, 1), (-2, -1))
 
 
 def pattern_rfft(m_mat, a, out=None):
@@ -157,33 +154,29 @@ def pattern_rfft(m_mat, a, out=None):
 
     The unitary rfftn of each component on the Smith grid: entry [..., i]
     is pattern_fft's class with grid index i (C-order), for the indices
-    whose last entry is at most d_d // 2.  out, if given, is a complex128
+    whose second entry is at most d2 // 2.  out, if given, is a complex128
     array of that shape and receives the result.
     """
     pm = as_pattern_matrix(m_mat)
-    grid_view, grid = _component_grid(pm, np.asarray(a))
-    axes = tuple(range(-len(grid), 0))
-    return np.fft.rfftn(grid_view, axes=axes, norm="ortho", out=out)
+    grid_view = _component_grid(pm, np.asarray(a))
+    return np.fft.rfftn(grid_view, axes=(-2, -1), norm="ortho", out=out)
 
 
 def pattern_irfft(m_mat, a_hat, out=None):
     """Real field (m, ...) of a half spectrum; inverse of pattern_rfft.
 
-    a_hat is overwritten: the transforms along the full grid axes run in
-    place, and the last one writes the field into out.  out, if given, is
-    a writeable float64 array of shape (m,) + a_hat's component axes in
-    any memory layout (splitting its leading axis onto the grid is always
-    a view); ValueError otherwise.
+    a_hat is overwritten: the transform along the first grid axis runs in
+    place, and the one along the second writes the field into out.  out,
+    if given, is a writeable float64 array of shape (m,) + a_hat's
+    component axes in any memory layout (splitting its leading axis onto
+    the grid is always a view); ValueError otherwise.
     """
     pm = as_pattern_matrix(m_mat)
-    n = pm.dim
-    shape = (pm.m,) + a_hat.shape[:-n]
+    shape = (pm.m,) + a_hat.shape[:-2]
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.writeable:
         raise ValueError(f"pattern_irfft writes into a writeable float64 {shape} array only")
-    grid_view, grid = _component_grid(pm, out)
-    for axis in range(-n, -1):
-        np.fft.ifft(a_hat, axis=axis, norm="ortho", out=a_hat)
-    np.fft.irfft(a_hat, n=grid[-1], axis=-1, norm="ortho", out=grid_view)
+    np.fft.ifft(a_hat, axis=-2, norm="ortho", out=a_hat)
+    np.fft.irfft(a_hat, n=_grid(pm)[1], axis=-1, norm="ortho", out=_component_grid(pm, out))
     return out

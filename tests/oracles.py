@@ -81,16 +81,110 @@ def regular_pattern(entries, max_m=400, min_m=1):
     return pm if min_m <= pm.m <= max_m else None
 
 
-def random_regular(rng, d=2, span=6, max_m=400, min_m=1):
-    """Random regular d x d pattern matrix with min_m <= |det| <= max_m.
+def random_regular(rng, span=6, max_m=400, min_m=1):
+    """Random regular 2 x 2 pattern matrix with min_m <= |det| <= max_m.
 
-    Draws rng.integers(-span, span + 1, size=(d, d)) until one fits, so a
+    Draws rng.integers(-span, span + 1, size=(2, 2)) until one fits, so a
     seeded rng always yields the same sequence of matrices.
     """
     while True:
-        pm = regular_pattern(rng.integers(-span, span + 1, size=(d, d)), max_m, min_m)
+        pm = regular_pattern(rng.integers(-span, span + 1, size=(2, 2)), max_m, min_m)
         if pm is not None:
             return pm
+
+
+def in_symmetric_box(a, k):
+    """Exact test whether A^{-1} k lies in [-1/2, 1/2)^2 (vectorised)."""
+    w, n = frac_coordinates(a, k)
+    return np.all((2 * w >= -n) & (2 * w < n), axis=-1)
+
+
+def smith_elimination(mat):
+    """Smith normal form of a regular d x d matrix by general elimination.
+
+    Returns (S, diag, T) as lists of python ints with mat = S @ diag(d) @ T,
+    S and T unimodular and 0 < d1 | d2 | ... | dd.  Each stage moves the
+    nonzero entry of least magnitude in the remaining block (first in
+    row-major order) to the pivot, reduces its row and column by floor
+    quotients and repeats while remainders appear or an entry of the block
+    is not divisible by the pivot (whose row is then added to the pivot
+    row).  The library's 2 x 2 Smith form follows the same pivot rules, so
+    the two must agree exactly: the canonical orderings rest on S and T.
+    """
+    a = [[int(x) for x in row] for row in mat]
+    d = len(a)
+    s = [[int(i == j) for j in range(d)] for i in range(d)]
+    t = [[int(i == j) for j in range(d)] for i in range(d)]
+
+    # Elementary operations on `a`, each compensated on s or t so that
+    # s @ a @ t stays equal to the input matrix.
+    def row_axpy(i, j, q):  # a[i] -= q * a[j]
+        for c in range(d):
+            a[i][c] -= q * a[j][c]
+        for r in range(d):
+            s[r][j] += q * s[r][i]
+
+    def col_axpy(i, j, q):  # a[:,i] -= q * a[:,j]
+        for r in range(d):
+            a[r][i] -= q * a[r][j]
+        for c in range(d):
+            t[j][c] += q * t[i][c]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for r in range(d):
+            s[r][i], s[r][j] = s[r][j], s[r][i]
+
+    def col_swap(i, j):
+        for r in range(d):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        t[i], t[j] = t[j], t[i]
+
+    def row_negate(i):
+        a[i] = [-x for x in a[i]]
+        for r in range(d):
+            s[r][i] = -s[r][i]
+
+    for p in range(d):
+        while True:
+            pivot = None
+            for i in range(p, d):
+                for j in range(p, d):
+                    if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                        pivot = (i, j)
+            if pivot is None:
+                break  # remaining block is zero
+            if pivot != (p, p):
+                if pivot[0] != p:
+                    row_swap(p, pivot[0])
+                if pivot[1] != p:
+                    col_swap(p, pivot[1])
+            for i in range(p + 1, d):
+                q = a[i][p] // a[p][p]
+                if q:
+                    row_axpy(i, p, q)
+            for j in range(p + 1, d):
+                q = a[p][j] // a[p][p]
+                if q:
+                    col_axpy(j, p, q)
+            if any(a[i][p] for i in range(p + 1, d)) or any(a[p][j] for j in range(p + 1, d)):
+                continue  # smaller remainders appeared; repeat with new pivot
+            offender = None
+            for i in range(p + 1, d):
+                for j in range(p + 1, d):
+                    if a[i][j] % a[p][p] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_axpy(p, offender, -1)  # pull the offending row up, re-reduce
+        if a[p][p] < 0:
+            row_negate(p)
+
+    diag = [a[i][i] for i in range(d)]
+    return s, diag, t
 
 
 def to_mandel(sym):
@@ -259,8 +353,8 @@ def bracket_sum(spec, h, weight=None):
     """[weight . |c|^2]_h over the retained shifts of a single class h."""
     pm = spec.matrix
     h = np.asarray(h, dtype=np.int64)
-    if h.shape != (pm.dim,):
-        raise LengthMismatch(f"expected a single frequency of length {pm.dim}")
+    if h.shape != (2,):
+        raise LengthMismatch("expected a single frequency of length 2")
     if not np.array_equal(reduce_mod(pm, h), h):
         raise ValueError(f"{h.tolist()} is not a canonical representative")
     total = None

@@ -14,7 +14,7 @@ from lathom.kernels import (
     shift_set,
     three_direction_set,
 )
-from lathom.lattice import generating_set
+from lathom.lattice import PatternMatrix, generating_set
 from lathom.pattern_fft import half_grid
 from lathom.tensor import (
     apply as tensor_apply,
@@ -195,10 +195,10 @@ def test_periodised_tables_match_index_form_oracle(spec):
 
 
 def test_green_operator_is_two_dimensional():
-    kern = orthonormalize(coefficient_table(KernelSpec.dlvp(np.diag([3, 3, 3]), 0.25)))
-    for c0 in (np.eye(6), np.eye(3)):
-        with pytest.raises(ShapeMismatch):
-            periodised_green_table(c0, kern)
+    # patterns are 2 x 2 matrices and frequencies pairs; nothing else enters
+    for entries in ([[3]], np.diag([3, 3, 3]), [[1, 0, 0], [0, 1, 0]], [1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            PatternMatrix(entries)
     with pytest.raises(ShapeMismatch):
         green_multiplier(np.eye(3), [1, 0, 0])
 

@@ -167,7 +167,7 @@ def test_orthonormalize_normalises_every_class():
     rng = np.random.default_rng(5)
     specs = []
     for _ in range(6):
-        pm = random_regular(rng, 2, span=5, max_m=60)
+        pm = random_regular(rng, span=5, max_m=60)
         specs.append(KernelSpec.dirichlet(pm))
         specs.append(KernelSpec.dlvp(pm, tuple(rng.uniform(0.0, 0.5, size=2))))
     specs.append(KernelSpec.box_spline([[6, 2], [0, 6]], three_direction_set(1, 1, 1), radius=12))
@@ -328,3 +328,14 @@ def test_invalid_specs_rejected():
         KernelSpec(m_mat, "dirichlet", alpha=0.25)
     with pytest.raises(InvalidSpec):
         three_direction_set(0, 0, 0)
+
+
+def test_fractional_or_non_finite_box_radius_rejected():
+    m_mat = [[4, 0], [0, 4]]
+    xi = three_direction_set(1, 1, 0)
+    for radius in (2.5, (2, 2.5), np.inf, np.nan, (2, 2, 2)):
+        with pytest.raises(InvalidSpec):
+            KernelSpec.box_spline(m_mat, xi, radius=radius)
+    # integral values of any type are kept exactly
+    assert KernelSpec.box_spline(m_mat, xi, radius=2.0).radius == (2, 2)
+    assert KernelSpec.box_spline(m_mat, xi, radius=np.array([3, 5])).radius == (3, 5)

@@ -12,13 +12,12 @@ from lathom.lattice import (
     as_pattern_matrix,
     frac_coordinates,
     generating_set,
-    in_symmetric_box,
     pattern_points,
     reduce_mod,
     reduce_point,
 )
 
-from oracles import random_regular
+from oracles import in_symmetric_box, random_regular
 
 
 def test_det_abs_reference_values():
@@ -35,6 +34,15 @@ def test_singular_matrix_rejected():
         PatternMatrix([[1.5, 0], [0, 1]])
     with pytest.raises(ValueError):
         PatternMatrix([1, 2, 3])
+
+
+def test_non_finite_or_oversized_entries_rejected():
+    for bad in (np.inf, -np.inf, np.nan, 1e20, 2.0**63, 2**63, -(2**63) - 1, 0.5):
+        with pytest.raises(ValueError):
+            PatternMatrix([[bad, 0], [0, 1]])
+    # the int64 range itself is accepted exactly, also from floats
+    assert PatternMatrix([[-(2**63), 0], [0, 1]]).entries[0, 0] == -(2**63)
+    assert PatternMatrix([[2.0**62, 0], [0, 1.0]]).m == 2**62
 
 
 def test_pattern_identity_and_diag2():
@@ -63,7 +71,7 @@ def test_pattern_points_nontrivial_enumeration_oracle():
 
 
 def test_points_are_exact_rationals_in_box():
-    for m_mat in ([[2, 1], [0, 2]], [[4, -2], [4, 14]], [[3, 1, 0], [0, 3, 1], [1, 0, 3]]):
+    for m_mat in ([[2, 1], [0, 2]], [[4, -2], [4, 14]]):
         pat = pattern_points(m_mat)
         num, den = pat.numerators, pat.denominator
         assert np.all(2 * num >= -den) and np.all(2 * num < den)
@@ -117,10 +125,9 @@ def test_reduce_mod_brute_force_oracle():
 def test_reduce_mod_invariants_random():
     rng = np.random.default_rng(7)
     for _ in range(25):
-        d = int(rng.integers(2, 4))
-        pm = random_regular(rng, d)
-        k = rng.integers(-50, 50, size=(40, d))
-        z = rng.integers(-5, 5, size=(40, d))
+        pm = random_regular(rng)
+        k = rng.integers(-50, 50, size=(40, 2))
+        z = rng.integers(-5, 5, size=(40, 2))
         h = reduce_mod(pm, k)
         assert np.array_equal(reduce_mod(pm, h), h)  # idempotent
         assert np.array_equal(reduce_mod(pm, k + z @ pm.entries), h)  # shift invariance
@@ -132,12 +139,12 @@ def test_reduce_mod_invariants_random():
 def test_index_maps_are_bijections():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        pm = random_regular(rng, 2, span=5, max_m=150)
+        pm = random_regular(rng, span=5, max_m=150)
         pat, gen = pattern_points(pm), generating_set(pm)
         assert np.array_equal(np.sort(pat.index(pat.z)), np.arange(pm.m))
         assert np.array_equal(np.sort(gen.index(gen.freqs)), np.arange(pm.m))
         # arbitrary representatives hit the same slots
-        shift = rng.integers(-3, 4, size=(pm.m, pm.dim))
+        shift = rng.integers(-3, 4, size=(pm.m, 2))
         assert np.array_equal(gen.index(gen.freqs + shift @ pm.entries), gen.index(gen.freqs))
         assert np.array_equal(pat.index(pat.z + shift @ pm.entries.T), pat.index(pat.z))
 

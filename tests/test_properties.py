@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from lathom.errors import NonElliptic
 from lathom.green import apply_green, periodised_green_table
 from lathom.kernels import KernelSpec, coeff, coefficient_table, orthonormalize, three_direction_set
-from lathom.lattice import PatternMatrix, frac_coordinates, in_symmetric_box, reduce_mod
+from lathom.lattice import PatternMatrix, frac_coordinates, reduce_mod
 from lathom.pattern_fft import half_grid, pattern_dft, pattern_fft, smith_normal_form
 from lathom.solver import _require_elliptic, basic_scheme, default_reference, residual_ls
 from lathom.tensor import certainly_elliptic, ellipticity_bounds, isotropic_stiffness
@@ -24,29 +24,24 @@ from oracles import (
     box_coeff_sinc,
     class_matrices,
     full_spectrum_green,
+    in_symmetric_box,
     periodised_basic_scheme,
     periodised_green_index_form,
     regular_pattern,
 )
 
 
-def patterns(dims=(2, 3), span=6, max_m=400):
-    """Regular integer pattern matrices with entries in [-span, span]."""
-
-    def of_dim(d):
-        entries = hnp.arrays(np.int64, (d, d), elements=st.integers(-span, span))
-        return entries.map(lambda a: regular_pattern(a, max_m)).filter(
-            lambda pm: pm is not None
-        )
-
-    return st.sampled_from(dims).flatmap(of_dim)
+def patterns(span=6, max_m=400):
+    """Regular 2 x 2 integer pattern matrices with entries in [-span, span]."""
+    entries = hnp.arrays(np.int64, (2, 2), elements=st.integers(-span, span))
+    return entries.map(lambda a: regular_pattern(a, max_m)).filter(lambda pm: pm is not None)
 
 
 def two_d_patterns(max_m):
     """Diagonal and general (sheared) 2 x 2 patterns with |det| <= max_m."""
     sides = st.integers(1, max_m)
     diagonal = st.tuples(sides, sides).map(lambda d: regular_pattern(np.diag(d), max_m))
-    return st.one_of(diagonal.filter(lambda pm: pm is not None), patterns(dims=(2,), max_m=max_m))
+    return st.one_of(diagonal.filter(lambda pm: pm is not None), patterns(max_m=max_m))
 
 
 def kernel_specs(pm):
@@ -88,7 +83,7 @@ def test_smith_form_invariants(pm):
 @given(pm=patterns(), data=st.data())
 def test_reduce_mod_is_exact(pm, data):
     k = data.draw(
-        hnp.arrays(np.int64, (8, pm.dim), elements=st.integers(-(10**6), 10**6)), label="k"
+        hnp.arrays(np.int64, (8, 2), elements=st.integers(-(10**6), 10**6)), label="k"
     )
     h = reduce_mod(pm, k)
     assert np.array_equal(reduce_mod(pm, h), h)  # idempotent
@@ -137,7 +132,7 @@ def test_green_classes_are_bounded_by_one(data, c0):
     # every class of C0^1/2 Gp C0^1/2 is a convex combination of orthogonal
     # projections, so its spectrum lies in [0, 1]; Dirichlet classes are
     # projections themselves
-    pm = data.draw(patterns(dims=(2,), max_m=64), label="pattern")
+    pm = data.draw(patterns(max_m=64), label="pattern")
     spec = data.draw(kernel_specs(pm), label="kernel")
     table = periodised_green_table(c0, orthonormalize(coefficient_table(spec)))
     w, v = np.linalg.eigh(c0)
@@ -168,7 +163,7 @@ def test_real_green_path_matches_the_full_spectrum(entries, data, c0):
     # even tables (dlVP, box, Dirichlet on odd divisors) take the real
     # half-spectrum path; the others stay honestly complex
     if entries is None:
-        pm = data.draw(patterns(dims=(2,), max_m=400), label="pattern")
+        pm = data.draw(patterns(max_m=400), label="pattern")
     else:
         pm = PatternMatrix(entries)
     spec = data.draw(kernel_specs(pm), label="kernel")
@@ -198,7 +193,7 @@ def test_green_table_layout_and_complex_fields(entries, data, c0):
     # oracle on class matrices summed in index form, independent of the
     # table's storage, for real and complex fields on both
     if entries is None:
-        pm = data.draw(patterns(dims=(2,), max_m=400), label="pattern")
+        pm = data.draw(patterns(max_m=400), label="pattern")
     else:
         pm = PatternMatrix(entries)
     spec = data.draw(kernel_specs(pm), label="kernel")
@@ -226,7 +221,7 @@ def test_green_table_layout_and_complex_fields(entries, data, c0):
 def test_cg_solves_the_basic_scheme_fixed_point(data):
     # Green_p is bounded for every kernel, so CG reaches the Basic Scheme's
     # fixed point for Dirichlet, dlVP and box tables alike
-    pm = data.draw(patterns(dims=(2,), max_m=64), label="pattern")
+    pm = data.draw(patterns(max_m=64), label="pattern")
     spec = data.draw(kernel_specs(pm), label="kernel")
     contrast = data.draw(st.floats(1.0, 10.0), label="contrast")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
