@@ -26,10 +26,11 @@ specs = {
 
 for name, spec in specs.items():
     table = coefficient_table(spec)
-    ortho = orthonormalize(table)
-    bracket = np.einsum("mt,mt->m", ortho.coeffs, ortho.coeffs)
+    sums = table.class_sums()  # of the raw table: orthonormalize scales it in place
+    orthonormalize(table)
+    bracket = np.einsum("mt,mt->m", table.coeffs, table.coeffs)
     print(f"{name:18s} shifts={len(table.shifts):4d}  "
-          f"class sums flat: {np.ptp(table.class_sums()):.2e}  "
+          f"class sums flat: {np.ptp(sums):.2e}  "
           f"m*bracket-1: {np.max(np.abs(64 * bracket - 1)):.2e}")
 
 # the fundamental interpolant is the cardinal function of the space: it

@@ -120,23 +120,31 @@ def _compliance(c0m):
     return np.linalg.inv(c0m)
 
 
-def _green_sums(s, k1, k2, c):
+def _green_sums(s, k1, k2, c, out, work):
     """Six entries of sum_t c G(k) per row: (sum c) S - sum (c / q) u u^T,
     with u = S v(k) and q = v^T S v.
 
-    k1, k2 and the weights c are (b, t) planes; the result is (6, b) in the
-    order of tensor.SYMMETRIC_PAIRS.  A row that holds k = 0 divides by
+    k1, k2 and the weights c are (b, t) planes, out receives the (6, b)
+    result in the order of tensor.SYMMETRIC_PAIRS, and work is
+    (_SUM_PLANES, b, t) scratch, so a caller that keeps its planes
+    allocates nothing of their size.  A row that holds k = 0 divides by
     q = 0 and comes back non-finite, so its caller overwrites it.
     """
-    v = np.stack([k2 * k2, k1 * k1, -np.sqrt(2.0) * k1 * k2])
-    u = np.matmul(s, v.reshape(3, -1)).reshape(v.shape)
+    v, u, ratio = work[:3], work[3:6], work[6]
+    np.multiply(k2, k2, out=v[0])
+    np.multiply(k1, k1, out=v[1])
+    np.multiply(k1, -np.sqrt(2.0), out=v[2])
+    v[2] *= k2
+    np.matmul(s, v.reshape(3, -1), out=u.reshape(3, -1))
     with np.errstate(invalid="ignore", divide="ignore"):  # q = 0 at k = 0
-        ratio = c / np.einsum("a...,a...->...", v, u)
-        scaled = [ratio * ua for ua in u]
+        np.einsum("a...,a...->...", v, u, out=ratio)
+        np.divide(c, ratio, out=ratio)
+        scaled = np.multiply(ratio, u, out=v)  # v is spent
         total = c.sum(axis=1)
-        return np.stack(
-            [total * s[a, b] - np.einsum("bt,bt->b", scaled[a], u[b]) for a, b in SYMMETRIC_PAIRS]
-        )
+        for row, (a, b) in zip(out, SYMMETRIC_PAIRS):
+            np.einsum("bt,bt->b", scaled[a], u[b], out=row)
+            np.subtract(total * s[a, b], row, out=row)
+    return out
 
 
 def green_multiplier(c0, k):
@@ -153,7 +161,8 @@ def green_multiplier(c0, k):
     if not k.any():
         return np.zeros((3, 3))
     k1, k2 = k.astype(float).reshape(2, 1, 1)
-    return symmetric_matrices(_green_sums(s, k1, k2, np.ones((1, 1)))[:, 0])
+    sums = _green_sums(s, k1, k2, np.ones((1, 1)), np.empty((6, 1)), np.empty((_SUM_PLANES, 1, 1)))
+    return symmetric_matrices(sums[:, 0])
 
 
 @dataclass(frozen=True)
@@ -180,8 +189,10 @@ class GreenTable:
 
 # spectrum (3), product (3) and one plane of products
 _WORK_PLANES = 7
-# classes x shifts per block of periodised_green_table: its dozen planes
-# (3 MB together) run in cache and keep the build's transient memory small
+# v(k) and then the scaled u (3), u (3) and q, then c / q
+_SUM_PLANES = 7
+# classes x shifts per block of periodised_green_table: its ten planes
+# (2.5 MB together) run in cache and keep the build's transient memory small
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -209,13 +220,19 @@ def periodised_green_table(c0, kernel):
     offsets = kernel.shifts @ pm.entries
     entries = np.empty((6, pm.m))
     step = max(1, _BLOCK_ELEMENTS // len(offsets))
+    # allocated once: fresh block-sized temporaries would fault their pages
+    # in again on every block whenever the allocator hands them back
+    planes = np.empty((3 + _SUM_PLANES, min(step, pm.m), len(offsets)))
     for start in range(0, pm.m, step):
         rows = slice(start, start + step)
-        k1 = (kernel.freqs[rows, 0, None] + offsets[:, 0]).astype(float)
-        k2 = (kernel.freqs[rows, 1, None] + offsets[:, 1]).astype(float)
-        weights = kernel.coeffs[rows] ** 2
+        freqs = kernel.freqs[rows]
+        block = planes[:, : len(freqs)]
+        k1, k2, weights = block[:3]
+        np.add(freqs[:, 0, None], offsets[:, 0], out=k1)
+        np.add(freqs[:, 1, None], offsets[:, 1], out=k2)
+        np.square(kernel.coeffs[rows], out=weights)
         weights *= pm.m
-        entries[:, rows] = _green_sums(s, k1, k2, weights)
+        _green_sums(s, k1, k2, weights, entries[:, rows], block[3:])
     entries[:, gen.index(np.zeros(2, dtype=np.int64))] = 0.0
     neg = gen.index(-gen.freqs)
     scale = np.max(np.abs(entries)) or 1.0

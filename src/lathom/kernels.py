@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -276,12 +276,14 @@ def shift_set(spec):
     return np.array(list(itertools.product(*ranges)), dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass
 class CoefficientTable:
     """Per-class kernel coefficients c_{h + M^T z} over the retained shifts.
 
     coeffs[i, j] belongs to frequency freqs[i] + M^T shifts[j]; bracket is
     the per-class sum of squares [|c|^2]_h over the retained shifts.
+    orthonormalize normalises the table in place, so setup keeps one
+    (m, t) array alive.
     """
 
     spec: KernelSpec
@@ -323,14 +325,20 @@ def coefficient_table(spec):
 
 
 def orthonormalize(table):
-    """Rescale per class so that m [|c|^2]_h = 1; raises on degenerate classes."""
+    """Rescale each class in place so that m [|c|^2]_h = 1 and return the table.
+
+    The coefficients are scaled where they are, not copied: a box table is
+    the largest array of setup.  A degenerate class raises DegenerateClass
+    before anything is written.
+    """
     bad = np.nonzero(table.bracket <= _DEGENERACY_FLOOR)[0]
     if bad.size:
         raise DegenerateClass(table.freqs[bad[0]])
     scale = 1.0 / np.sqrt(table.matrix.m * table.bracket)
-    coeffs = table.coeffs * scale[:, None]
-    bracket = np.einsum("mt,mt->m", coeffs, coeffs)
-    return replace(table, coeffs=coeffs, bracket=bracket, orthonormal=True)
+    table.coeffs *= scale[:, None]
+    table.bracket = np.einsum("mt,mt->m", table.coeffs, table.coeffs)
+    table.orthonormal = True
+    return table
 
 
 def interpolant_coeffs(target_class_sums, table):

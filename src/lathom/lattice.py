@@ -80,6 +80,8 @@ class PatternMatrix:
         if self.det == 0:
             raise ZeroDeterminant(f"singular pattern matrix {rows}")
         self.m = abs(self.det)
+        if self.m >= 2**62:  # the reductions compute 2 w + m in int64
+            raise ValueError(f"pattern matrix determinant {self.det} is not below 2**62")
 
     @property
     def mt(self):
@@ -122,10 +124,17 @@ def frac_coordinates(a, k):
     """Exact fractional coordinates A^{-1} k as (numerators, denominator).
 
     k may have any leading shape (..., 2).  Returns int64 numerators w and
-    a positive int n with A^{-1} k = w / n elementwise.
+    a positive int n with A^{-1} k = w / n elementwise.  |w| is at most
+    max|k| times the largest absolute row sum of adj(A); ValueError when
+    that bound lets w, or the 2 w + n of the reductions, leave int64.
     """
-    adj, n = _reduction_data(_matrix_key(np.asarray(a)))
+    key = _matrix_key(np.asarray(a))
+    adj, n = _reduction_data(key)
     k = np.asarray(k, dtype=np.int64)
+    if k.size:
+        top = max(-int(k.min()), int(k.max()))
+        if 2 * top * max(sum(map(abs, row)) for row in adj.tolist()) + n >= 2**63:
+            raise ValueError(f"vectors with entries up to {top} overflow int64 modulo {key}")
     return k @ adj.T, n
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,8 +199,30 @@ def test_degenerate_class_detected():
     coeffs = table.coeffs.copy()
     coeffs[3] = 0.0
     broken = dataclasses.replace(table, coeffs=coeffs, bracket=np.einsum("mt,mt->m", coeffs, coeffs))
+    bracket = broken.bracket.copy()
     with pytest.raises(DegenerateClass):
         orthonormalize(broken)
+    # raised before anything was written
+    assert np.array_equal(broken.coeffs, coeffs) and broken.coeffs is coeffs
+    assert np.array_equal(broken.bracket, bracket) and not broken.orthonormal
+
+
+def test_orthonormalize_keeps_one_table():
+    # the largest table of setup is scaled where it is: no second (m, t) copy
+    spec = KernelSpec.box_spline([[16, 0], [0, 16]], three_direction_set(2, 2, 0), radius=16)
+    table = coefficient_table(spec)
+    expected = table.coeffs / np.sqrt(spec.matrix.m * table.bracket)[:, None]
+    coeffs = table.coeffs
+    tracemalloc.start()
+    try:
+        result = orthonormalize(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < coeffs.nbytes / 2
+    assert result is table and result.coeffs is coeffs and result.orthonormal
+    assert np.allclose(result.coeffs, expected, rtol=1e-15, atol=0)
+    assert np.allclose(spec.matrix.m * result.bracket, 1.0, atol=1e-12)
 
 
 def test_bracket_sum_matches_table_and_rejects_unreduced():

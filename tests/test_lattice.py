@@ -40,9 +40,33 @@ def test_non_finite_or_oversized_entries_rejected():
     for bad in (np.inf, -np.inf, np.nan, 1e20, 2.0**63, 2**63, -(2**63) - 1, 0.5):
         with pytest.raises(ValueError):
             PatternMatrix([[bad, 0], [0, 1]])
-    # the int64 range itself is accepted exactly, also from floats
-    assert PatternMatrix([[-(2**63), 0], [0, 1]]).entries[0, 0] == -(2**63)
-    assert PatternMatrix([[2.0**62, 0], [0, 1.0]]).m == 2**62
+    # the int64 range itself is accepted exactly, also from floats, as long
+    # as |det| stays below 2**62
+    assert PatternMatrix([[-(2**63), 2**62 + 1], [-2, 1]]).entries[0, 0] == -(2**63)
+    assert PatternMatrix([[2.0**62, 2.0**61], [3.0, 1.0]]).m == 2**61
+
+
+def test_determinant_at_or_above_2_62_rejected():
+    # m = 2**64 used to be accepted and reduce_mod then raised a bare OverflowError
+    for entries in ([[2**62, 0], [0, 4]], [[2**62, 0], [0, 1]], [[-(2**63), 0], [0, 1]]):
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            PatternMatrix(entries)
+    assert PatternMatrix([[2**62 - 1, 0], [0, -1]]).m == 2**62 - 1
+
+
+def test_reduction_rejects_int64_overflow():
+    # k @ adj(M^T)^T wrapped silently here and returned h1 = 6148914324732641280
+    pm = PatternMatrix([[2**40, 0], [0, 3]])
+    with pytest.raises(ValueError, match="overflow"):
+        reduce_mod(pm, [2**62, 1])
+    with pytest.raises(ValueError, match="overflow"):
+        frac_coordinates(pm.mt, [[0, 0], [1, -(2**61)]])
+    # the largest safe vectors still reduce exactly: M^{-T} (k - h) is integer
+    # and M^{-T} h lies in the symmetric box
+    for k in ([2**20, 1], [2**22 - 2, -(2**22 - 2)], [-(2**21) - 3, 5]):
+        h = reduce_mod(pm, k)
+        assert (k[0] - int(h[0])) % 2**40 == 0 and (k[1] - int(h[1])) % 3 == 0
+        assert np.all(in_symmetric_box(pm.mt, h))
 
 
 def test_pattern_identity_and_diag2():
