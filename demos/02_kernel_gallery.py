@@ -2,7 +2,9 @@
 
 Each kernel is stored as Fourier coefficients on the generating set plus
 a few lattice shifts per class.  Orthonormalisation rescales every class
-so the translates become an orthonormal basis: m * [|c|^2]_h = 1.
+so the translates become an orthonormal basis: m * [|c|^2]_h = 1.  The
+dlVP and box-spline spectra are even, so their tables hold one class of
+each pair +-h (the half grid); the Dirichlet table holds all of them.
 """
 
 import numpy as np
@@ -15,7 +17,8 @@ from lathom import (
     synthesize,
     three_direction_set,
 )
-from lathom.lattice import pattern_points
+from lathom.kernels import coeff
+from lathom.lattice import generating_set, pattern_points
 
 mat = [[8, 0], [0, 8]]
 specs = {
@@ -37,17 +40,23 @@ for name, spec in specs.items():
 # is 1 at the origin and 0 at the other pattern points
 spec = KernelSpec.dlvp(mat, (0.4, 0.1))
 table = coefficient_table(spec)
-lagrange = interpolant_coeffs(np.full(64, 1.0 / 64), table)
+lagrange = interpolant_coeffs(np.full(len(table.freqs), 1.0 / 64), table)
+# the synthesis runs over every class: class -h takes the expansion
+# coefficient of its stored partner h, and the coefficients come from coeff
+gen = generating_set(mat)
+stored = np.empty(64, dtype=int)
+stored[gen.index(-table.freqs)] = stored[gen.index(table.freqs)] = np.arange(len(table.freqs))
 points = pattern_points(mat).points
-full_freqs = (table.freqs[:, None, :] + table.shifts[None] @ np.array(mat)).reshape(-1, 2)
-full_coeffs = (lagrange[:, None] * table.coeffs).ravel()
-values = synthesize(full_freqs, full_coeffs, 2.0 * np.pi * points)
+freqs = gen.freqs[:, None, :] + table.shifts @ np.array(mat)
+full_coeffs = (lagrange[stored, None] * coeff(spec, freqs)).ravel()
+values = synthesize(freqs.reshape(-1, 2), full_coeffs, 2.0 * np.pi * points)
 print("interpolant at origin :", values[0])
 print("worst off-origin value:", np.max(np.abs(values[1:])))
 
 # trapezoid windows trade interpolation sharpness for smoothness; the
-# alpha = 0 corner is exactly the flat indicator (dirichlet) spectrum
+# alpha = 0 corner is exactly the flat indicator (dirichlet) spectrum,
+# compared class by class on the classes the dlVP table holds
 flat = coefficient_table(KernelSpec.dirichlet(mat))
 corner = coefficient_table(KernelSpec.dlvp(mat, (0.0, 0.0)))
-agree = np.max(np.abs(np.sort(flat.class_sums()) - np.sort(corner.class_sums())))
+agree = np.max(np.abs(flat.class_sums()[gen.index(corner.freqs)] - corner.class_sums()))
 print("alpha=0 window vs flat indicator class sums:", agree)

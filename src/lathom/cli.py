@@ -784,6 +784,13 @@ def main(argv=None):
     except LathomError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        sys.stderr.write(
+            f"error: out of memory{detail}: the manifest asks for more memory than this "
+            "process may use, a limit that depends on the machine\n"
+        )
+        return 2
 
 
 if __name__ == "__main__":

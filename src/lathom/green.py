@@ -39,7 +39,11 @@ class are the negatives of those of its partner: dlVP windows and box
 splines (truncated at |M^{-T} k|_inf <= radius) are even functions, so
 their tables are even; the half-open Dirichlet box on patterns with
 two-torsion pairs some boundary classes with their negatives
-asymmetrically.  The table records this; application to a real field
+asymmetrically.  A dlVP or box coefficient table therefore holds the
+half-grid classes only (kernels.CoefficientTable.half), and the Green
+table is built on exactly those classes and is even by construction.  A
+Dirichlet table holds every class, and the evenness of its Green table is
+measured.  The table records the outcome; application to a real field
 returns a real field exactly when the table is even and an honestly
 complex one otherwise.
 
@@ -199,13 +203,15 @@ _BLOCK_ELEMENTS = 1 << 15
 def periodised_green_table(c0, kernel):
     """Assemble Gp_h = m sum_z |c_{h+M^T z}|^2 G(h+M^T z) per class.
 
-    Row blocks of classes take all their shifts as (classes, shifts)
-    planes, and each class becomes (sum c) S - sum (c / q) u u^T for its
-    six unique entries (see the module docstring).  Evenness is measured
-    on them, not assumed, and an even table keeps its half spectrum only.
-    The kernel table must be orthonormalised so the weights m |c|^2 sum to
-    one within each class; the zero class, whose k = 0 term is 0/0, is
-    forced to the zero matrix.
+    Row blocks of the classes the kernel table holds take all their shifts
+    as (classes, shifts) planes, and each class becomes
+    (sum c) S - sum (c / q) u u^T for its six unique entries (see the
+    module docstring).  A half kernel table (dlVP, box) gives the half
+    spectrum of an even table directly.  On a table of every class
+    (Dirichlet) evenness is measured, not assumed, and an even result
+    keeps its half spectrum only.  The kernel table must be
+    orthonormalised so the weights m |c|^2 sum to one within each class;
+    the zero class, whose k = 0 term is 0/0, is forced to the zero matrix.
     Raises ShapeMismatch unless c0 is a (3, 3) Mandel matrix and
     NonElliptic unless it is positive definite.
     """
@@ -216,14 +222,14 @@ def periodised_green_table(c0, kernel):
         raise KernelNotOrthonormal("bracket sums are not normalised to 1/m")
     c0m = as_mandel_stiffness(c0)
     s = _compliance(c0m)
-    gen = generating_set(pm)
     offsets = kernel.shifts @ pm.entries
-    entries = np.empty((6, pm.m))
+    classes = len(kernel.freqs)
+    entries = np.empty((6, classes))
     step = max(1, _BLOCK_ELEMENTS // len(offsets))
     # allocated once: fresh block-sized temporaries would fault their pages
     # in again on every block whenever the allocator hands them back
-    planes = np.empty((3 + _SUM_PLANES, min(step, pm.m), len(offsets)))
-    for start in range(0, pm.m, step):
+    planes = np.empty((3 + _SUM_PLANES, min(step, classes), len(offsets)))
+    for start in range(0, classes, step):
         rows = slice(start, start + step)
         freqs = kernel.freqs[rows]
         block = planes[:, : len(freqs)]
@@ -233,13 +239,16 @@ def periodised_green_table(c0, kernel):
         np.square(kernel.coeffs[rows], out=weights)
         weights *= pm.m
         _green_sums(s, k1, k2, weights, entries[:, rows], block[3:])
-    entries[:, gen.index(np.zeros(2, dtype=np.int64))] = 0.0
-    neg = gen.index(-gen.freqs)
-    scale = np.max(np.abs(entries)) or 1.0
-    even = bool(np.max(np.abs(entries[:, neg] - entries)) <= 1e-13 * scale)
+    entries[:, 0] = 0.0  # the zero class sits at Smith grid index (0, 0)
+    even = kernel.half
+    if not even:
+        gen = generating_set(pm)
+        neg = gen.index(-gen.freqs)
+        scale = np.max(np.abs(entries)) or 1.0
+        even = bool(np.max(np.abs(entries[:, neg] - entries)) <= 1e-13 * scale)
     d1, last = half_grid(pm)
     entries = entries.reshape(6, d1, -1)
-    if even:
+    if even:  # a half table's entries are already the half spectrum
         entries = np.ascontiguousarray(entries[:, :, :last])
     return GreenTable(matrix=pm, c0=c0m.copy(), entries=entries, even_table=even)
 

@@ -25,8 +25,16 @@ shift sets are exact ({0} and {-1, 0, 1}^2).  For box splines the shifts
 z_i in [-r_i, r_i] cover the truncated support, i.e. up to 33^2 terms at
 the default radius.  Truncating in t rather than in z keeps the
 retained frequencies of every class the negatives of those of its
-partner -h, also on boundary classes where t_i = -1/2, so the truncated
-spectrum stays even.
+partner -h, also on boundary classes where t_i = -1/2.
+
+dlVP and box spectra are thus even, c_{-k} = c_k (the trapezoid factors
+depend on |w_i|, sinc is even), so every per-class quantity of -h
+(bracket, class sum, periodised Green matrix) equals that of h, and their
+tables hold only the d1 x (d2 // 2 + 1) classes of the half grid: Smith
+grid indices (i, j) with j <= d2 // 2 in C-order, the layout of an even
+GreenTable.  Every class is one of these or the negative of one.  The
+half-open Dirichlet box is not even on patterns with two-torsion, so a
+Dirichlet table holds all m classes.
 
 Every coefficient is scale x a product of factors, each a function of
 one integer: the numerator w_i on axis i (Dirichlet box, dlVP ramp, box
@@ -52,6 +60,7 @@ import numpy as np
 
 from .errors import DegenerateClass, InvalidSpec, LengthMismatch, NoInterpolant
 from .lattice import as_pattern_matrix, frac_coordinates, generating_set
+from .pattern_fft import half_grid
 
 __all__ = [
     "KernelSpec",
@@ -280,17 +289,20 @@ def shift_set(spec):
 class CoefficientTable:
     """Per-class kernel coefficients c_{h + M^T z} over the retained shifts.
 
-    coeffs[i, j] belongs to frequency freqs[i] + M^T shifts[j]; bracket is
-    the per-class sum of squares [|c|^2]_h over the retained shifts.
-    orthonormalize normalises the table in place, so setup keeps one
-    (m, t) array alive.
+    The table holds n classes in Smith-grid C-order: the half grid's
+    d1 x (d2 // 2 + 1) when half is set (dlVP and box splines, see the
+    module docstring), all m otherwise (Dirichlet).  coeffs[i, j] belongs
+    to frequency freqs[i] + M^T shifts[j]; bracket is the per-class sum of
+    squares [|c|^2]_h over the retained shifts.  orthonormalize normalises
+    the table in place, so setup keeps one (n, t) array alive.
     """
 
     spec: KernelSpec
-    freqs: np.ndarray  # (m, 2) canonical representatives
+    freqs: np.ndarray  # (n, 2) canonical representatives
     shifts: np.ndarray  # (t, 2)
-    coeffs: np.ndarray  # (m, t) real
-    bracket: np.ndarray  # (m,)
+    coeffs: np.ndarray  # (n, t) real
+    bracket: np.ndarray  # (n,)
+    half: bool  # only the half-grid classes are stored
     orthonormal: bool = False
 
     @property
@@ -298,7 +310,8 @@ class CoefficientTable:
         return self.spec.matrix
 
     def class_sums(self):
-        """Signed bracket sums [c(f)]_h (plain sums, not squared)."""
+        """Signed bracket sums [c(f)]_h (plain sums, not squared), one per
+        stored class."""
         return self.coeffs.sum(axis=1)
 
 
@@ -308,20 +321,28 @@ _BLOCK_ELEMENTS = 1 << 16
 
 
 def coefficient_table(spec):
-    """Evaluate the kernel coefficients on every class and retained shift."""
+    """Evaluate the kernel coefficients on the stored classes and every
+    retained shift: the half-grid classes for dlVP and box splines, all m
+    for Dirichlet (see CoefficientTable)."""
     pm = spec.matrix
+    half = spec.kind != "dirichlet"
     freqs = generating_set(pm).freqs
+    if half:
+        d1, last = half_grid(pm)
+        freqs = freqs.reshape(d1, -1, 2)[:, :last].reshape(-1, 2)
     radii = _shift_radii(spec)
     shifts = shift_set(spec)
     w, n = frac_coordinates(pm.mt, freqs)
-    coeffs = np.empty((pm.m, len(shifts)))
-    grid = coeffs.reshape((pm.m,) + tuple(2 * r + 1 for r in radii))
+    coeffs = np.empty((len(freqs), len(shifts)))
+    grid = coeffs.reshape((len(freqs),) + tuple(2 * r + 1 for r in radii))
     step = max(1, _BLOCK_ELEMENTS // len(shifts))
-    for start in range(0, pm.m, step):
+    for start in range(0, len(freqs), step):
         rows = slice(start, start + step)
         _coeff_block(spec, radii, w[rows], n, grid[rows])
     bracket = np.einsum("mt,mt->m", coeffs, coeffs)
-    return CoefficientTable(spec=spec, freqs=freqs, shifts=shifts, coeffs=coeffs, bracket=bracket)
+    return CoefficientTable(
+        spec=spec, freqs=freqs, shifts=shifts, coeffs=coeffs, bracket=bracket, half=half
+    )
 
 
 def orthonormalize(table):
@@ -342,10 +363,12 @@ def orthonormalize(table):
 
 
 def interpolant_coeffs(target_class_sums, table):
-    """Expansion coefficients a_hat with [c(g)]_h = a_hat_h [c(f)]_h.
+    """Expansion coefficients a_hat with [c(g)]_h = a_hat_h [c(f)]_h, one
+    per stored class of the table, as are the targets.
 
-    Passing target_class_sums = 1/m for every class yields the fundamental
-    interpolant of the space.
+    Passing target_class_sums = 1/m for every stored class yields the
+    fundamental interpolant of the space; on a half table the classes not
+    stored take the value of their negatives.
     """
     sums = table.class_sums()
     target = np.asarray(target_class_sums)

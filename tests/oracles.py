@@ -13,8 +13,14 @@ import math
 import numpy as np
 
 from lathom.errors import LengthMismatch, ShapeMismatch, ZeroDeterminant
-from lathom.kernels import coeff, shift_set
-from lathom.lattice import PatternMatrix, as_pattern_matrix, frac_coordinates, reduce_mod
+from lathom.kernels import CoefficientTable, coeff, shift_set
+from lathom.lattice import (
+    PatternMatrix,
+    as_pattern_matrix,
+    frac_coordinates,
+    generating_set,
+    reduce_mod,
+)
 from lathom.pattern_fft import pattern_fft, pattern_ifft, smith_normal_form
 
 # the 2-d Mandel layout (a11, a22, sqrt(2) a12), written out independently
@@ -370,29 +376,51 @@ def bracket_sum(spec, h, weight=None):
     return total
 
 
-def periodised_green_index_form(c0m, kernel):
-    """Gp_h = m sum_z |c_{h + M^T z}|^2 G(h + M^T z) per class of an
-    orthonormalised coefficient table, every term through green_index_form;
+def every_class_table(spec):
+    """Raw coefficient table over all m classes of the generating set, in
+    its order, and every retained shift, each entry evaluated by
+    kernels.coeff at h + M^T z; not orthonormalised, and half is False.
+    """
+    pm = spec.matrix
+    freqs = generating_set(pm).freqs
+    shifts = shift_set(spec)
+    coeffs = coeff(spec, freqs[:, None, :] + shifts @ pm.entries).reshape(pm.m, len(shifts))
+    bracket = np.einsum("mt,mt->m", coeffs, coeffs)
+    return CoefficientTable(spec, freqs, shifts, coeffs, bracket, half=False)
+
+
+def periodised_green_index_form(c0m, spec):
+    """Gp_h = sum_z |c_{h + M^T z}|^2 G(h + M^T z) / [|c|^2]_h on every
+    class of every_class_table(spec), each term through green_index_form;
     the zero class stays the zero matrix.  Returns (m, 3, 3).
     """
-    pm = kernel.matrix
-    ks = kernel.freqs[:, None, :] + kernel.shifts @ pm.entries
-    weights = pm.m * kernel.coeffs**2
-    keep = (weights != 0.0) & kernel.freqs.any(axis=1)[:, None]
+    table = every_class_table(spec)
+    ks = table.freqs[:, None, :] + table.shifts @ spec.matrix.entries
+    weights = table.coeffs**2 / table.bracket[:, None]
+    keep = (weights != 0.0) & table.freqs.any(axis=1)[:, None]
     terms = mandel_operator_2d(green_index_form(from_mandel_operator(c0m), ks[keep]))
-    out = np.zeros((pm.m, 3, 3))
+    out = np.zeros((spec.matrix.m, 3, 3))
     np.add.at(out, np.nonzero(keep)[0], weights[keep][:, None, None] * terms)
     return out
 
 
-def pattern_samples(table):
-    """Generator values f(2 pi y) on the pattern via the class sums.
+def is_even(m_mat, matrices, rtol=1e-13):
+    """Whether per-class matrices (m, ...) in generating-set order equal
+    those of the negated classes, to rtol of their largest entry."""
+    gen = generating_set(m_mat)
+    scale = np.max(np.abs(matrices)) or 1.0
+    return bool(np.max(np.abs(matrices[gen.index(-gen.freqs)] - matrices)) <= rtol * scale)
+
+
+def pattern_samples(spec, class_weights=1.0):
+    """Generator values f(2 pi y) on the pattern via the class sums of
+    every_class_table(spec), each class scaled by class_weights (m,).
 
     Shifting k by M^T z leaves e^{2 pi i k.y} untouched on the pattern, so
     the sample values only see the signed bracket sums.
     """
-    pm = table.matrix
-    sums = table.class_sums().astype(complex)
+    pm = spec.matrix
+    sums = (class_weights * every_class_table(spec).class_sums()).astype(complex)
     return pattern_ifft(pm, sums) * math.sqrt(pm.m)
 
 

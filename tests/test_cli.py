@@ -1,8 +1,13 @@
 """Manifest parsing, subcommand artifacts and the exit-code contract."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import lathom
 from lathom.bench import LaminateGeometry, nearest_point_grid, rasterize_laminate
 from lathom.cli import emit_heatmap, main, parse_manifest, run_selftest
 from lathom.errors import ParseError, ShapeMismatch, ValidationError
@@ -534,3 +539,42 @@ def test_selftest_passes(capsys):
 def test_selftest_subcommand(capsys):
     assert main(["selftest", "--seed", "2"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_exit_2_when_memory_runs_out(tmp_path):
+    # a 100000 x 100000 heatmap raster needs ~75 GiB; under a 2 GiB address
+    # space limit, set in the child process only, the CLI must name the
+    # cause and exit 2 instead of dying with a traceback
+    text = """\
+[pattern]
+matrix = 8 0 0 8
+[kernel]
+kind = dlvp
+alpha = 0.25 0.25
+[geometry]
+type = hashin
+[load]
+eps0 = 1 0 0
+[output]
+heatmap = eps11
+heatmap_shape = 100000 100000
+"""
+    child_main = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from lathom.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lathom.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    argv = ["solve", manifest_file(tmp_path, text), "--out", str(tmp_path / "out")]
+    child = subprocess.run(
+        [sys.executable, "-c", child_main] + argv,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 2, child.stderr
+    assert "out of memory" in child.stderr and "depends on the machine" in child.stderr
+    assert "Traceback" not in child.stderr

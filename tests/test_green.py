@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from lathom.tensor import (
 
 from oracles import (
     class_matrices,
+    every_class_table,
     from_mandel_operator,
     grad_sym_multiplier,
     green_index_form,
@@ -185,12 +187,13 @@ def test_dlvp_table_matches_direct_summation():
     ids=["dlvp", "box"],
 )
 def test_periodised_tables_match_index_form_oracle(spec):
-    # the acoustic-tensor route in index form, summed with the table's own
-    # weights over the same retained frequencies
+    # the acoustic-tensor route in index form, on every class with weights
+    # from kernels.coeff over the same retained frequencies; the table
+    # holds the half grid, and class_matrices mirrors it to the rest
     kern = orthonormalize(coefficient_table(spec))
     for c0m in (isotropic_stiffness(2.0, 0.2), random_spd_mandel(np.random.default_rng(13), 3)):
         table = periodised_green_table(c0m, kern)
-        expected = periodised_green_index_form(c0m, kern)
+        expected = periodised_green_index_form(c0m, spec)
         assert np.max(np.abs(class_matrices(table) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
@@ -205,10 +208,11 @@ def test_green_operator_is_two_dimensional():
 
 def test_single_frequency_class_support():
     # if each class retains exactly one frequency k0, the periodised
-    # multiplier is the plain multiplier at k0
+    # multiplier is the plain multiplier at k0; one shift per class is not
+    # an even spectrum, so the synthetic table holds every class
     c0 = isotropic_stiffness(1.0, 0.25)
     spec = KernelSpec.dlvp([[4, 0], [0, 4]], (0.25, 0.25))
-    kern = coefficient_table(spec)
+    kern = every_class_table(spec)
     pm = spec.matrix
     pick = 5  # shift slot to keep
     coeffs = np.zeros_like(kern.coeffs)
@@ -226,6 +230,29 @@ def test_single_frequency_class_support():
         k0 = h + kern.shifts[pick] @ pm.entries
         expected = np.zeros((3, 3)) if i == zero_idx else green_multiplier(c0, k0)
         assert np.allclose(values[i], expected, atol=1e-14)
+
+
+def test_setup_memory_grows_by_the_half_table():
+    # box (2, 2, 0), radius 16: the setup's tracemalloc peak from 16^2 to
+    # 32^2 grows by less than 0.6 x the all-class (m, t) table's growth.
+    # The half table holds 9/16 and 17/32 of the classes; block buffers
+    # (the Green build's 2.6 MB of planes, more than the 16^2 table itself)
+    # are the same at both sizes and cancel
+    c0 = isotropic_stiffness(1.0, 0.3)
+
+    def peak_and_all_class_bytes(side):
+        spec = KernelSpec.box_spline(np.diag([side, side]), three_direction_set(2, 2, 0), radius=16)
+        tracemalloc.start()
+        try:
+            periodised_green_table(c0, orthonormalize(coefficient_table(spec)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, spec.matrix.m * len(shift_set(spec)) * 8
+
+    small, small_all = peak_and_all_class_bytes(16)
+    large, large_all = peak_and_all_class_bytes(32)
+    assert large - small < 0.6 * (large_all - small_all)
 
 
 def test_periodisation_requires_orthonormal_table():

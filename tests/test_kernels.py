@@ -18,7 +18,14 @@ from lathom.kernels import (
 )
 from lathom.lattice import frac_coordinates, generating_set, pattern_points
 
-from oracles import bracket_sum, discrete_coeffs, dlvp_window, pattern_samples, random_regular
+from oracles import (
+    bracket_sum,
+    discrete_coeffs,
+    dlvp_window,
+    every_class_table,
+    pattern_samples,
+    random_regular,
+)
 
 
 def full_coefficient_set(table):
@@ -109,9 +116,12 @@ def test_modified_dirichlet_splits_boundary_weight():
     i_interior = gen.index(np.array([1, 1]))
     assert plain.bracket[i_interior] == pytest.approx(scale**2)
     assert plain.bracket[i_boundary] == pytest.approx(scale**2)
-    # two half-weights on opposite faces
-    assert modified.bracket[i_boundary] == pytest.approx(2 * (0.5 * scale) ** 2)
-    row = modified.coeffs[i_boundary]
+    # two half-weights on opposite faces; the dlVP table holds the half
+    # grid, which contains this face class
+    assert modified.half and not plain.half
+    stored = {tuple(h): i for i, h in enumerate(modified.freqs.tolist())}
+    assert modified.bracket[stored[(-2, 0)]] == pytest.approx(2 * (0.5 * scale) ** 2)
+    row = modified.coeffs[stored[(-2, 0)]]
     assert sorted(np.abs(row[np.abs(row) > 0])) == pytest.approx([0.5 * scale, 0.5 * scale])
 
 
@@ -152,7 +162,10 @@ def test_box_truncation_is_symmetric():
         # value is itself exactly 0 where xi.t is a nonzero integer
         wide = KernelSpec.box_spline(m_mat, three_direction_set(1, 1, 1), radius=4 * radius)
         assert np.array_equal(table.coeffs, np.where(inside, coeff(wide, ks), 0.0))
-        kept = {tuple(k): c for k, c in zip(*full_coefficient_set(table))}
+        # the half table's classes and their negatives carry equal
+        # coefficients, and the spectrum over every class is even
+        assert table.half and np.array_equal(coeff(spec, -ks), table.coeffs)
+        kept = {tuple(k): c for k, c in zip(*full_coefficient_set(every_class_table(spec)))}
         assert all(kept.get(tuple(-x for x in k)) == c for k, c in kept.items())
 
 
@@ -186,7 +199,7 @@ def test_orthonormal_translates_have_identity_gram():
         KernelSpec.dlvp([[4, 0], [0, 2]], (0.0, 0.45)),
         KernelSpec.dirichlet([[3, 1], [1, 3]]),
     ]:
-        table = orthonormalize(coefficient_table(spec))
+        table = orthonormalize(every_class_table(spec))
         ks, cs = full_coefficient_set(table)
         y = pattern_points(spec.matrix).points
         phase = np.exp(2j * np.pi * (y @ ks.T))  # (m, terms)
@@ -228,11 +241,10 @@ def test_orthonormalize_keeps_one_table():
 def test_bracket_sum_matches_table_and_rejects_unreduced():
     spec = KernelSpec.dlvp([[4, 1], [0, 3]], (0.3, 0.2))
     table = coefficient_table(spec)
-    gen = generating_set(spec.matrix)
-    for i in [0, 3, 7]:
-        assert bracket_sum(spec, gen.freqs[i]) == pytest.approx(table.bracket[i], abs=1e-14)
+    for h, bracket in zip(table.freqs, table.bracket):
+        assert bracket_sum(spec, h) == pytest.approx(bracket, abs=1e-14)
     with pytest.raises(ValueError):
-        bracket_sum(spec, gen.freqs[0] + np.array([4, 0]) @ spec.matrix.entries)
+        bracket_sum(spec, table.freqs[0] + np.array([4, 0]) @ spec.matrix.entries)
     with pytest.raises(LengthMismatch):
         bracket_sum(spec, np.array([1, 2, 3]))
 
@@ -257,16 +269,15 @@ def test_synthesize_agrees_with_pattern_route():
         KernelSpec.dlvp([[4, 2], [0, 6]], (0.25, 0.1)),
         KernelSpec.dirichlet([[5, 1], [0, 3]]),
     ]:
-        table = coefficient_table(spec)
-        ks, cs = full_coefficient_set(table)
+        ks, cs = full_coefficient_set(every_class_table(spec))
         x = 2 * np.pi * pattern_points(spec.matrix).points
         direct = synthesize(ks, cs, x)
-        via_fft = pattern_samples(table)
+        via_fft = pattern_samples(spec)
         assert np.allclose(direct, via_fft, atol=1e-12)
 
 
 def test_synthesize_realness_follows_symmetry():
-    even = coefficient_table(KernelSpec.dlvp([[4, 0], [0, 4]], (0.25, 0.25)))
+    even = every_class_table(KernelSpec.dlvp([[4, 0], [0, 4]], (0.25, 0.25)))
     ks, cs = full_coefficient_set(even)
     x = np.array([[0.3, -1.2], [2.0, 0.1]])
     vals = synthesize(ks, cs, x)
@@ -284,11 +295,14 @@ def test_fundamental_interpolant_is_a_pattern_delta():
         KernelSpec.dlvp([[3, 1], [0, 4]], (0.2, 0.35)),
         KernelSpec.box_spline([[3, 0], [1, 3]], three_direction_set(1, 1, 1), radius=20),
     ]:
-        table = coefficient_table(spec)
         m = spec.matrix.m
-        a_hat = interpolant_coeffs(np.full(m, 1.0 / m), table)
-        lifted = dataclasses.replace(table, coeffs=a_hat[:, None] * table.coeffs)
-        samples = pattern_samples(lifted)
+        a_hat = interpolant_coeffs(np.full(m, 1.0 / m), every_class_table(spec))
+        # per stored class, the half table's coefficients are these
+        table = coefficient_table(spec)
+        stored = generating_set(spec.matrix).index(table.freqs)
+        half_hat = interpolant_coeffs(np.full(len(stored), 1.0 / m), table)
+        assert np.array_equal(half_hat, a_hat[stored])
+        samples = pattern_samples(spec, a_hat)
         delta = np.zeros(m)
         delta[0] = 1.0
         assert np.allclose(samples, delta, atol=1e-12)
@@ -302,7 +316,7 @@ def test_interpolant_requires_nonvanishing_class_sums():
         table, coeffs=sums_killed, bracket=np.einsum("mt,mt->m", sums_killed, sums_killed)
     )
     with pytest.raises(NoInterpolant):
-        interpolant_coeffs(np.full(16, 1 / 16), broken)
+        interpolant_coeffs(np.full(len(table.freqs), 1 / 16), broken)
     with pytest.raises(LengthMismatch):
         interpolant_coeffs(np.full(7, 1.0), table)
 
@@ -310,8 +324,9 @@ def test_interpolant_requires_nonvanishing_class_sums():
 def test_aliased_coeffs_of_generator_samples_are_class_sums():
     spec = KernelSpec.dlvp([[4, 1], [2, 6]], (0.3, 0.3))
     table = coefficient_table(spec)
-    got = discrete_coeffs(spec.matrix, pattern_samples(table))
-    assert np.allclose(got, table.class_sums(), atol=1e-12)
+    got = discrete_coeffs(spec.matrix, pattern_samples(spec))
+    stored = generating_set(spec.matrix).index(table.freqs)
+    assert np.allclose(got[stored], table.class_sums(), atol=1e-12)
 
 
 def test_discrete_coeffs_rejects_bad_length():

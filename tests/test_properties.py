@@ -23,8 +23,10 @@ from lathom.tensor import certainly_elliptic, ellipticity_bounds, isotropic_stif
 from oracles import (
     box_coeff_sinc,
     class_matrices,
+    every_class_table,
     full_spectrum_green,
     in_symmetric_box,
+    is_even,
     periodised_basic_scheme,
     periodised_green_index_form,
     regular_pattern,
@@ -48,9 +50,9 @@ def kernel_specs(pm):
     """Dirichlet, dlVP and box-spline (radius <= 4) kernels on pattern pm.
 
     Half of the slope draws lie in [0, 1/m], where a ramp is no wider than
-    the spacing of the coordinates.
+    the spacing of the coordinates (capped at 1/2 for m = 1).
     """
-    slopes = st.one_of(st.floats(0.0, 0.5), st.floats(0.0, 1.0 / pm.m))
+    slopes = st.one_of(st.floats(0.0, 0.5), st.floats(0.0, min(0.5, 1.0 / pm.m)))
     return st.one_of(
         st.just(KernelSpec.dirichlet(pm)),
         st.tuples(slopes, slopes).map(lambda alpha: KernelSpec.dlvp(pm, alpha)),
@@ -121,10 +123,42 @@ def test_coefficient_table_is_coeff_at_the_shifted_frequencies(data):
 def test_green_table_matches_the_index_form_sum(data, c0):
     pm = data.draw(two_d_patterns(max_m=64), label="pattern")
     spec = data.draw(kernel_specs(pm), label="kernel")
-    kern = orthonormalize(coefficient_table(spec))
-    table = periodised_green_table(c0, kern)
-    expected = periodised_green_index_form(c0, kern)
+    table = periodised_green_table(c0, orthonormalize(coefficient_table(spec)))
+    expected = periodised_green_index_form(c0, spec)
     assert np.max(np.abs(class_matrices(table) - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+# the half grid is the whole Smith grid when d2 is 1 or 2: m = 1, (1, 2)
+# (diagonal and sheared) and (2, 2)
+WHOLE_HALF_GRIDS = st.sampled_from(
+    [[[1, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 1], [-1, 1]], [[2, 0], [0, 2]]]
+).map(PatternMatrix)
+
+
+@given(data=st.data(), c0=spd_mandel())
+def test_coefficient_table_is_the_oracle_rows(data, c0):
+    # dlVP and box tables hold the half-grid classes, Dirichlet tables all
+    # of them, and either way the rows are those of the every-class oracle
+    # bit for bit; the Green table matches the oracle's index-form build on
+    # every class, and the oracle measures the evenness the half table
+    # assumes (and the Dirichlet build measures)
+    pm = data.draw(st.one_of(WHOLE_HALF_GRIDS, patterns(max_m=64)), label="pattern")
+    spec = data.draw(kernel_specs(pm), label="kernel")
+    table = coefficient_table(spec)
+    oracle = every_class_table(spec)
+    assert table.half == (spec.kind != "dirichlet")
+    rows = np.arange(pm.m).reshape(smith_normal_form(pm).grid)
+    stored = rows[:, : half_grid(pm)[1]].ravel() if table.half else rows.ravel()
+    assert np.array_equal(table.freqs, oracle.freqs[stored])
+    assert np.array_equal(table.shifts, oracle.shifts)
+    assert np.array_equal(table.coeffs, oracle.coeffs[stored])
+    assert np.array_equal(table.bracket, oracle.bracket[stored])
+    green = periodised_green_table(c0, orthonormalize(table))
+    expected = periodised_green_index_form(c0, spec)
+    assert np.max(np.abs(class_matrices(green) - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert green.even_table == is_even(pm, expected)
+    if table.half:
+        assert green.even_table
 
 
 @given(data=st.data(), c0=spd_mandel())
@@ -200,12 +234,11 @@ def test_green_table_layout_and_complex_fields(entries, data, c0):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rng = np.random.default_rng(seed)
     real, imag = rng.normal(size=(2, pm.m, 3))
-    kern = orthonormalize(coefficient_table(spec))
-    table = periodised_green_table(c0, kern)
+    table = periodised_green_table(c0, orthonormalize(coefficient_table(spec)))
     grid = half_grid(pm) if table.even_table else smith_normal_form(pm).grid
     assert table.entries.shape == (6,) + grid
     assert table.workspace().shape == (7,) + grid
-    matrices = periodised_green_index_form(c0, kern)
+    matrices = periodised_green_index_form(c0, spec)
     for field in (real, real + 1j * imag):
         out = apply_green(table, field)
         reference = full_spectrum_green(table, field, matrices)
