@@ -2,7 +2,8 @@
 
 Each kernel is stored as Fourier coefficients on the generating set plus
 a few lattice shifts per class.  Orthonormalisation rescales every class
-so the translates become an orthonormal basis: m * [|c|^2]_h = 1.  The
+so the translates become an orthonormal basis: m * [|c|^2]_h = 1 (the
+Green build needs no such step; it weights each class by its share).  The
 dlVP and box-spline spectra are even, so their tables hold one class of
 each pair +-h (the half grid); the Dirichlet table holds all of them.
 """
@@ -31,10 +32,9 @@ for name, spec in specs.items():
     table = coefficient_table(spec)
     sums = table.class_sums()  # of the raw table: orthonormalize scales it in place
     orthonormalize(table)
-    bracket = np.einsum("mt,mt->m", table.coeffs, table.coeffs)
     print(f"{name:18s} shifts={len(table.shifts):4d}  "
           f"class sums flat: {np.ptp(sums):.2e}  "
-          f"m*bracket-1: {np.max(np.abs(64 * bracket - 1)):.2e}")
+          f"m*bracket-1: {np.max(np.abs(64 * table.bracket - 1)):.2e}")
 
 # the fundamental interpolant is the cardinal function of the space: it
 # is 1 at the origin and 0 at the other pattern points

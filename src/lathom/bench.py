@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .green import strain_basis
-from .lattice import as_pattern_matrix, pattern_points
+from .lattice import as_pattern_matrix, pattern_points, refinement
 from .pattern_fft import smith_normal_form
 from .solver import _write_atomic, _write_csv, effective_action
 from .tensor import as_mandel_stiffness, isotropic_stiffness
@@ -283,15 +283,12 @@ def restrict_field(field, fine_mat, coarse_mat):
     """Restrict a field on P(M_fine) to the sub-pattern P(M_coarse).
 
     Requires M_fine M_coarse^-1 to be integer (the coarse points are then a
-    subset of the fine ones); raises PatternMismatch otherwise.  Works for
-    any trailing field shape.
+    subset of the fine ones); raises PatternMismatch otherwise
+    (lattice.refinement).  Works for any trailing field shape.
     """
     fm = as_pattern_matrix(fine_mat)
     cm = as_pattern_matrix(coarse_mat)
-    lf = fm.entries @ np.linalg.inv(cm.entries.astype(float))
-    l_int = np.rint(lf).astype(np.int64)
-    if not np.array_equal(l_int @ cm.entries, fm.entries):
-        raise PatternMismatch("fine lattice does not refine the coarse pattern")
+    l_int = refinement(fm, cm)
     field = np.asarray(field)
     fine = pattern_points(fm)
     if field.shape[0] != len(fine):

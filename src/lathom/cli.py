@@ -49,17 +49,13 @@ from .errors import (
     LathomError,
     NotConverged,
     ParseError,
+    PatternMismatch,
     ShapeMismatch,
     ValidationError,
 )
 from .green import apply_green, green_multiplier, periodised_green_table, strain_basis
-from .kernels import (
-    KernelSpec,
-    coefficient_table,
-    orthonormalize,
-    three_direction_set,
-)
-from .lattice import as_pattern_matrix
+from .kernels import KernelSpec, coefficient_table, three_direction_set
+from .lattice import as_pattern_matrix, refinement
 from .pattern_fft import pattern_dft, pattern_fft
 from .solver import (
     _write_atomic,
@@ -394,6 +390,8 @@ def parse_manifest(path):
     for name, (line, _) in sections.items():
         if name not in _SCHEMA:
             raise ValidationError(f"unknown section [{name}]", line)
+    # reference_matrix is checked against [pattern] matrix once both are parsed
+    reference_line = sections.get("solve", (None, {}))[1].get("reference_matrix", (None, None))[1]
     fields = {}
     for name, keys in _SCHEMA.items():
         if name == "sweep" and name not in sections:
@@ -408,6 +406,11 @@ def parse_manifest(path):
         for key, (_, at) in entries.items():
             raise ValidationError(f"unknown key '{key}' in [{name}]", at)
     manifest = RunManifest(**fields)
+    if manifest.reference_matrix is not None:
+        try:
+            refinement(manifest.reference_matrix, manifest.matrix)
+        except (PatternMismatch, ValueError) as exc:
+            raise ValidationError(f"solve.reference_matrix: {exc}", reference_line)
     # constructing kernel specs validates the kernel block early
     kernel_line = sections.get("kernel", (None,))[0]
     for alpha in [None] + (manifest.sweep_pairs or []):
@@ -439,9 +442,7 @@ def _reference_stiffness(manifest, c):
 
 
 def _green_table(manifest, spec, c):
-    return periodised_green_table(
-        _reference_stiffness(manifest, c), orthonormalize(coefficient_table(spec))
-    )
+    return periodised_green_table(_reference_stiffness(manifest, c), coefficient_table(spec))
 
 
 def _reference_data(manifest, c_coarse):
@@ -676,9 +677,7 @@ def run_selftest(seed=0):
     def dirichlet_projects():
         mat = _random_regular(rng)
         c0 = isotropic_stiffness(2.0, 0.3)
-        table = periodised_green_table(
-            c0, orthonormalize(coefficient_table(KernelSpec.dirichlet(mat)))
-        )
+        table = periodised_green_table(c0, coefficient_table(KernelSpec.dirichlet(mat)))
         m = as_pattern_matrix(mat).m
         field = rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3))
         once = apply_green(table, field)
@@ -690,9 +689,7 @@ def run_selftest(seed=0):
     def green_adjoint():
         mat = _random_regular(rng)
         c0 = isotropic_stiffness(1.0, 0.25)
-        table = periodised_green_table(
-            c0, orthonormalize(coefficient_table(KernelSpec.dlvp(mat, (0.2, 0.3))))
-        )
+        table = periodised_green_table(c0, coefficient_table(KernelSpec.dlvp(mat, (0.2, 0.3))))
         m = as_pattern_matrix(mat).m
         worst = 0.0
         for _ in range(5):
@@ -720,7 +717,7 @@ def run_selftest(seed=0):
     def dlvp_green_table(mat, c0):
         alpha = tuple(rng.uniform(0.0, 0.5, size=2))
         spec = KernelSpec.dlvp(mat, alpha)
-        return periodised_green_table(c0, orthonormalize(coefficient_table(spec)))
+        return periodised_green_table(c0, coefficient_table(spec))
 
     def cg_solves_lippmann_schwinger():
         # a fresh operator application, not the residual CG's recurrence carries

@@ -37,10 +37,6 @@ class InvalidMaterial(LathomError):
     """Material parameters outside the physical range."""
 
 
-class KernelNotOrthonormal(LathomError):
-    """Operation requires an orthonormalised coefficient table."""
-
-
 class ShapeMismatch(LathomError):
     """Array shape does not match the expected layout."""
 

@@ -20,12 +20,13 @@ frequency is mapped to zero, which pins the mean of the output.
 On a kernel space the operator is periodised: each frequency class h of
 the generating set receives the convex combination
 
-    Gp_h = m sum_z |c_{h + M^T z}|^2 G(h + M^T z)
+    Gp_h = sum_z |c_{h + M^T z}|^2 G(h + M^T z) / [|c|^2]_h
 
-over the retained lattice shifts of an orthonormalised coefficient table
-(the weights sum to one per class).  For the Dirichlet kernel only the
-canonical representative survives, so Gp_h = G(h).  With c = m |c_k|^2
-the sum is
+over the retained lattice shifts of the kernel's coefficient table, each
+shift weighted by its share of the bracket [|c|^2]_h = sum_z |c|^2, so
+scaling a class (orthonormalising it, say) leaves Gp_h as it is.  For the
+Dirichlet kernel only the canonical representative survives, so
+Gp_h = G(h).  With c = |c_k|^2 / [|c|^2]_h the sum is
 
     Gp_h = (sum c) S - sum (c / q) u u^T,   u = S v(k), q = v^T S v,
 
@@ -77,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KernelNotOrthonormal, NonElliptic, ShapeMismatch
+from .errors import NonElliptic, ShapeMismatch
 from .lattice import PatternMatrix, generating_set
 from .pattern_fft import half_grid, pattern_fft, pattern_ifft, pattern_irfft, pattern_rfft
 from .tensor import (
@@ -201,25 +202,22 @@ _BLOCK_ELEMENTS = 1 << 15
 
 
 def periodised_green_table(c0, kernel):
-    """Assemble Gp_h = m sum_z |c_{h+M^T z}|^2 G(h+M^T z) per class.
+    """Assemble Gp_h = sum_z |c_{h+M^T z}|^2 G(h+M^T z) / [|c|^2]_h per class.
 
-    Row blocks of the classes the kernel table holds take all their shifts
-    as (classes, shifts) planes, and each class becomes
-    (sum c) S - sum (c / q) u u^T for its six unique entries (see the
-    module docstring).  A half kernel table (dlVP, box) gives the half
+    kernel is any CoefficientTable; each shift weighs its share
+    c^2 / [|c|^2]_h of its class.  Row blocks of the classes the table
+    holds take all their shifts as (classes, shifts) planes, and each
+    class becomes (sum c) S - sum (c / q) u u^T for its six unique entries
+    (see the module docstring).  A half kernel table (dlVP, box) gives the half
     spectrum of an even table directly.  On a table of every class
     (Dirichlet) evenness is measured, not assumed, and an even result
-    keeps its half spectrum only.  The kernel table must be
-    orthonormalised so the weights m |c|^2 sum to one within each class;
-    the zero class, whose k = 0 term is 0/0, is forced to the zero matrix.
-    Raises ShapeMismatch unless c0 is a (3, 3) Mandel matrix and
-    NonElliptic unless it is positive definite.
+    keeps its half spectrum only.  The zero class, whose k = 0 term is
+    0/0, is forced to the zero matrix.  Raises DegenerateClass if a class
+    has a vanishing bracket, ShapeMismatch unless c0 is a (3, 3) Mandel
+    matrix and NonElliptic unless it is positive definite.
     """
-    if not kernel.orthonormal:
-        raise KernelNotOrthonormal("periodisation needs an orthonormalised table")
     pm = kernel.matrix
-    if np.max(np.abs(pm.m * kernel.bracket - 1.0)) > 1e-8:
-        raise KernelNotOrthonormal("bracket sums are not normalised to 1/m")
+    inverse = 1.0 / kernel.checked_bracket()  # c^2 times this is the share of its class
     c0m = as_mandel_stiffness(c0)
     s = _compliance(c0m)
     offsets = kernel.shifts @ pm.entries
@@ -237,7 +235,7 @@ def periodised_green_table(c0, kernel):
         np.add(freqs[:, 0, None], offsets[:, 0], out=k1)
         np.add(freqs[:, 1, None], offsets[:, 1], out=k2)
         np.square(kernel.coeffs[rows], out=weights)
-        weights *= pm.m
+        weights *= inverse[rows, None]
         _green_sums(s, k1, k2, weights, entries[:, rows], block[3:])
     entries[:, 0] = 0.0  # the zero class sits at Smith grid index (0, 0)
     even = kernel.half

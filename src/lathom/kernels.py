@@ -12,12 +12,12 @@ Three families generate the ansatz spaces on a pattern P(M):
 * periodised Box splines: unnormalised coefficient prod_xi sinc(xi.t)
   (sinc(x) = sin(pi x) / (pi x)) with t = M^{-T} k, truncated to
   |t_i| <= r_i for a per-axis radius r (default 16); the absolute scale is
-  irrelevant because every downstream use passes through
-  orthonormalisation.  The directions xi are integer vectors, so with
-  t = w / n exact, xi.t = num / n for an integer num, and the sinc is
-  taken in closed form: num = q n + r with q the nearest integer gives
-  sinc = (-1)^q sin(pi r / n) / (pi num / n), exactly 1 at num = 0 and
-  exactly 0 at the other multiples of n.
+  irrelevant because the Green build weights each shifted frequency by
+  its share |c|^2 / [|c|^2]_h of its class.  The directions xi are
+  integer vectors, so with t = w / n exact, xi.t = num / n for an
+  integer num, and the sinc is taken in closed form: num = q n + r with
+  q the nearest integer gives sinc = (-1)^q sin(pi r / n) / (pi num / n),
+  exactly 1 at num = 0 and exactly 0 at the other multiples of n.
 
 A CoefficientTable stores, per frequency class h, the coefficients at the
 retained lattice shifts h + M^T z.  For Dirichlet and dlVP windows the
@@ -25,7 +25,8 @@ shift sets are exact ({0} and {-1, 0, 1}^2).  For box splines the shifts
 z_i in [-r_i, r_i] cover the truncated support, i.e. up to 33^2 terms at
 the default radius.  Truncating in t rather than in z keeps the
 retained frequencies of every class the negatives of those of its
-partner -h, also on boundary classes where t_i = -1/2.
+partner -h, also on boundary classes where t_i = -1/2.  The table is
+frozen, and its bracket [|c|^2]_h is derived from coeffs on access.
 
 dlVP and box spectra are thus even, c_{-k} = c_k (the trapezoid factors
 depend on |w_i|, sinc is even), so every per-class quantity of -h
@@ -79,6 +80,8 @@ _DEGENERACY_FLOOR = 1e-14
 
 def three_direction_set(p, q, r):
     """Direction matrix with e1 repeated p times, e2 q times, e1+e2 r times."""
+    if min(p, q, r) < 0:  # a negative list repetition is silently empty
+        raise InvalidSpec(f"direction multiplicities must not be negative, got {(p, q, r)}")
     cols = [(1, 0)] * p + [(0, 1)] * q + [(1, 1)] * r
     if not cols:
         raise InvalidSpec("empty direction set")
@@ -285,29 +288,41 @@ def shift_set(spec):
     return np.array(list(itertools.product(*ranges)), dtype=np.int64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoefficientTable:
     """Per-class kernel coefficients c_{h + M^T z} over the retained shifts.
 
     The table holds n classes in Smith-grid C-order: the half grid's
     d1 x (d2 // 2 + 1) when half is set (dlVP and box splines, see the
     module docstring), all m otherwise (Dirichlet).  coeffs[i, j] belongs
-    to frequency freqs[i] + M^T shifts[j]; bracket is the per-class sum of
-    squares [|c|^2]_h over the retained shifts.  orthonormalize normalises
-    the table in place, so setup keeps one (n, t) array alive.
+    to frequency freqs[i] + M^T shifts[j].  The table is frozen, and what
+    follows from coeffs is derived on access, never stored: bracket and
+    class_sums.  orthonormalize scales coeffs in place rather than copying
+    them.
     """
 
     spec: KernelSpec
     freqs: np.ndarray  # (n, 2) canonical representatives
     shifts: np.ndarray  # (t, 2)
     coeffs: np.ndarray  # (n, t) real
-    bracket: np.ndarray  # (n,)
     half: bool  # only the half-grid classes are stored
-    orthonormal: bool = False
 
     @property
     def matrix(self):
         return self.spec.matrix
+
+    @property
+    def bracket(self):
+        """Per-class sums of squares [|c|^2]_h over the retained shifts, (n,)."""
+        return np.einsum("mt,mt->m", self.coeffs, self.coeffs)
+
+    def checked_bracket(self):
+        """bracket; DegenerateClass if a class's is at or below the floor."""
+        bracket = self.bracket
+        bad = np.nonzero(bracket <= _DEGENERACY_FLOOR)[0]
+        if bad.size:
+            raise DegenerateClass(self.freqs[bad[0]])
+        return bracket
 
     def class_sums(self):
         """Signed bracket sums [c(f)]_h (plain sums, not squared), one per
@@ -339,10 +354,7 @@ def coefficient_table(spec):
     for start in range(0, len(freqs), step):
         rows = slice(start, start + step)
         _coeff_block(spec, radii, w[rows], n, grid[rows])
-    bracket = np.einsum("mt,mt->m", coeffs, coeffs)
-    return CoefficientTable(
-        spec=spec, freqs=freqs, shifts=shifts, coeffs=coeffs, bracket=bracket, half=half
-    )
+    return CoefficientTable(spec=spec, freqs=freqs, shifts=shifts, coeffs=coeffs, half=half)
 
 
 def orthonormalize(table):
@@ -350,15 +362,12 @@ def orthonormalize(table):
 
     The coefficients are scaled where they are, not copied: a box table is
     the largest array of setup.  A degenerate class raises DegenerateClass
-    before anything is written.
+    before anything is written.  periodised_green_table normalises the
+    class weights itself, so setup does not need this step.
     """
-    bad = np.nonzero(table.bracket <= _DEGENERACY_FLOOR)[0]
-    if bad.size:
-        raise DegenerateClass(table.freqs[bad[0]])
-    scale = 1.0 / np.sqrt(table.matrix.m * table.bracket)
-    table.coeffs *= scale[:, None]
-    table.bracket = np.einsum("mt,mt->m", table.coeffs, table.coeffs)
-    table.orthonormal = True
+    bracket = table.checked_bracket()
+    coeffs = table.coeffs  # the table is frozen; its array is not
+    coeffs *= (1.0 / np.sqrt(table.matrix.m * bracket))[:, None]
     return table
 
 

@@ -23,7 +23,7 @@ import functools
 
 import numpy as np
 
-from .errors import ZeroDeterminant
+from .errors import PatternMismatch, ZeroDeterminant
 
 __all__ = [
     "PatternMatrix",
@@ -35,6 +35,7 @@ __all__ = [
     "reduce_mod",
     "reduce_point",
     "frac_coordinates",
+    "refinement",
 ]
 
 
@@ -159,6 +160,20 @@ def reduce_point(m_mat, z):
     """Canonical representative of z = M y modulo M Z^2 (point side)."""
     pm = as_pattern_matrix(m_mat)
     return _reduce(pm.entries, z)
+
+
+def refinement(fine_mat, coarse_mat):
+    """Integer L with M_fine = L M_coarse, so that P(M_coarse) lies in P(M_fine).
+
+    The rows of L are M_coarse^{-T} applied to the rows of M_fine, taken
+    exactly by frac_coordinates; PatternMismatch unless they are integer.
+    """
+    fm = as_pattern_matrix(fine_mat)
+    cm = as_pattern_matrix(coarse_mat)
+    w, n = frac_coordinates(cm.mt, fm.entries)
+    if np.any(w % n):
+        raise PatternMismatch(f"{fm.entries.tolist()} does not refine {cm.entries.tolist()}")
+    return w // n
 
 
 # ---------------------------------------------------------------------------

@@ -385,8 +385,7 @@ def every_class_table(spec):
     freqs = generating_set(pm).freqs
     shifts = shift_set(spec)
     coeffs = coeff(spec, freqs[:, None, :] + shifts @ pm.entries).reshape(pm.m, len(shifts))
-    bracket = np.einsum("mt,mt->m", coeffs, coeffs)
-    return CoefficientTable(spec, freqs, shifts, coeffs, bracket, half=False)
+    return CoefficientTable(spec, freqs, shifts, coeffs, half=False)
 
 
 def periodised_green_index_form(c0m, spec):

@@ -12,7 +12,7 @@ from lathom.bench import LaminateGeometry, nearest_point_grid, rasterize_laminat
 from lathom.cli import emit_heatmap, main, parse_manifest, run_selftest
 from lathom.errors import ParseError, ShapeMismatch, ValidationError
 from lathom.green import periodised_green_table
-from lathom.kernels import KernelSpec, coefficient_table, orthonormalize
+from lathom.kernels import KernelSpec, coefficient_table
 from lathom.solver import default_reference, effective_tensor
 from lathom.tensor import isotropic_stiffness
 
@@ -223,6 +223,10 @@ def replace(text, old, new):
          "kernel.directions only applies to box"),
         (lambda t: replace(HOMOG, "young = 2.0\n", ""), "geometry.young is required"),
         (lambda t: t + "[solve]\nreference_matrix = 2 2 2 2\n", "solve.reference_matrix"),
+        (lambda t: t + "[solve]\nreference_matrix = 16 4 0 16\n",
+         "solve.reference_matrix: [[16, 4], [0, 16]] does not refine [[8, 0], [0, 8]]"),
+        (lambda t: replace(t, "kind = dirichlet", "kind = box\ndirections = 2 2 -1"),
+         "must not be negative"),
         (lambda t: replace(t, "kind = dirichlet", "kind = box\nradius = 0"),
          "bad truncation radius"),
         (lambda t: t + "[sweep]\nalpha1 = 0.1\nalpha2 = 0.2 0.7\n",
@@ -390,6 +394,13 @@ def latin1_file(tmp_path):
          "geometry.rotation_degrees: expected finite numbers"),
         (lambda d: str(d), "cannot read manifest"),
         (latin1_file, "not UTF-8"),
+        # would otherwise solve the (0, 2, 2) box spline and exit 0
+        (lambda d: manifest_file(d, replace(LAMINATE, "kind = dirichlet",
+                                            "kind = box\ndirections = -5 2 2")),
+         "line 3: direction multiplicities must not be negative"),
+        # would otherwise write the coarse results before the 12^2 solve fails
+        (lambda d: manifest_file(d, LAMINATE + "[solve]\nreference_matrix = 12 0 0 12\n"),
+         "line 16: solve.reference_matrix: [[12, 0], [0, 12]] does not refine"),
     ],
 )
 def test_exit_2_on_malformed_input(tmp_path, capsys, make, fragment):
@@ -518,8 +529,7 @@ def test_effective_csv_matches_library(tmp_path, capsys):
     )
     c = rasterize_laminate([[8, 0], [0, 8]], geom)
     table = periodised_green_table(
-        default_reference(c),
-        orthonormalize(coefficient_table(KernelSpec.dirichlet([[8, 0], [0, 8]]))),
+        default_reference(c), coefficient_table(KernelSpec.dirichlet([[8, 0], [0, 8]]))
     )
     expected, _ = effective_tensor(c, table.c0, table)
     assert np.array_equal(got, expected)  # %.17g round-trips doubles

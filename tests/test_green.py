@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lathom.errors import KernelNotOrthonormal, NonElliptic, ShapeMismatch
+from lathom.errors import DegenerateClass, NonElliptic, ShapeMismatch
 from lathom.green import apply_green, green_multiplier, periodised_green_table, strain_basis
 from lathom.kernels import (
     KernelSpec,
@@ -217,12 +217,7 @@ def test_single_frequency_class_support():
     pick = 5  # shift slot to keep
     coeffs = np.zeros_like(kern.coeffs)
     coeffs[:, pick] = 1.0 / math.sqrt(pm.m)
-    synthetic = dataclasses.replace(
-        kern,
-        coeffs=coeffs,
-        bracket=np.einsum("mt,mt->m", coeffs, coeffs),
-        orthonormal=True,
-    )
+    synthetic = dataclasses.replace(kern, coeffs=coeffs)
     values = class_matrices(periodised_green_table(c0, synthetic))
     gen = generating_set(pm)
     zero_idx = gen.index(np.array([0, 0]))
@@ -255,14 +250,44 @@ def test_setup_memory_grows_by_the_half_table():
     assert large - small < 0.6 * (large_all - small_all)
 
 
-def test_periodisation_requires_orthonormal_table():
-    c0 = isotropic_stiffness(1.0, 0.3)
-    raw = coefficient_table(KernelSpec.dlvp([[4, 0], [0, 4]], 0.25))
-    with pytest.raises(KernelNotOrthonormal):
-        periodised_green_table(c0, raw)
-    forged = dataclasses.replace(raw, orthonormal=True)
-    with pytest.raises(KernelNotOrthonormal):
-        periodised_green_table(c0, forged)
+@pytest.mark.parametrize(
+    "spec,even",
+    [
+        (KernelSpec.dlvp([[6, 0], [2, 6]], (0.1, 0.3)), True),
+        (KernelSpec.box_spline([[6, 2], [0, 6]], three_direction_set(2, 2, 1), radius=3), True),
+        (KernelSpec.dirichlet([[8, 0], [0, 8]]), False),
+        (KernelSpec.dirichlet([[6, 2], [0, 5]]), False),
+        (KernelSpec.dirichlet([[5, 1], [0, 3]]), True),
+    ],
+    ids=["dlvp-sheared", "box-sheared", "dirichlet", "dirichlet-sheared", "dirichlet-odd"],
+)
+def test_class_weights_ignore_the_scale_of_each_class(spec, even):
+    # every shifted frequency weighs its share c^2 / [|c|^2]_h of the
+    # class, so the raw table, its orthonormalised copy and a copy with
+    # random positive per-class factors give the same Green table
+    c0 = random_spd_mandel(np.random.default_rng(21), 3)
+    raw = coefficient_table(spec)
+    factors = np.random.default_rng(22).uniform(0.1, 10.0, size=(len(raw.freqs), 1))
+    expected = periodised_green_table(c0, raw)
+    scale = np.max(np.abs(expected.entries))
+    for table in (
+        orthonormalize(dataclasses.replace(raw, coeffs=raw.coeffs.copy())),
+        dataclasses.replace(raw, coeffs=raw.coeffs * factors),
+    ):
+        got = periodised_green_table(c0, table)
+        assert got.even_table == expected.even_table
+        assert np.max(np.abs(got.entries - expected.entries)) <= 1e-14 * scale
+    assert expected.even_table == even
+
+
+def test_green_build_rejects_a_degenerate_kernel():
+    # directions (1, 1) and (1, -1) span the plane, but on 4 I every
+    # retained frequency of class (-2, -2) has (1, 1).t or (1, -1).t a
+    # nonzero integer, where the sinc vanishes: its translates are dependent
+    spec = KernelSpec.box_spline([[4, 0], [0, 4]], [[1, 1], [1, -1]], radius=4)
+    with pytest.raises(DegenerateClass) as info:
+        periodised_green_table(isotropic_stiffness(1.0, 0.3), coefficient_table(spec))
+    assert info.value.h == (-2, -2)
 
 
 def test_table_values_are_symmetric():

@@ -187,7 +187,6 @@ def test_orthonormalize_normalises_every_class():
     specs.append(KernelSpec.box_spline([[6, 2], [0, 6]], three_direction_set(1, 1, 1), radius=12))
     for spec in specs:
         table = orthonormalize(coefficient_table(spec))
-        assert table.orthonormal
         assert np.allclose(spec.matrix.m * table.bracket, 1.0, atol=1e-10)
 
 
@@ -211,13 +210,12 @@ def test_degenerate_class_detected():
     table = coefficient_table(KernelSpec.dlvp([[4, 0], [0, 4]], 0.25))
     coeffs = table.coeffs.copy()
     coeffs[3] = 0.0
-    broken = dataclasses.replace(table, coeffs=coeffs, bracket=np.einsum("mt,mt->m", coeffs, coeffs))
-    bracket = broken.bracket.copy()
+    broken = dataclasses.replace(table, coeffs=coeffs)
+    before = coeffs.copy()
     with pytest.raises(DegenerateClass):
         orthonormalize(broken)
     # raised before anything was written
-    assert np.array_equal(broken.coeffs, coeffs) and broken.coeffs is coeffs
-    assert np.array_equal(broken.bracket, bracket) and not broken.orthonormal
+    assert broken.coeffs is coeffs and np.array_equal(coeffs, before)
 
 
 def test_orthonormalize_keeps_one_table():
@@ -233,7 +231,7 @@ def test_orthonormalize_keeps_one_table():
     finally:
         tracemalloc.stop()
     assert peak < coeffs.nbytes / 2
-    assert result is table and result.coeffs is coeffs and result.orthonormal
+    assert result is table and result.coeffs is coeffs
     assert np.allclose(result.coeffs, expected, rtol=1e-15, atol=0)
     assert np.allclose(spec.matrix.m * result.bracket, 1.0, atol=1e-12)
 
@@ -312,9 +310,7 @@ def test_interpolant_requires_nonvanishing_class_sums():
     table = coefficient_table(KernelSpec.dlvp([[4, 0], [0, 4]], 0.25))
     sums_killed = table.coeffs.copy()
     sums_killed[2] = 0.0
-    broken = dataclasses.replace(
-        table, coeffs=sums_killed, bracket=np.einsum("mt,mt->m", sums_killed, sums_killed)
-    )
+    broken = dataclasses.replace(table, coeffs=sums_killed)
     with pytest.raises(NoInterpolant):
         interpolant_coeffs(np.full(len(table.freqs), 1 / 16), broken)
     with pytest.raises(LengthMismatch):
@@ -366,6 +362,23 @@ def test_invalid_specs_rejected():
         KernelSpec(m_mat, "dirichlet", alpha=0.25)
     with pytest.raises(InvalidSpec):
         three_direction_set(0, 0, 0)
+    for counts in ((-5, 2, 2), (2, -1, 2), (2, 2, -1)):
+        # [(1, 0)] * -5 is an empty list: unchecked, (-5, 2, 2) would
+        # quietly build the (0, 2, 2) box spline
+        with pytest.raises(InvalidSpec, match="must not be negative"):
+            three_direction_set(*counts)
+
+
+def test_table_is_frozen_and_its_bracket_derived():
+    table = coefficient_table(KernelSpec.dlvp([[4, 1], [0, 3]], (0.3, 0.2)))
+    assert "bracket" not in {field.name for field in dataclasses.fields(table)}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.coeffs = table.coeffs.copy()
+    # the bracket follows the coefficients, also after they are scaled in place
+    table.coeffs[1] *= 2.0
+    assert table.bracket[1] == pytest.approx(4 * bracket_sum(table.spec, table.freqs[1]))
+    orthonormalize(table)
+    assert np.allclose(table.spec.matrix.m * table.bracket, 1.0, rtol=0, atol=1e-14)
 
 
 def test_fractional_or_non_finite_box_radius_rejected():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lathom.errors import ZeroDeterminant
+from lathom.errors import PatternMismatch, ZeroDeterminant
 from lathom.lattice import (
     PatternMatrix,
     as_pattern_matrix,
@@ -15,6 +15,7 @@ from lathom.lattice import (
     pattern_points,
     reduce_mod,
     reduce_point,
+    refinement,
 )
 
 from oracles import in_symmetric_box, random_regular
@@ -180,3 +181,17 @@ def test_reduce_point_and_frac_coordinates():
     w, n = frac_coordinates(pm.entries, pat.z)
     assert n == 64
     assert np.array_equal(w / n, pat.points)
+
+
+
+def test_refinement_is_exact_and_integer():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        coarse = random_regular(rng, span=6, max_m=60).entries
+        factor = random_regular(rng, span=3, max_m=9).entries
+        assert np.array_equal(refinement(factor @ coarse, coarse), factor)
+    # 12 I is 3/2 times 8 I, and 8 I has no shear of 4
+    for fine in ([[12, 0], [0, 12]], [[16, 4], [0, 16]]):
+        with pytest.raises(PatternMismatch, match="does not refine"):
+            refinement(fine, [[8, 0], [0, 8]])
+    assert np.array_equal(refinement([[16, 8], [0, 16]], [[8, 0], [0, 8]]), [[2, 1], [0, 2]])
