@@ -18,7 +18,6 @@ from lathom import (
     default_reference,
     effective_action,
     error_metrics,
-    isotropic_stiffness,
     nearest_point_grid,
     periodised_green_table,
     rasterize_hashin,
@@ -27,7 +26,7 @@ from lathom import (
 from lathom.bench import write_phase_csv, write_phase_pgm
 from lathom.cli import emit_heatmap
 
-geom = HashinGeometry(matrix_material=isotropic_stiffness(5.0, 0.3))
+geom = HashinGeometry()  # isotropic phases: E = 1, 10, 5 and nu = 0.3
 eps0 = np.array([1.0, 0.0, 0.0])
 
 

@@ -1,11 +1,13 @@
 """Benchmark geometries, reference solutions and error metrics.
 
 Two microstructure families are provided: a three-phase assembly of two
-confocal ellipses in a matrix, and a two-phase layered medium.  Both are
-sampled pointwise on a pattern (each pattern point gets the stiffness of
-the phase it falls in; no voxel averaging).  The layered medium has an
-exact effective tensor from the interface conditions, which serves as the
-reference for convergence studies.
+confocal ellipses in a matrix, and a two-phase layered medium (with one
+phase, a homogeneous cell).  Both hold their phases as (3, 3) Mandel
+stiffness matrices and are sampled pointwise on a pattern: each pattern
+point gets the stiffness of the phase it falls in, with no voxel
+averaging, and each rasteriser returns (c, phases).  The layered medium
+has an exact effective tensor from the interface conditions, which
+serves as the reference for convergence studies.
 """
 
 import dataclasses
@@ -28,6 +30,8 @@ from .solver import _write_atomic, _write_csv, effective_action
 from .tensor import as_mandel_stiffness, isotropic_stiffness
 
 __all__ = [
+    "DEFAULT_CORE_MATERIAL",
+    "DEFAULT_COATING_MATERIAL",
     "DEFAULT_MATRIX_MATERIAL",
     "HashinGeometry",
     "LaminateGeometry",
@@ -44,19 +48,15 @@ __all__ = [
     "write_phase_pgm",
 ]
 
-# Documented default for the third phase: a mildly stiff isotropic matrix
-# halfway between the default core and coating moduli.
+# (young, poisson) of the coated inclusion's phases by default: a soft core,
+# a stiff coating and a mildly stiff matrix halfway between their moduli
+DEFAULT_CORE_MATERIAL = (1.0, 0.3)
+DEFAULT_COATING_MATERIAL = (10.0, 0.3)
 DEFAULT_MATRIX_MATERIAL = (5.0, 0.3)
 
-_PHASE_NAMES = ("core", "coating", "matrix")
 
-
-def _check_elastic_pair(name, pair):
-    young, poisson = pair
-    if not (young > 0.0):
-        raise InvalidGeometry(f"{name}: Young modulus must be positive, got {young}")
-    if not (-1.0 < poisson < 0.5):
-        raise InvalidGeometry(f"{name}: Poisson ratio must lie in (-1, 1/2), got {poisson}")
+def _isotropic_default(pair):
+    return dataclasses.field(default_factory=lambda: isotropic_stiffness(*pair))
 
 
 def rotation_matrix(degrees):
@@ -82,21 +82,22 @@ class HashinGeometry:
 
     The core has semi-axes (c1, c2); the coating boundary is the confocal
     ellipse with squared semi-axes (c1^2 + rho_outer, c2^2 + rho_outer).
-    Both are rotated by `rotation_degrees` about the cell centre.  Core and
-    coating are isotropic, given as (young, poisson); the matrix stiffness
-    is an explicit (3, 3) Mandel matrix (ShapeMismatch otherwise) so
-    anisotropic matrices can be benchmarked.  The outer ellipse should fit
-    inside the unit cell (largest semi-axis below 1/2), otherwise the
-    periodic images overlap.
+    Both are rotated by `rotation_degrees` about the cell centre.  The
+    three phases are (3, 3) Mandel stiffness matrices (ShapeMismatch
+    otherwise), so anisotropic phases can be benchmarked; by default they
+    are isotropic, from the (young, poisson) pairs DEFAULT_CORE_MATERIAL,
+    DEFAULT_COATING_MATERIAL and DEFAULT_MATRIX_MATERIAL.  The outer
+    ellipse should fit inside the unit cell (largest semi-axis below 1/2),
+    otherwise the periodic images overlap.
     """
 
     c1: float = 0.05
     c2: float = 0.35
     rho_outer: float = 0.09
     rotation_degrees: float = 60.0
-    core_material: tuple = (1.0, 0.3)
-    coating_material: tuple = (10.0, 0.3)
-    matrix_material: np.ndarray = None
+    core_material: np.ndarray = _isotropic_default(DEFAULT_CORE_MATERIAL)
+    coating_material: np.ndarray = _isotropic_default(DEFAULT_COATING_MATERIAL)
+    matrix_material: np.ndarray = _isotropic_default(DEFAULT_MATRIX_MATERIAL)
 
     def __post_init__(self):
         if not (0.0 < self.c1 < self.c2):
@@ -105,10 +106,8 @@ class HashinGeometry:
             )
         if not (self.rho_outer > 0.0):
             raise InvalidGeometry(f"rho_outer must be positive, got {self.rho_outer}")
-        _check_elastic_pair("core", self.core_material)
-        _check_elastic_pair("coating", self.coating_material)
-        if self.matrix_material is None:
-            self.matrix_material = isotropic_stiffness(*DEFAULT_MATRIX_MATERIAL)
+        self.core_material = as_mandel_stiffness(self.core_material)
+        self.coating_material = as_mandel_stiffness(self.coating_material)
         self.matrix_material = as_mandel_stiffness(self.matrix_material)
 
     def phase_of(self, points):
@@ -122,13 +121,7 @@ class HashinGeometry:
 
     def stiffness_by_phase(self):
         """(3, 3, 3) stack indexed by phase code."""
-        return np.stack(
-            [
-                isotropic_stiffness(*self.core_material),
-                isotropic_stiffness(*self.coating_material),
-                self.matrix_material,
-            ]
-        )
+        return np.stack([self.core_material, self.coating_material, self.matrix_material])
 
 
 def rasterize_hashin(m_mat, geom):
@@ -148,9 +141,10 @@ class LaminateGeometry:
 
     `normal` is an integer direction; phase 1 occupies the slab where the
     layer coordinate (n . y wrapped into [-1/2, 1/2)) lies in
-    [-1/2, -1/2 + f1).  volume_fraction = 1 keeps only phase 1.  Materials
-    are (3, 3) Mandel stiffness matrices (ShapeMismatch otherwise);
-    anisotropic layers are allowed, the effective tensor below handles them.
+    [-1/2, -1/2 + f1).  volume_fraction = 1 keeps only phase 1, which is
+    how a homogeneous cell is sampled.  Materials are (3, 3) Mandel
+    stiffness matrices (ShapeMismatch otherwise); anisotropic layers are
+    allowed, the effective tensor below handles them.
     """
 
     material_1: np.ndarray
@@ -182,10 +176,6 @@ def laminate_phases(m_mat, geom):
     """
     pat = pattern_points(as_pattern_matrix(m_mat))
     nvec = np.asarray(geom.normal, dtype=np.int64)
-    if nvec.shape != (pat.z.shape[1],):
-        raise PatternMismatch(
-            f"normal has {nvec.shape[0]} components for a {pat.z.shape[1]}-d pattern"
-        )
     # n . y = t / den exactly; shift by 1/2 and wrap into [0, 1).
     t = pat.numerators @ nvec
     den = int(pat.denominator)
@@ -194,11 +184,13 @@ def laminate_phases(m_mat, geom):
 
 
 def rasterize_laminate(m_mat, geom):
-    """Stiffness field (m, 3, 3) of the layered medium on P(M)."""
+    """Sample the layered medium on P(M).
+
+    Returns (c, phases): the stiffness field (m, 3, 3) in canonical pattern
+    ordering and the phase codes (m,) of laminate_phases.
+    """
     phases = laminate_phases(m_mat, geom)
-    return np.where(
-        (phases == 0)[:, None, None], geom.material_1, geom.material_2
-    )
+    return np.where((phases == 0)[:, None, None], geom.material_1, geom.material_2), phases
 
 
 def laminate_effective_oracle(geom):

@@ -31,11 +31,12 @@ import sys
 import numpy as np
 
 from .bench import (
+    DEFAULT_COATING_MATERIAL,
+    DEFAULT_CORE_MATERIAL,
     DEFAULT_MATRIX_MATERIAL,
     HashinGeometry,
     LaminateGeometry,
     error_metrics,
-    laminate_phases,
     nearest_point_grid,
     rasterize_hashin,
     rasterize_laminate,
@@ -46,6 +47,7 @@ from .bench import (
 )
 from .errors import (
     Diverged,
+    InvalidSpec,
     LathomError,
     NotConverged,
     ParseError,
@@ -94,7 +96,7 @@ class RunManifest:
     eps0: np.ndarray
     tolerance: float = 1e-10
     max_iter: int = 5000
-    reference: tuple = None
+    reference: np.ndarray = None
     reference_matrix: np.ndarray = None
     metric_mode: str = "mean_total"
     output_dir: str = "out"
@@ -243,7 +245,8 @@ class _Key:
     `field` names the target, the key itself when None.  An absent key
     with `default=None` is left out, so the target's own default applies.
     `check` is (predicate, message) for a given value.  Two keys with the
-    same `pair` fill one (first, second) tuple field in declaration order.
+    same `pair=(field, build)` are given together and fill `field` with
+    build(first, second), in declaration order (see `_pair`).
     `only=(field, value)` limits the key to runs whose already parsed
     `field` has that value.
     """
@@ -252,51 +255,43 @@ class _Key:
     default: object = None
     field: str = None
     check: tuple = None
-    pair: str = None
+    pair: tuple = None
     only: tuple = None
 
 
-def _laminate(normal, volume_fraction, material_1, material_2):
-    return LaminateGeometry(
-        isotropic_stiffness(*material_1),
-        isotropic_stiffness(*material_2),
-        normal=normal,
-        volume_fraction=volume_fraction,
-    )
+def _pair(field, first, second, default=(_REQUIRED, _REQUIRED), build=isotropic_stiffness):
+    """Keys `first` and `second`, which fill `field` with build(first, second)."""
+    return {
+        first: _Key(_real, default[0], pair=(field, build)),
+        second: _Key(_real, default[1], pair=(field, build)),
+    }
 
 
-def _hashin(matrix_material, **given):
-    return HashinGeometry(matrix_material=isotropic_stiffness(*matrix_material), **given)
-
-
-_HASHIN = {f.name: f.default for f in dataclasses.fields(HashinGeometry)}
-
-# geometry.type -> (constructor, its keys); other types' keys are unknown
+# geometry.type -> (constructor, rasteriser, its keys); other types' keys are
+# unknown.  The rasterisers look their function up when called, so a wrapper
+# installed on the module attribute (as perfbench's probes do) sees the call.
 _GEOMETRIES = {
-    "laminate": (_laminate, {
+    "laminate": (LaminateGeometry, lambda *a: rasterize_laminate(*a), {
         "normal": _Key(_numbers(int, 2), _REQUIRED),
         "volume_fraction": _Key(_real, _REQUIRED),
-        "young_1": _Key(_real, _REQUIRED, pair="material_1"),
-        "poisson_1": _Key(_real, _REQUIRED, pair="material_1"),
-        "young_2": _Key(_real, _REQUIRED, pair="material_2"),
-        "poisson_2": _Key(_real, _REQUIRED, pair="material_2"),
+        **_pair("material_1", "young_1", "poisson_1"),
+        **_pair("material_2", "young_2", "poisson_2"),
     }),
-    "hashin": (_hashin, {
+    "hashin": (HashinGeometry, lambda *a: rasterize_hashin(*a), {
         "c1": _Key(_real),
         "c2": _Key(_real),
         "rho_outer": _Key(_real),
         "rotation_degrees": _Key(_real),
-        "core_young": _Key(_real, _HASHIN["core_material"][0], pair="core_material"),
-        "core_poisson": _Key(_real, _HASHIN["core_material"][1], pair="core_material"),
-        "coating_young": _Key(_real, _HASHIN["coating_material"][0], pair="coating_material"),
-        "coating_poisson": _Key(_real, _HASHIN["coating_material"][1], pair="coating_material"),
-        "matrix_young": _Key(_real, DEFAULT_MATRIX_MATERIAL[0], pair="matrix_material"),
-        "matrix_poisson": _Key(_real, DEFAULT_MATRIX_MATERIAL[1], pair="matrix_material"),
+        **_pair("core_material", "core_young", "core_poisson", DEFAULT_CORE_MATERIAL),
+        **_pair("coating_material", "coating_young", "coating_poisson", DEFAULT_COATING_MATERIAL),
+        **_pair("matrix_material", "matrix_young", "matrix_poisson", DEFAULT_MATRIX_MATERIAL),
     }),
-    "homogeneous": (lambda material: material, {
-        "young": _Key(_real, _REQUIRED, pair="material"),
-        "poisson": _Key(_real, _REQUIRED, pair="material"),
-    }),
+    # one phase: the laminate whose first layer fills the cell
+    "homogeneous": (
+        lambda material: LaminateGeometry(material, material, volume_fraction=1.0),
+        lambda *a: rasterize_laminate(*a),
+        _pair("material", "young", "poisson"),
+    ),
 }
 
 # section -> key -> how it fills a RunManifest field; [sweep] is read only
@@ -314,8 +309,7 @@ _SCHEMA = {
     "solve": {
         "tolerance": _Key(_real, check=(lambda v: v > 0.0, "must be positive")),
         "max_iter": _Key(_numbers(int), check=(lambda v: v >= 1, "must be at least 1")),
-        "reference_lambda": _Key(_real, pair="reference"),
-        "reference_mu": _Key(_real, pair="reference"),
+        **_pair("reference", "reference_lambda", "reference_mu", (None, None), lame_stiffness),
         "reference_matrix": _Key(_matrix),
         "metric_mode": _Key(_choice("mean_total", "summed_action")),
     },
@@ -338,7 +332,9 @@ def _take(section, line, entries, keys, out):
     """Pop `keys` from one section's entries and store their values in `out`.
 
     `line` is the section header's line (None for an absent section); keys
-    left in `entries` afterwards are unknown.
+    left in `entries` afterwards are unknown.  A pair's value is built as
+    soon as both keys are known; a library error there is reported at the
+    line of a given key of the pair.
     """
     pairs = {}
     for key, spec in keys.items():
@@ -363,11 +359,16 @@ def _take(section, line, entries, keys, out):
             pairs.setdefault(spec.pair, []).append((key, value, item))
         else:
             out[spec.field or key] = value
-    for field, parts in pairs.items():
+    for pair, parts in pairs.items():
+        names = " and ".join(f"{section}.{key}" for key, s in keys.items() if s.pair == pair)
         if len(parts) == 1:
-            names = " and ".join(k for k, s in keys.items() if s.pair == field)
             raise ValidationError(f"{names} must be given together", parts[0][2][1])
-        out[field] = tuple(value for _, value, _ in parts)
+        field, build = pair
+        try:
+            out[field] = build(*(value for _, value, _ in parts))
+        except LathomError as exc:
+            at = next((item[1] for _, _, item in parts if item is not None), line)
+            raise ValidationError(f"{names}: {exc}", at)
 
 
 def _validated(line, build, **kwargs):
@@ -390,8 +391,10 @@ def parse_manifest(path):
     for name, (line, _) in sections.items():
         if name not in _SCHEMA:
             raise ValidationError(f"unknown section [{name}]", line)
-    # reference_matrix is checked against [pattern] matrix once both are parsed
-    reference_line = sections.get("solve", (None, {}))[1].get("reference_matrix", (None, None))[1]
+    # each given key's line, for the checks made once the keys are parsed
+    lines = {
+        (name, key): at for name, (_, keyed) in sections.items() for key, (_, at) in keyed.items()
+    }
     fields = {}
     for name, keys in _SCHEMA.items():
         if name == "sweep" and name not in sections:
@@ -399,22 +402,28 @@ def parse_manifest(path):
         line, entries = sections.get(name, (None, {}))
         _take(name, line, entries, keys, fields)
         if name == "geometry":
-            build, variant = _GEOMETRIES[fields["geometry_type"]]
+            build, _, variant = _GEOMETRIES[fields["geometry_type"]]
             given = {}
             _take(name, line, entries, variant, given)
             fields["geometry"] = _validated(line, build, **given)
         for key, (_, at) in entries.items():
             raise ValidationError(f"unknown key '{key}' in [{name}]", at)
     manifest = RunManifest(**fields)
+    # reference_matrix is checked against [pattern] matrix once both are parsed
     if manifest.reference_matrix is not None:
         try:
             refinement(manifest.reference_matrix, manifest.matrix)
         except (PatternMismatch, ValueError) as exc:
-            raise ValidationError(f"solve.reference_matrix: {exc}", reference_line)
-    # constructing kernel specs validates the kernel block early
-    kernel_line = sections.get("kernel", (None,))[0]
-    for alpha in [None] + (manifest.sweep_pairs or []):
-        _validated(kernel_line, manifest.kernel_spec, alpha=alpha)
+            raise ValidationError(
+                f"solve.reference_matrix: {exc}", lines["solve", "reference_matrix"]
+            )
+    # constructing the kernel spec validates the kernel block early, reporting
+    # an error at the line of the key it names (_alphas checked the sweep's)
+    try:
+        manifest.kernel_spec()
+    except InvalidSpec as exc:
+        key = {"xi": "directions"}.get(exc.parameter, exc.parameter)
+        raise ValidationError(str(exc), lines.get(("kernel", key), sections["kernel"][0]))
     return manifest
 
 
@@ -423,26 +432,12 @@ def parse_manifest(path):
 
 def _build_field_on(m_mat, manifest):
     """(stiffness field, phase codes) for the manifest geometry on P(M)."""
-    if manifest.geometry_type == "laminate":
-        return (
-            rasterize_laminate(m_mat, manifest.geometry),
-            laminate_phases(m_mat, manifest.geometry),
-        )
-    if manifest.geometry_type == "hashin":
-        return rasterize_hashin(m_mat, manifest.geometry)
-    m = as_pattern_matrix(m_mat).m
-    c = np.broadcast_to(isotropic_stiffness(*manifest.geometry), (m, 3, 3)).copy()
-    return c, np.zeros(m, dtype=np.int8)
-
-
-def _reference_stiffness(manifest, c):
-    if manifest.reference is not None:
-        return lame_stiffness(*manifest.reference)
-    return default_reference(c)
+    return _GEOMETRIES[manifest.geometry_type][1](m_mat, manifest.geometry)
 
 
 def _green_table(manifest, spec, c):
-    return periodised_green_table(_reference_stiffness(manifest, c), coefficient_table(spec))
+    c0 = default_reference(c) if manifest.reference is None else manifest.reference
+    return periodised_green_table(c0, coefficient_table(spec))
 
 
 def _reference_data(manifest, c_coarse):

@@ -30,7 +30,15 @@ class NoInterpolant(LathomError):
 
 
 class InvalidSpec(LathomError):
-    """Kernel specification is malformed or inadmissible."""
+    """Kernel specification is malformed or inadmissible.
+
+    `parameter` names the KernelSpec argument at fault ("alpha", "xi" or
+    "radius"), or is None.
+    """
+
+    def __init__(self, message, parameter=None):
+        self.parameter = parameter
+        super().__init__(message)
 
 
 class InvalidMaterial(LathomError):

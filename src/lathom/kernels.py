@@ -81,22 +81,11 @@ _DEGENERACY_FLOOR = 1e-14
 def three_direction_set(p, q, r):
     """Direction matrix with e1 repeated p times, e2 q times, e1+e2 r times."""
     if min(p, q, r) < 0:  # a negative list repetition is silently empty
-        raise InvalidSpec(f"direction multiplicities must not be negative, got {(p, q, r)}")
+        raise InvalidSpec(f"direction multiplicities must not be negative, got {(p, q, r)}", "xi")
     cols = [(1, 0)] * p + [(0, 1)] * q + [(1, 1)] * r
     if not cols:
-        raise InvalidSpec("empty direction set")
+        raise InvalidSpec("empty direction set", "xi")
     return np.array(cols, dtype=float).T
-
-
-def _three_direction_counts(xi):
-    """(p, q, r) if the direction matrix xi (2, s) is a three-direction set, else None."""
-    counts = {(1, 0): 0, (0, 1): 0, (1, 1): 0}
-    for col in xi.T:
-        key = tuple(int(round(x)) for x in col)
-        if key not in counts or not np.allclose(col, key):
-            return None
-        counts[key] += 1
-    return counts[(1, 0)], counts[(0, 1)], counts[(1, 1)]
 
 
 class KernelSpec:
@@ -114,31 +103,28 @@ class KernelSpec:
         self.radius = None
         if kind == "dlvp":
             if alpha is None:
-                raise InvalidSpec("dlvp kernel needs slopes alpha")
+                raise InvalidSpec("dlvp kernel needs slopes alpha", "alpha")
             alpha = tuple(float(a) for a in np.atleast_1d(alpha))
             if len(alpha) == 1:
                 alpha = alpha * 2
             if len(alpha) != 2:
-                raise InvalidSpec(f"need 2 slopes, got {len(alpha)}")
+                raise InvalidSpec(f"need 2 slopes, got {len(alpha)}", "alpha")
             if any(not (0.0 <= a <= 0.5) for a in alpha):
-                raise InvalidSpec(f"slopes must lie in [0, 1/2], got {alpha}")
+                raise InvalidSpec(f"slopes must lie in [0, 1/2], got {alpha}", "alpha")
             self.alpha = alpha
         elif kind == "box":
             if xi is None:
-                raise InvalidSpec("box kernel needs a direction matrix xi")
+                raise InvalidSpec("box kernel needs a direction matrix xi", "xi")
             xi = np.atleast_2d(np.asarray(xi, dtype=float))
             if xi.shape[0] != 2:
-                raise InvalidSpec(f"direction matrix must have 2 rows, got {xi.shape[0]}")
+                raise InvalidSpec(f"direction matrix must have 2 rows, got {xi.shape[0]}", "xi")
             if not np.all(np.isfinite(xi) & (xi == np.round(xi))):
                 # xi . z must be an integer: the closed-form sinc and the
                 # evenness of the truncated spectrum both rest on it
-                raise InvalidSpec("box directions must be integer vectors")
-            counts = _three_direction_counts(xi)
-            if counts is not None and sum(1 for c in counts if c > 0) < 2:
-                # single-direction families generate dependent translates
-                raise InvalidSpec(f"three-direction set {counts} is degenerate")
+                raise InvalidSpec("box directions must be integer vectors", "xi")
             if xi.shape[1] < 2 or np.linalg.matrix_rank(xi) < 2:
-                raise InvalidSpec("directions must span the space")
+                # a single repeated direction generates dependent translates
+                raise InvalidSpec("directions must span the space", "xi")
             xi = xi.copy()
             xi.setflags(write=False)
             self.xi = xi
@@ -148,7 +134,7 @@ class KernelSpec:
             whole = np.isfinite(rad) & (rad == np.round(rad))
             if rad.shape != (2,) or not np.all(whole & (rad >= 1)):
                 # a fractional radius would be truncated to a smaller one
-                raise InvalidSpec(f"bad truncation radius {radius}")
+                raise InvalidSpec(f"bad truncation radius {radius}", "radius")
             self.radius = tuple(int(r) for r in rad)
         elif alpha is not None or xi is not None or radius is not None:
             raise InvalidSpec("dirichlet kernel takes no parameters")

@@ -229,7 +229,7 @@ def test_laminate_effective_tensor_within_two_percent_and_converging():
     errs = []
     for n in (16, 32, 64):
         mat = [[n, 0], [0, n]]
-        c = rasterize_laminate(mat, geom)
+        c, _ = rasterize_laminate(mat, geom)
         c0 = default_reference(c)
         table = green_table(KernelSpec.dirichlet(mat), c0)
         eff, _ = effective_tensor(c, c0, table)

@@ -75,6 +75,8 @@ def test_hashin_defaults():
     stack = geom.stiffness_by_phase()
     np.testing.assert_allclose(stack[0], isotropic_stiffness(1.0, 0.3))
     np.testing.assert_allclose(stack[1], isotropic_stiffness(10.0, 0.3))
+    # each geometry gets its own default matrices
+    assert HashinGeometry().core_material is not geom.core_material
 
 
 def test_hashin_invalid_geometry():
@@ -84,10 +86,11 @@ def test_hashin_invalid_geometry():
         HashinGeometry(c1=0.0)
     with pytest.raises(InvalidGeometry):
         HashinGeometry(rho_outer=0.0)
-    with pytest.raises(InvalidGeometry):
+    # the phases are Mandel matrices, (young, poisson) pairs are not
+    with pytest.raises(ShapeMismatch):
         HashinGeometry(core_material=(-1.0, 0.3))
-    with pytest.raises(InvalidGeometry):
-        HashinGeometry(coating_material=(1.0, 0.5))
+    with pytest.raises(ShapeMismatch):
+        HashinGeometry(coating_material=np.eye(2))
     with pytest.raises(ShapeMismatch):
         HashinGeometry(matrix_material=np.eye(6))
     with pytest.raises(ShapeMismatch):
@@ -169,7 +172,8 @@ def test_laminate_split_counts():
     # phase 1 is exactly the half-open left slab
     pat = pattern_points(m_mat)
     np.testing.assert_array_equal(phases == 0, pat.points[:, 0] < 0.0)
-    c = rasterize_laminate(m_mat, geom)
+    c, sampled = rasterize_laminate(m_mat, geom)
+    np.testing.assert_array_equal(sampled, phases)
     np.testing.assert_array_equal(c[phases == 0], np.broadcast_to(c1, (8, 3, 3)))
     np.testing.assert_array_equal(c[phases == 1], np.broadcast_to(c2, (8, 3, 3)))
 
@@ -178,8 +182,9 @@ def test_laminate_full_fraction_is_homogeneous():
     c1 = isotropic_stiffness(2.0, 0.2)
     c2 = isotropic_stiffness(7.0, 0.3)
     geom = LaminateGeometry(c1, c2, volume_fraction=1.0)
-    c = rasterize_laminate([[5, 0], [0, 3]], geom)
+    c, phases = rasterize_laminate([[5, 0], [0, 3]], geom)
     np.testing.assert_array_equal(c, np.broadcast_to(c1, (15, 3, 3)))
+    np.testing.assert_array_equal(phases, np.zeros(15))
 
 
 def test_laminate_fraction_bound():
@@ -522,7 +527,7 @@ def test_laminate_solver_matches_oracle():
     c2 = isotropic_stiffness(10.0, 0.3)
     geom = LaminateGeometry(c1, c2, normal=(1, 0), volume_fraction=0.5)
     m_mat = [[32, 0], [0, 32]]
-    c = rasterize_laminate(m_mat, geom)
+    c, _ = rasterize_laminate(m_mat, geom)
     c0 = default_reference(c)
     table = periodised_green_table(
         c0, orthonormalize(coefficient_table(KernelSpec.dirichlet(m_mat)))

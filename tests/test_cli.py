@@ -9,12 +9,12 @@ import pytest
 
 import lathom
 from lathom.bench import LaminateGeometry, nearest_point_grid, rasterize_laminate
-from lathom.cli import emit_heatmap, main, parse_manifest, run_selftest
+from lathom.cli import _build_field_on, emit_heatmap, main, parse_manifest, run_selftest
 from lathom.errors import ParseError, ShapeMismatch, ValidationError
 from lathom.green import periodised_green_table
 from lathom.kernels import KernelSpec, coefficient_table
 from lathom.solver import default_reference, effective_tensor
-from lathom.tensor import isotropic_stiffness
+from lathom.tensor import isotropic_stiffness, lame_stiffness
 
 LAMINATE = """\
 [pattern]
@@ -129,7 +129,7 @@ alpha2 = 0.1 0.2 0.3
     assert man.directions == (1, 2, 1) and man.radius == 8
     assert man.geometry.c1 == 0.04 and man.geometry.rotation_degrees == 30.0
     assert man.tolerance == 1e-8 and man.max_iter == 50
-    assert man.reference == (1.5, 0.75)
+    assert np.array_equal(man.reference, lame_stiffness(1.5, 0.75))
     assert np.array_equal(man.reference_matrix, [[8, -4], [8, 28]])
     assert man.metric_mode == "summed_action"
     assert man.output_dir == "results"
@@ -394,10 +394,17 @@ def latin1_file(tmp_path):
          "geometry.rotation_degrees: expected finite numbers"),
         (lambda d: str(d), "cannot read manifest"),
         (latin1_file, "not UTF-8"),
-        # would otherwise solve the (0, 2, 2) box spline and exit 0
+        # would otherwise solve the (0, 2, 2) box spline and exit 0; a kernel
+        # error is reported at the line of the key at fault
         (lambda d: manifest_file(d, replace(LAMINATE, "kind = dirichlet",
-                                            "kind = box\ndirections = -5 2 2")),
-         "line 3: direction multiplicities must not be negative"),
+                                            "kind = box\ndirections = -5 2 2\nradius = 4")),
+         "line 5: direction multiplicities must not be negative"),
+        (lambda d: manifest_file(d, replace(LAMINATE, "kind = dirichlet",
+                                            "kind = box\ndirections = 2 2 0\nradius = 0")),
+         "line 6: bad truncation radius 0"),
+        (lambda d: manifest_file(d, replace(LAMINATE, "kind = dirichlet",
+                                            "kind = dlvp\nalpha = 0.1 0.6")),
+         "line 5: slopes must lie in [0, 1/2]"),
         # would otherwise write the coarse results before the 12^2 solve fails
         (lambda d: manifest_file(d, LAMINATE + "[solve]\nreference_matrix = 12 0 0 12\n"),
          "line 16: solve.reference_matrix: [[12, 0], [0, 12]] does not refine"),
@@ -408,6 +415,41 @@ def test_exit_2_on_malformed_input(tmp_path, capsys, make, fragment):
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text,line,fragment",
+    [
+        (replace(LAMINATE, "poisson_1 = 0.3", "poisson_1 = 0.7"), 9,
+         "geometry.young_1 and geometry.poisson_1: Poisson ratio must lie in (-1, 1/2), got 0.7"),
+        (replace(LAMINATE, "young_2 = 10.0", "young_2 = -10.0"), 11,
+         "geometry.young_2 and geometry.poisson_2: Young modulus must be positive"),
+        # core_young keeps its default, so the given key's line is reported
+        (replace(HOMOG, "homogeneous\nyoung = 2.0\npoisson = 0.25",
+                 "hashin\nc1 = 0.1\ncore_poisson = 0.5"), 8,
+         "geometry.core_young and geometry.core_poisson: Poisson ratio must lie"),
+        (replace(HOMOG, "poisson = 0.25", "poisson = 0.7"), 7,
+         "geometry.young and geometry.poisson: Poisson ratio must lie"),
+    ],
+    ids=["laminate-poisson", "laminate-young", "hashin", "homogeneous"],
+)
+def test_exit_2_on_invalid_material(tmp_path, capsys, text, line, fragment):
+    # every (young, poisson) pair becomes a stiffness while the manifest is
+    # parsed, so an invalid one stops the run before any output exists
+    path = manifest_file(tmp_path, text)
+    with pytest.raises(ValidationError) as info:
+        parse_manifest(path)
+    assert info.value.line == line and fragment in str(info.value)
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_homogeneous_cell_is_one_isotropic_phase(tmp_path):
+    man = parse_manifest(manifest_file(tmp_path, HOMOG))
+    c, phases = _build_field_on(man.matrix, man)
+    assert np.array_equal(c, np.broadcast_to(isotropic_stiffness(2.0, 0.25), (64, 3, 3)))
+    assert phases.shape == (64,) and not phases.any()
 
 
 # heatmaps
@@ -527,7 +569,7 @@ def test_effective_csv_matches_library(tmp_path, capsys):
         isotropic_stiffness(1.0, 0.3), isotropic_stiffness(10.0, 0.3),
         normal=(1, 0), volume_fraction=0.5,
     )
-    c = rasterize_laminate([[8, 0], [0, 8]], geom)
+    c, _ = rasterize_laminate([[8, 0], [0, 8]], geom)
     table = periodised_green_table(
         default_reference(c), coefficient_table(KernelSpec.dirichlet([[8, 0], [0, 8]]))
     )

@@ -346,9 +346,10 @@ def test_invalid_specs_rejected():
         KernelSpec.box_spline(m_mat, None)
     with pytest.raises(InvalidSpec):
         KernelSpec.box_spline(m_mat, np.ones((3, 3)))
-    with pytest.raises(InvalidSpec):
+    for counts in ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 0, 4)):
         # all columns along one direction: dependent translates
-        KernelSpec.box_spline(m_mat, three_direction_set(2, 0, 0))
+        with pytest.raises(InvalidSpec, match="span"):
+            KernelSpec.box_spline(m_mat, three_direction_set(*counts))
     with pytest.raises(InvalidSpec):
         KernelSpec.box_spline(m_mat, np.array([[1.0, 2.0], [0.5, 1.0]]))
     with pytest.raises(InvalidSpec):
@@ -356,8 +357,9 @@ def test_invalid_specs_rejected():
         KernelSpec.box_spline(m_mat, [[1, 0.5], [0, 1]])
     with pytest.raises(InvalidSpec):
         KernelSpec.box_spline(m_mat, [[1, 0, np.nan], [0, 1, 1]])
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec) as info:
         KernelSpec.box_spline(m_mat, three_direction_set(1, 1, 0), radius=0)
+    assert info.value.parameter == "radius"  # the argument at fault
     with pytest.raises(InvalidSpec):
         KernelSpec(m_mat, "dirichlet", alpha=0.25)
     with pytest.raises(InvalidSpec):
