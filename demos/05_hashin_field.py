@@ -35,7 +35,7 @@ def solve(n, spec_of):
     c, phases = rasterize_hashin(mat, geom)
     c0 = default_reference(c)
     table = periodised_green_table(c0, coefficient_table(spec_of(mat)))
-    report = basic_scheme(c, c0, eps0, table)
+    report = basic_scheme(c, eps0, table)
     return mat, c, phases, report
 
 

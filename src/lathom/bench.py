@@ -16,18 +16,12 @@ import math
 
 import numpy as np
 
-from .errors import (
-    InvalidGeometry,
-    NonElliptic,
-    PatternMismatch,
-    ShapeMismatch,
-    ValidationError,
-)
+from .errors import InvalidGeometry, PatternMismatch, ShapeMismatch, ValidationError
 from .green import strain_basis
 from .lattice import as_pattern_matrix, pattern_points, refinement
 from .pattern_fft import smith_normal_form
 from .solver import _write_atomic, _write_csv, effective_action
-from .tensor import as_mandel_stiffness, isotropic_stiffness
+from .tensor import as_mandel_stiffness, isotropic_stiffness, require_elliptic
 
 __all__ = [
     "DEFAULT_CORE_MATERIAL",
@@ -102,10 +96,11 @@ class HashinGeometry:
     def __post_init__(self):
         if not (0.0 < self.c1 < self.c2):
             raise InvalidGeometry(
-                f"semi-axes must satisfy 0 < c1 < c2, got c1={self.c1}, c2={self.c2}"
+                f"semi-axes must satisfy 0 < c1 < c2, got c1={self.c1}, c2={self.c2}",
+                ("c1", "c2"),
             )
         if not (self.rho_outer > 0.0):
-            raise InvalidGeometry(f"rho_outer must be positive, got {self.rho_outer}")
+            raise InvalidGeometry(f"rho_outer must be positive, got {self.rho_outer}", "rho_outer")
         self.core_material = as_mandel_stiffness(self.core_material)
         self.coating_material = as_mandel_stiffness(self.coating_material)
         self.matrix_material = as_mandel_stiffness(self.matrix_material)
@@ -157,13 +152,14 @@ class LaminateGeometry:
         self.material_2 = as_mandel_stiffness(self.material_2)
         normal = np.asarray(self.normal)
         if normal.shape != (2,) or not np.issubdtype(normal.dtype, np.integer):
-            raise InvalidGeometry(f"normal must be 2 integers, got {self.normal!r}")
+            raise InvalidGeometry(f"normal must be 2 integers, got {self.normal!r}", "normal")
         if not normal.any():
-            raise InvalidGeometry("normal must be nonzero")
+            raise InvalidGeometry("normal must be nonzero", "normal")
         self.normal = tuple(int(v) for v in normal)
         if not (0.0 < self.volume_fraction <= 1.0):
             raise InvalidGeometry(
-                f"volume fraction must lie in (0, 1], got {self.volume_fraction}"
+                f"volume fraction must lie in (0, 1], got {self.volume_fraction}",
+                "volume_fraction",
             )
 
 
@@ -205,9 +201,8 @@ def laminate_effective_oracle(geom):
     """
     c1 = geom.material_1
     c2 = geom.material_2
-    for name, c in (("phase 1", c1), ("phase 2", c2)):
-        if np.linalg.eigvalsh(c)[0] <= 0.0:
-            raise NonElliptic(f"{name} stiffness is not positive definite")
+    for name, c in (("phase 1 stiffness", c1), ("phase 2 stiffness", c2)):
+        require_elliptic(c, name)
     f1 = geom.volume_fraction
     f2 = 1.0 - f1
     w = strain_basis(np.asarray(geom.normal, dtype=float))

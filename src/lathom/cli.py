@@ -16,9 +16,9 @@ Green machinery.
 All CSV output uses fixed orderings and 17 significant digits, and files
 are written atomically, so identical manifests give byte-identical
 tables.  Exit codes: 0 success, 2 invalid or unreadable input (including
-non-finite numbers and a reference stiffness that is not positive
-definite), 3 non-convergence or divergence (CG diverges only when the
-arithmetic goes non-finite, as for a load whose squared norm overflows).
+non-finite numbers and, while parsing, a reference stiffness that is not
+positive definite), 3 non-convergence or divergence (CG diverges only when
+the arithmetic goes non-finite, as for a load whose squared norm overflows).
 """
 
 import argparse
@@ -47,6 +47,7 @@ from .bench import (
 )
 from .errors import (
     Diverged,
+    InvalidParameter,
     InvalidSpec,
     LathomError,
     NotConverged,
@@ -70,7 +71,7 @@ from .solver import (
     residual_ls,
     write_strain_csv,
 )
-from .tensor import isotropic_stiffness, lame_stiffness, symmetric_matrices
+from .tensor import isotropic_stiffness, lame_stiffness, require_elliptic, symmetric_matrices
 
 __all__ = [
     "RunManifest",
@@ -259,6 +260,13 @@ class _Key:
     only: tuple = None
 
 
+def _reference(lam, mu):
+    """The manifest's reference stiffness; NonElliptic unless positive definite."""
+    c0 = lame_stiffness(lam, mu)
+    require_elliptic(c0, "reference stiffness")
+    return c0
+
+
 def _pair(field, first, second, default=(_REQUIRED, _REQUIRED), build=isotropic_stiffness):
     """Keys `first` and `second`, which fill `field` with build(first, second)."""
     return {
@@ -309,7 +317,7 @@ _SCHEMA = {
     "solve": {
         "tolerance": _Key(_real, check=(lambda v: v > 0.0, "must be positive")),
         "max_iter": _Key(_numbers(int), check=(lambda v: v >= 1, "must be at least 1")),
-        **_pair("reference", "reference_lambda", "reference_mu", (None, None), lame_stiffness),
+        **_pair("reference", "reference_lambda", "reference_mu", (None, None), _reference),
         "reference_matrix": _Key(_matrix),
         "metric_mode": _Key(_choice("mean_total", "summed_action")),
     },
@@ -371,14 +379,16 @@ def _take(section, line, entries, keys, out):
             raise ValidationError(f"{names}: {exc}", at)
 
 
-def _validated(line, build, **kwargs):
-    """build(**kwargs), reporting a library error as invalid input at `line`."""
-    try:
-        return build(**kwargs)
-    except (ParseError, ValidationError):
-        raise
-    except LathomError as exc:
-        raise ValidationError(str(exc), line)
+def _key_line(lines, header, section, parameter):
+    """Line of the first key of `section` that `parameter` names (a name or
+    a tuple of them) and the manifest gives, else `header`.
+
+    lines maps (section, key) to the line of each given key; a kernel
+    spec's "xi" is the key `directions`.
+    """
+    names = (parameter,) if isinstance(parameter, str) else parameter or ()
+    keys = [{"xi": "directions"}.get(name, name) for name in names]
+    return next((lines[section, key] for key in keys if (section, key) in lines), header)
 
 
 def parse_manifest(path):
@@ -405,10 +415,17 @@ def parse_manifest(path):
             build, _, variant = _GEOMETRIES[fields["geometry_type"]]
             given = {}
             _take(name, line, entries, variant, given)
-            fields["geometry"] = _validated(line, build, **given)
         for key, (_, at) in entries.items():
             raise ValidationError(f"unknown key '{key}' in [{name}]", at)
-    manifest = RunManifest(**fields)
+    # building the geometry and the kernel spec validates them, reporting an
+    # error at the line of the key it names (_alphas checked the sweep's)
+    try:
+        manifest = RunManifest(geometry=build(**given), **fields)
+        manifest.kernel_spec()
+    except InvalidParameter as exc:
+        section = "kernel" if isinstance(exc, InvalidSpec) else "geometry"
+        at = _key_line(lines, sections[section][0], section, exc.parameter)
+        raise ValidationError(str(exc), at)
     # reference_matrix is checked against [pattern] matrix once both are parsed
     if manifest.reference_matrix is not None:
         try:
@@ -417,13 +434,6 @@ def parse_manifest(path):
             raise ValidationError(
                 f"solve.reference_matrix: {exc}", lines["solve", "reference_matrix"]
             )
-    # constructing the kernel spec validates the kernel block early, reporting
-    # an error at the line of the key it names (_alphas checked the sweep's)
-    try:
-        manifest.kernel_spec()
-    except InvalidSpec as exc:
-        key = {"xi": "directions"}.get(exc.parameter, exc.parameter)
-        raise ValidationError(str(exc), lines.get(("kernel", key), sections["kernel"][0]))
     return manifest
 
 
@@ -452,7 +462,7 @@ def _reference_data(manifest, c_coarse):
     c_ref, _ = _build_field_on(ref_mat, manifest)
     table = _green_table(manifest, KernelSpec.dirichlet(ref_mat), c_ref)
     report = basic_scheme(
-        c_ref, table.c0, manifest.eps0, table, tol=manifest.tolerance, max_iter=manifest.max_iter
+        c_ref, manifest.eps0, table, tol=manifest.tolerance, max_iter=manifest.max_iter
     )
     ref_field = restrict_field(report.strain, ref_mat, manifest.matrix)
     if manifest.metric_mode == "summed_action":
@@ -518,7 +528,7 @@ def _solve_kept(manifest, c, table):
     returned, not raised, and a divergence is named on stderr."""
     try:
         return basic_scheme(
-            c, table.c0, manifest.eps0, table, tol=manifest.tolerance, max_iter=manifest.max_iter
+            c, manifest.eps0, table, tol=manifest.tolerance, max_iter=manifest.max_iter
         )
     except Diverged as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -595,7 +605,7 @@ def _run_effective(manifest):
     spec = manifest.kernel_spec()
     table = _green_table(manifest, spec, c)
     tensor, asymmetry = effective_tensor(
-        c, table.c0, table, tol=manifest.tolerance, max_iter=manifest.max_iter
+        c, table, tol=manifest.tolerance, max_iter=manifest.max_iter
     )
     os.makedirs(manifest.output_dir, exist_ok=True)
     _write_csv(os.path.join(manifest.output_dir, "effective.csv"), ["c1", "c2", "c3"], [tensor])
@@ -722,7 +732,7 @@ def run_selftest(seed=0):
         c0 = default_reference(c)
         table = dlvp_green_table(mat, c0)
         eps0 = rng.normal(size=3)
-        strain = basic_scheme(c, c0, eps0, table, tol=1e-13).strain
+        strain = basic_scheme(c, eps0, table, tol=1e-13).strain
         return residual_ls(strain, c, c0, eps0, table) / float(np.linalg.norm(strain + eps0))
 
     def green_spectrum_bounded():

@@ -29,16 +29,20 @@ class NoInterpolant(LathomError):
         super().__init__(f"vanishing class sum at {self.h}")
 
 
-class InvalidSpec(LathomError):
-    """Kernel specification is malformed or inadmissible.
+class InvalidParameter(LathomError):
+    """A constructor argument is malformed or inadmissible.
 
-    `parameter` names the KernelSpec argument at fault ("alpha", "xi" or
-    "radius"), or is None.
+    `parameter` names the argument at fault, or is a tuple naming the
+    arguments of a violated constraint between them, or is None.
     """
 
     def __init__(self, message, parameter=None):
         self.parameter = parameter
         super().__init__(message)
+
+
+class InvalidSpec(InvalidParameter):
+    """Kernel specification is malformed or inadmissible ("alpha", "xi" or "radius")."""
 
 
 class InvalidMaterial(LathomError):
@@ -72,7 +76,7 @@ class NonElliptic(LathomError):
     """Stiffness field is not uniformly elliptic."""
 
 
-class InvalidGeometry(LathomError):
+class InvalidGeometry(InvalidParameter):
     """Benchmark geometry parameters are inconsistent."""
 
 

@@ -78,14 +78,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonElliptic, ShapeMismatch
+from .errors import ShapeMismatch
 from .lattice import PatternMatrix, generating_set
 from .pattern_fft import half_grid, pattern_fft, pattern_ifft, pattern_irfft, pattern_rfft
 from .tensor import (
     SYMMETRIC_PAIRS,
     apply_symmetric,
     as_mandel_stiffness,
-    ellipticity_bounds,
+    require_elliptic,
     symmetric_matrices,
 )
 
@@ -113,16 +113,6 @@ def strain_basis(k):
     w[..., 1, 1] = k[..., 1]
     w[..., 2, :] = 0.5 * np.sqrt(2.0) * k[..., ::-1]
     return w
-
-
-def _compliance(c0m):
-    """S = C0^{-1} of a 3 x 3 Mandel reference; NonElliptic unless C0 is positive definite."""
-    lower, _ = ellipticity_bounds(c0m)
-    if not lower > 0.0:
-        raise NonElliptic(
-            f"reference stiffness is not positive definite (lower bound {lower:.3e})"
-        )
-    return np.linalg.inv(c0m)
 
 
 def _green_sums(s, k1, k2, c, out, work):
@@ -162,7 +152,9 @@ def green_multiplier(c0, k):
     k = np.asarray(k, dtype=np.int64)
     if k.shape != (2,):
         raise ShapeMismatch(f"frequency must have shape (2,), got {k.shape}")
-    s = _compliance(as_mandel_stiffness(c0))
+    c0 = as_mandel_stiffness(c0)
+    require_elliptic(c0, "reference stiffness")
+    s = np.linalg.inv(c0)
     if not k.any():
         return np.zeros((3, 3))
     k1, k2 = k.astype(float).reshape(2, 1, 1)
@@ -174,12 +166,14 @@ def green_multiplier(c0, k):
 class GreenTable:
     """Per-class multipliers of the periodised Green operator.
 
-    entries holds the six unique entries (tensor.symmetric_entries) of the
-    class matrix of each frequency class on the Smith grid: (6,) +
-    half_grid(matrix) when even_table, (6, d1, d2) otherwise (see the
-    module docstring).  The zero class is the zero matrix.  even_table
-    records whether the matrices are even under h -> -h (class-wise),
-    which decides whether real fields stay real under application.
+    c0 and the kernel fix the operator, so the solver takes its reference
+    from here.  entries holds the six unique entries
+    (tensor.symmetric_entries) of the class matrix of each frequency class
+    on the Smith grid: (6,) + half_grid(matrix) when even_table,
+    (6, d1, d2) otherwise (see the module docstring).  The zero class is
+    the zero matrix.  even_table records whether the matrices are even
+    under h -> -h (class-wise), which decides whether real fields stay
+    real under application.
     """
 
     matrix: PatternMatrix
@@ -219,7 +213,8 @@ def periodised_green_table(c0, kernel):
     pm = kernel.matrix
     inverse = 1.0 / kernel.checked_bracket()  # c^2 times this is the share of its class
     c0m = as_mandel_stiffness(c0)
-    s = _compliance(c0m)
+    require_elliptic(c0m, "reference stiffness")
+    s = np.linalg.inv(c0m)
     offsets = kernel.shifts @ pm.entries
     classes = len(kernel.freqs)
     entries = np.empty((6, classes))

@@ -39,9 +39,10 @@ The run stops at the first iteration whose residual norms are not finite,
 which for validated input means the arithmetic overflowed, and keeps the
 last finite iterate.
 
-Positivity of C is decided by the three leading principal minors at every
-point, O(m) (tensor.certainly_elliptic); only when they leave doubt does
-the batched eigvalsh of ellipticity_bounds decide, and word the error.
+C0 is table.c0, which the table's construction checked, so (C, eps0,
+table) poses the problem.  tensor.require_elliptic decides positivity of
+C by the leading principal minors at every point, O(m), and only in doubt
+by the batched eigvalsh of ellipticity_bounds, which words the error.
 
 On patterns whose Green table is not even under h -> -h (strict Dirichlet
 box with two-torsion, see green.py) the fixed point is genuinely complex;
@@ -61,17 +62,16 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import Diverged, NonElliptic, NotConverged, ShapeMismatch, ValidationError
+from .errors import Diverged, NotConverged, ShapeMismatch, ValidationError
 from .green import apply_green
 from .lattice import pattern_points
 from .tensor import (
     apply,
     apply_symmetric,
     as_mandel_stiffness,
-    certainly_elliptic,
-    ellipticity_bounds,
     isotropic_parts,
     lame_stiffness,
+    require_elliptic,
     symmetric_entries,
 )
 
@@ -200,64 +200,46 @@ def _cg_iteration(dc, eps0, table, tol, max_iter):
     return x, history, "diverged"
 
 
-def _solve_inputs(c, c0, eps0, table):
-    """(c, c0, eps0) of one cell problem on table, as basic_scheme takes them.
+def _solve_inputs(c, eps0, table):
+    """(c, eps0) of one cell problem on table, as basic_scheme takes them.
 
     c becomes an (m, 3, 3) field (a single (3, 3) is broadcast).  Raises
-    ShapeMismatch for a wrong shape, ValidationError unless c0 is the
-    table's reference and eps0 is finite.
+    ShapeMismatch for a wrong shape, ValidationError unless eps0 is finite.
     """
     c = _as_stiffness_field(c, table.matrix.m)
-    c0 = as_mandel_stiffness(c0)
-    if not np.allclose(c0, table.c0, rtol=1e-12, atol=1e-12):
-        raise ValidationError("reference stiffness differs from the table's")
     eps0 = np.asarray(eps0, dtype=float)
     if eps0.shape != (3,):
         raise ShapeMismatch(f"macroscopic strain must be (3,), got {eps0.shape}")
     if not np.all(np.isfinite(eps0)):
         raise ValidationError("macroscopic strain must be finite")
-    return c, c0, eps0
+    return c, eps0
 
 
-def _require_elliptic(c, lower=None):
-    """NonElliptic unless the stiffness field c (m, 3, 3) is symmetric positive definite.
-
-    certainly_elliptic accepts in O(m); in any doubt ellipticity_bounds
-    decides, and its lower bound goes into the message.  lower is passed
-    on to certainly_elliptic.
-    """
-    if certainly_elliptic(c, lower):
-        return
-    lower, _ = ellipticity_bounds(c)
-    if lower <= 0.0:
-        raise NonElliptic(f"stiffness field has lower bound {lower:.3e}")
-
-
-def basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
+def basic_scheme(c, eps0, table, tol=1e-10, max_iter=5000):
     """Solve the cell problem by Green-preconditioned conjugate gradients.
 
-    c is the pointwise stiffness (m, 3, 3), c0 the reference the table
-    was built with, eps0 the macroscopic strain as a Mandel vector.  The
-    run stops when the relative LS residual is at most tol (see the module
-    docstring).  The name is the paper's for its fixed-point method; it
-    stays because perfbench times every solve by the span
-    `solver:basic_scheme`, so a rename belongs with a change to the
-    benchmark.  Raises ValidationError unless tol is finite and positive,
+    c is the pointwise stiffness (m, 3, 3), eps0 the macroscopic strain as
+    a Mandel vector and table the periodised Green operator, whose c0 is
+    the reference.  The run stops when the relative LS residual is at most
+    tol (see the module docstring).  The name is the paper's for its
+    fixed-point method; it stays because perfbench times every solve by
+    the span `solver:basic_scheme`, so a rename belongs with a change to
+    the benchmark.  Raises ValidationError unless tol is finite and positive,
     max_iter an integer >= 1 and eps0 finite; NonElliptic if the stiffness
     field is not symmetric and uniformly positive; Diverged(iterations,
     report) at the first non-finite residual norm and
     NotConverged(iterations, report) when max_iter runs out.
     """
     start = time.perf_counter()
-    c, c0, eps0 = _solve_inputs(c, c0, eps0, table)
+    c, eps0 = _solve_inputs(c, eps0, table)
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError("tolerance must be finite and positive")
     if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     # the lower triangle: the solver applies the matrix that eigvalsh reads
     dc = symmetric_entries(np.swapaxes(c, -1, -2))
-    _require_elliptic(c, dc)
-    dc -= symmetric_entries(c0)[:, None]
+    require_elliptic(c, "stiffness field", dc)
+    dc -= symmetric_entries(table.c0)[:, None]
     strain, history, stop = _cg_iteration(dc, eps0, table, tol, max_iter)
     strain = strain.T.copy()
     scale = _field_norm(strain)
@@ -286,14 +268,18 @@ def basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
 def residual_ls(strain, c, c0, eps0, table):
     """l2 residual of the fixed-point form, E + Green_p (C - C0):(E + eps0).
 
-    The inputs are validated as basic_scheme validates them.
+    The inputs are validated as basic_scheme validates them.  c0 must be
+    table.c0 (ValidationError otherwise) and poses nothing; it stays only
+    because perfbench's output check calls this with it.
     """
     pm = table.matrix
     strain = np.asarray(strain)
     if strain.shape != (pm.m, 3):
         raise ShapeMismatch(f"expected {(pm.m, 3)}, got {strain.shape}")
-    c, c0, eps0 = _solve_inputs(c, c0, eps0, table)
-    tau = apply(c - c0, strain + eps0)
+    if not np.allclose(as_mandel_stiffness(c0), table.c0, rtol=1e-12, atol=1e-12):
+        raise ValidationError("reference stiffness differs from the table's")
+    c, eps0 = _solve_inputs(c, eps0, table)
+    tau = apply(c - table.c0, strain + eps0)
     return _field_norm(strain + apply_green(table, tau))
 
 
@@ -328,7 +314,7 @@ def effective_action(c, strain, eps0):
     return _exact_mean(apply(c, strain + eps0))
 
 
-def effective_tensor(c, c0, table, tol=1e-10, max_iter=5000):
+def effective_tensor(c, table, tol=1e-10, max_iter=5000):
     """Column-by-column effective stiffness: one solve per Mandel basis strain.
 
     Returns (tensor, asymmetry) where the tensor is the symmetrised real
@@ -337,10 +323,7 @@ def effective_tensor(c, c0, table, tol=1e-10, max_iter=5000):
     that is not even they carry a genuine imaginary part, which is
     dropped (each solve reports its own imag fraction).
     """
-    columns = [
-        basic_scheme(c, c0, eps0, table, tol, max_iter).effective_action
-        for eps0 in np.eye(3)
-    ]
+    columns = [basic_scheme(c, eps0, table, tol, max_iter).effective_action for eps0 in np.eye(3)]
     raw = np.real(np.stack(columns, axis=1))
     asymmetry = float(np.linalg.norm(raw - raw.T) / max(np.linalg.norm(raw), 1e-300))
     return 0.5 * (raw + raw.T), asymmetry

@@ -29,6 +29,7 @@ __all__ = [
     "lame_parameters",
     "ellipticity_bounds",
     "certainly_elliptic",
+    "require_elliptic",
     "apply",
     "SYMMETRIC_PAIRS",
     "symmetric_entries",
@@ -142,9 +143,9 @@ def certainly_elliptic(cm, lower=None):
 
     lower, if given, is symmetric_entries(np.swapaxes(cm, -1, -2)), that
     triangle's entries, which a caller may hold anyway.  False means
-    undecided, not rejected: the caller asks ellipticity_bounds.  A
-    non-finite entry turns some comparison into one with NaN, which is
-    False.
+    undecided, not rejected: require_elliptic then asks
+    ellipticity_bounds.  A non-finite entry turns some comparison into one
+    with NaN, which is False.
     """
     cm = np.asarray(cm)
     if lower is None:
@@ -162,6 +163,21 @@ def certainly_elliptic(cm, lower=None):
     det -= a10 * (a10 * a22 - a21 * a20)
     det += a20 * (a10 * a21 - a11 * a20)
     return bool(np.all(det > _MINOR_MARGIN * frobenius2 * np.sqrt(frobenius2)))
+
+
+def require_elliptic(cm, name, lower=None):
+    """NonElliptic unless the Mandel matrices cm (..., 3, 3) are symmetric positive definite.
+
+    The package's one positivity check.  certainly_elliptic accepts in
+    O(batch), given lower if a caller holds it; in any doubt
+    ellipticity_bounds decides, and the error names `name` and the
+    smallest eigenvalue.
+    """
+    if certainly_elliptic(cm, lower):
+        return
+    bound, _ = ellipticity_bounds(cm)
+    if not bound > 0.0:
+        raise NonElliptic(f"{name} is not positive definite (lower bound {bound:.3e})")
 
 
 def apply(cm, e, out=None):

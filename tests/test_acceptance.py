@@ -60,7 +60,7 @@ def green_table(spec, c0):
 def solve_geometry(mat, spec, c, tol=1e-10):
     c0 = default_reference(c)
     table = green_table(spec, c0)
-    report = basic_scheme(c, c0, EPS0, table, tol=tol)
+    report = basic_scheme(c, EPS0, table, tol=tol)
     return c0, table, report
 
 
@@ -232,7 +232,7 @@ def test_laminate_effective_tensor_within_two_percent_and_converging():
         c, _ = rasterize_laminate(mat, geom)
         c0 = default_reference(c)
         table = green_table(KernelSpec.dirichlet(mat), c0)
-        eff, _ = effective_tensor(c, c0, table)
+        eff, _ = effective_tensor(c, table)
         if n == 64:
             assert np.allclose(eff, oracle, rtol=0.02, atol=1e-12)
         errs.append(np.linalg.norm(eff - oracle) / np.linalg.norm(oracle))

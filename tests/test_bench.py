@@ -80,12 +80,16 @@ def test_hashin_defaults():
 
 
 def test_hashin_invalid_geometry():
-    with pytest.raises(InvalidGeometry):
+    # each error names the arguments at fault, which the manifest reader
+    # turns into the line of a given key
+    with pytest.raises(InvalidGeometry) as info:
         HashinGeometry(c1=0.4)  # c1 >= c2
+    assert info.value.parameter == ("c1", "c2")
     with pytest.raises(InvalidGeometry):
         HashinGeometry(c1=0.0)
-    with pytest.raises(InvalidGeometry):
+    with pytest.raises(InvalidGeometry) as info:
         HashinGeometry(rho_outer=0.0)
+    assert info.value.parameter == "rho_outer"
     # the phases are Mandel matrices, (young, poisson) pairs are not
     with pytest.raises(ShapeMismatch):
         HashinGeometry(core_material=(-1.0, 0.3))
@@ -146,12 +150,14 @@ def test_hashin_quarter_turn_permutes_phases(n, base):
 
 def test_laminate_invalid_geometry():
     c = isotropic_stiffness(1.0, 0.3)
-    with pytest.raises(InvalidGeometry):
+    with pytest.raises(InvalidGeometry) as info:
         LaminateGeometry(c, c, volume_fraction=0.0)
+    assert info.value.parameter == "volume_fraction"
     with pytest.raises(InvalidGeometry):
         LaminateGeometry(c, c, volume_fraction=1.2)
-    with pytest.raises(InvalidGeometry):
+    with pytest.raises(InvalidGeometry) as info:
         LaminateGeometry(c, c, normal=(0, 0))
+    assert info.value.parameter == "normal"
     with pytest.raises(InvalidGeometry):
         LaminateGeometry(c, c, normal=(0.5, 1.0))
     with pytest.raises(InvalidGeometry):
@@ -301,8 +307,30 @@ def test_laminate_oracle_anisotropic_phases():
 def test_laminate_oracle_rejects_non_elliptic():
     c1 = isotropic_stiffness(1.0, 0.3)
     geom = LaminateGeometry(c1, -np.eye(3), volume_fraction=0.5)
-    with pytest.raises(NonElliptic):
+    with pytest.raises(NonElliptic, match="phase 2 stiffness is not positive definite"):
         laminate_effective_oracle(geom)
+
+
+def test_laminate_oracle_refuses_what_the_solver_refuses():
+    # a NaN phase has no eigenvalues (NonElliptic, not numpy's LinAlgError),
+    # and an asymmetric phase would otherwise come back symmetrised
+    from lathom.green import periodised_green_table
+    from lathom.kernels import KernelSpec, coefficient_table
+    from lathom.solver import basic_scheme
+
+    c = isotropic_stiffness(1.0, 0.3)
+    nan = c.copy()
+    nan[1, 2] = np.nan
+    asymmetric = c.copy()
+    asymmetric[0, 1] += 1.0
+    mat = [[4, 0], [0, 4]]
+    table = periodised_green_table(c, coefficient_table(KernelSpec.dirichlet(mat)))
+    for bad in (nan, asymmetric):
+        for geom in (LaminateGeometry(bad, c), LaminateGeometry(c, bad)):
+            with pytest.raises(NonElliptic):
+                laminate_effective_oracle(geom)
+            with pytest.raises(NonElliptic):
+                basic_scheme(rasterize_laminate(mat, geom)[0], np.ones(3), table)
 
 
 def test_error_metrics_identical_fields():
@@ -532,7 +560,7 @@ def test_laminate_solver_matches_oracle():
     table = periodised_green_table(
         c0, orthonormalize(coefficient_table(KernelSpec.dirichlet(m_mat)))
     )
-    ceff, asym = effective_tensor(c, c0, table, tol=1e-10)
+    ceff, asym = effective_tensor(c, table, tol=1e-10)
     oracle = laminate_effective_oracle(geom)
     assert asym < 1e-8
     np.testing.assert_allclose(ceff, oracle, rtol=2e-3, atol=2e-3)

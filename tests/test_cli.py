@@ -9,7 +9,14 @@ import pytest
 
 import lathom
 from lathom.bench import LaminateGeometry, nearest_point_grid, rasterize_laminate
-from lathom.cli import _build_field_on, emit_heatmap, main, parse_manifest, run_selftest
+from lathom.cli import (
+    _build_field_on,
+    _key_line,
+    emit_heatmap,
+    main,
+    parse_manifest,
+    run_selftest,
+)
 from lathom.errors import ParseError, ShapeMismatch, ValidationError
 from lathom.green import periodised_green_table
 from lathom.kernels import KernelSpec, coefficient_table
@@ -360,9 +367,17 @@ def test_solve_converges_with_a_too_soft_reference(tmp_path, capsys):
 
 @pytest.mark.parametrize("lam,mu", [("-5", "1"), ("1", "-1"), ("0", "0")])
 def test_exit_2_on_reference_not_positive_definite(tmp_path, capsys, lam, mu):
+    # the pair becomes a stiffness and is checked while the manifest is
+    # read, so the error names both keys at the first one's line
     text = LAMINATE + f"[solve]\nreference_lambda = {lam}\nreference_mu = {mu}\n"
-    assert main(["solve", manifest_file(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
-    assert "not positive definite" in capsys.readouterr().err
+    path = manifest_file(tmp_path, text)
+    with pytest.raises(ValidationError) as info:
+        parse_manifest(path)
+    assert info.value.line == 16
+    assert "solve.reference_lambda and solve.reference_mu: reference stiffness is not " \
+        "positive definite (lower bound" in str(info.value)
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -405,6 +420,22 @@ def latin1_file(tmp_path):
         (lambda d: manifest_file(d, replace(LAMINATE, "kind = dirichlet",
                                             "kind = dlvp\nalpha = 0.1 0.6")),
          "line 5: slopes must lie in [0, 1/2]"),
+        # a geometry error is reported at the line of the first key it names
+        # that the manifest gives: c2 in the second row, as c1 keeps its default
+        (lambda d: manifest_file(d, replace(HOMOG, "homogeneous\nyoung = 2.0\npoisson = 0.25",
+                                            "hashin\nrotation_degrees = 30\nc1 = 0.5")),
+         "line 8: semi-axes must satisfy 0 < c1 < c2"),
+        (lambda d: manifest_file(d, replace(HOMOG, "homogeneous\nyoung = 2.0\npoisson = 0.25",
+                                            "hashin\nrotation_degrees = 30\nc2 = 0.01")),
+         "line 8: semi-axes must satisfy 0 < c1 < c2"),
+        (lambda d: manifest_file(d, replace(HOMOG, "homogeneous\nyoung = 2.0\npoisson = 0.25",
+                                            "hashin\nc1 = 0.1\nrho_outer = -1")),
+         "line 8: rho_outer must be positive"),
+        (lambda d: manifest_file(d, replace(LAMINATE, "volume_fraction = 0.5",
+                                            "volume_fraction = 0")),
+         "line 8: volume fraction must lie in (0, 1]"),
+        (lambda d: manifest_file(d, replace(LAMINATE, "normal = 1 0", "normal = 0 0")),
+         "line 7: normal must be nonzero"),
         # would otherwise write the coarse results before the 12^2 solve fails
         (lambda d: manifest_file(d, LAMINATE + "[solve]\nreference_matrix = 12 0 0 12\n"),
          "line 16: solve.reference_matrix: [[12, 0], [0, 12]] does not refine"),
@@ -415,6 +446,14 @@ def test_exit_2_on_malformed_input(tmp_path, capsys, make, fragment):
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert not (tmp_path / "out").exists()
+
+
+def test_key_line_falls_back_to_the_section_header():
+    lines = {("kernel", "directions"): 5, ("geometry", "c2"): 9}
+    assert _key_line(lines, 3, "kernel", "xi") == 5
+    assert _key_line(lines, 7, "geometry", ("c1", "c2")) == 9
+    assert _key_line(lines, 7, "geometry", "c1") == 7
+    assert _key_line(lines, 3, "kernel", None) == 3
 
 
 @pytest.mark.parametrize(
@@ -573,9 +612,22 @@ def test_effective_csv_matches_library(tmp_path, capsys):
     table = periodised_green_table(
         default_reference(c), coefficient_table(KernelSpec.dirichlet([[8, 0], [0, 8]]))
     )
-    expected, _ = effective_tensor(c, table.c0, table)
+    expected, _ = effective_tensor(c, table)
     assert np.array_equal(got, expected)  # %.17g round-trips doubles
     assert np.array_equal(got, got.T)
+
+
+def test_effective_of_a_homogeneous_cell_is_its_stiffness(tmp_path):
+    # the demo manifest gives an explicit reference, which the Green table
+    # carries into every solve of effective_tensor
+    demos = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+    out = tmp_path / "out"
+    path = os.path.join(demos, "manifests", "solve_homogeneous.cfg")
+    assert main(["effective", path, "--out", str(out)]) == 0
+    rows = (out / "effective.csv").read_text().splitlines()[1:]
+    got = np.array([[float(v) for v in row.split(",")] for row in rows])
+    expected = isotropic_stiffness(2.0, 0.25)
+    assert np.linalg.norm(got - expected) <= 1e-15 * np.linalg.norm(expected)
 
 
 # selftest

@@ -17,8 +17,13 @@ from lathom.green import apply_green, periodised_green_table
 from lathom.kernels import KernelSpec, coeff, coefficient_table, orthonormalize, three_direction_set
 from lathom.lattice import PatternMatrix, frac_coordinates, reduce_mod
 from lathom.pattern_fft import half_grid, pattern_dft, pattern_fft, smith_normal_form
-from lathom.solver import _require_elliptic, basic_scheme, default_reference, residual_ls
-from lathom.tensor import certainly_elliptic, ellipticity_bounds, isotropic_stiffness
+from lathom.solver import basic_scheme, default_reference, residual_ls
+from lathom.tensor import (
+    certainly_elliptic,
+    ellipticity_bounds,
+    isotropic_stiffness,
+    require_elliptic,
+)
 
 from oracles import (
     box_coeff_sinc,
@@ -265,7 +270,7 @@ def test_cg_solves_the_basic_scheme_fixed_point(data):
     c0 = default_reference(c)
     table = periodised_green_table(c0, orthonormalize(coefficient_table(spec)))
     tol = 1e-10
-    strain = basic_scheme(c, c0, eps0, table, tol=tol).strain
+    strain = basic_scheme(c, eps0, table, tol=tol).strain
     total = np.linalg.norm(strain + eps0)
     assert residual_ls(strain, c, c0, eps0, table) <= 10 * tol * total
     basic_strain, _ = periodised_basic_scheme(c, c0, eps0, table, tol=tol)
@@ -312,8 +317,8 @@ def stiffness_batch(kind, n, scale, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_positivity_decision_agrees_with_eigvalsh(kind, n, exponent, seed):
-    # the solver accepts by leading minors and asks ellipticity_bounds in
-    # any doubt, so its decision and message must be eigvalsh's
+    # require_elliptic accepts by leading minors and asks ellipticity_bounds
+    # in any doubt, so its decision and message must be eigvalsh's
     c = stiffness_batch(kind, n, 10.0**exponent, np.random.default_rng(seed))
     try:
         lower, _ = ellipticity_bounds(c)
@@ -322,7 +327,7 @@ def test_positivity_decision_agrees_with_eigvalsh(kind, n, exponent, seed):
     else:
         expected = lower > 0.0
     try:
-        _require_elliptic(c)
+        require_elliptic(c, "stiffness field")
         accepted = True
     except NonElliptic as err:
         accepted = False
