@@ -5,7 +5,8 @@ a few lattice shifts per class.  Orthonormalisation rescales every class
 so the translates become an orthonormal basis: m * [|c|^2]_h = 1 (the
 Green build needs no such step; it weights each class by its share).  The
 dlVP and box-spline spectra are even, so their tables hold one class of
-each pair +-h (the half grid); the Dirichlet table holds all of them.
+each pair +-h (the half grid).  A Dirichlet table does too when its
+classes pair evenly; on 8 I they do not, and it holds all of them.
 """
 
 import numpy as np

@@ -45,7 +45,8 @@ for name, spec in (
 
 # the table stores the six unique entries of one symmetric matrix per
 # frequency class: an even table on the half spectrum of the Smith grid,
-# the Dirichlet table on these even divisors on the whole grid
+# the Dirichlet table on 16 I on the whole grid, because its face class
+# t = (-1/2, 1/4) pairs with (-1/2, -1/4), a frequency on another line
 for name, spec in (
     ("dirichlet", KernelSpec.dirichlet(mat)),
     ("dlvp(0.25, 0.25)", KernelSpec.dlvp(mat, (0.25, 0.25))),

@@ -34,19 +34,16 @@ accumulated for blocks of classes over all their shifts at once, as
 planes, for the six unique entries only; green_multiplier is the same sum
 with one term of weight one.
 
-The per-class matrices are real and symmetric, and G(-k) = G(k).  The
-whole table is even under h -> -h when the retained frequencies of each
-class are the negatives of those of its partner: dlVP windows and box
-splines (truncated at |M^{-T} k|_inf <= radius) are even functions, so
-their tables are even; the half-open Dirichlet box on patterns with
-two-torsion pairs some boundary classes with their negatives
-asymmetrically.  A dlVP or box coefficient table therefore holds the
-half-grid classes only (kernels.CoefficientTable.half), and the Green
-table is built on exactly those classes and is even by construction.  A
-Dirichlet table holds every class, and the evenness of its Green table is
-measured.  The table records the outcome; application to a real field
-returns a real field exactly when the table is even and an honestly
-complex one otherwise.
+The per-class matrices are real and symmetric, and G(k) depends on the
+line through k only.  The whole table is even under h -> -h when the
+retained frequencies of each class are the negatives of those of its
+partner or parallel to them: always for dlVP windows and box splines,
+and for the Dirichlet box by an exact integer rule (see kernels).  Such a
+coefficient table holds the half-grid classes only
+(kernels.CoefficientTable.half), and the Green table is built on exactly
+the classes the coefficient table holds, so it is even exactly when that
+is half.  Application to a real field returns a real field exactly when
+the table is even and an honestly complex one otherwise.
 
 The table has one layout: the six unique entries of each class matrix,
 component-major in the order of tensor.symmetric_entries (the layout of
@@ -79,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .lattice import PatternMatrix, generating_set
+from .lattice import PatternMatrix
 from .pattern_fft import half_grid, pattern_fft, pattern_ifft, pattern_irfft, pattern_rfft
 from .tensor import (
     SYMMETRIC_PAIRS,
@@ -171,9 +168,9 @@ class GreenTable:
     (tensor.symmetric_entries) of the class matrix of each frequency class
     on the Smith grid: (6,) + half_grid(matrix) when even_table,
     (6, d1, d2) otherwise (see the module docstring).  The zero class is
-    the zero matrix.  even_table records whether the matrices are even
-    under h -> -h (class-wise), which decides whether real fields stay
-    real under application.
+    the zero matrix.  even_table, the coefficient table's half flag, says
+    that the matrices are even under h -> -h (class-wise), which decides
+    whether real fields stay real under application.
     """
 
     matrix: PatternMatrix
@@ -198,17 +195,14 @@ _BLOCK_ELEMENTS = 1 << 15
 def periodised_green_table(c0, kernel):
     """Assemble Gp_h = sum_z |c_{h+M^T z}|^2 G(h+M^T z) / [|c|^2]_h per class.
 
-    kernel is any CoefficientTable; each shift weighs its share
-    c^2 / [|c|^2]_h of its class.  Row blocks of the classes the table
-    holds take all their shifts as (classes, shifts) planes, and each
-    class becomes (sum c) S - sum (c / q) u u^T for its six unique entries
-    (see the module docstring).  A half kernel table (dlVP, box) gives the half
-    spectrum of an even table directly.  On a table of every class
-    (Dirichlet) evenness is measured, not assumed, and an even result
-    keeps its half spectrum only.  The zero class, whose k = 0 term is
-    0/0, is forced to the zero matrix.  Raises DegenerateClass if a class
-    has a vanishing bracket, ShapeMismatch unless c0 is a (3, 3) Mandel
-    matrix and NonElliptic unless it is positive definite.
+    kernel is any CoefficientTable.  Row blocks of the classes it holds
+    take all their shifts as (classes, shifts) planes, and each class
+    becomes (sum c) S - sum (c / q) u u^T for its six unique entries (see
+    the module docstring), so a half kernel table gives the half spectrum
+    of an even table.  The zero class, whose k = 0 term is 0/0, is forced
+    to the zero matrix.  Raises DegenerateClass if a class has a vanishing
+    bracket, ShapeMismatch unless c0 is a (3, 3) Mandel matrix and
+    NonElliptic unless it is positive definite.
     """
     pm = kernel.matrix
     inverse = 1.0 / kernel.checked_bracket()  # c^2 times this is the share of its class
@@ -233,17 +227,8 @@ def periodised_green_table(c0, kernel):
         weights *= inverse[rows, None]
         _green_sums(s, k1, k2, weights, entries[:, rows], block[3:])
     entries[:, 0] = 0.0  # the zero class sits at Smith grid index (0, 0)
-    even = kernel.half
-    if not even:
-        gen = generating_set(pm)
-        neg = gen.index(-gen.freqs)
-        scale = np.max(np.abs(entries)) or 1.0
-        even = bool(np.max(np.abs(entries[:, neg] - entries)) <= 1e-13 * scale)
-    d1, last = half_grid(pm)
-    entries = entries.reshape(6, d1, -1)
-    if even:  # a half table's entries are already the half spectrum
-        entries = np.ascontiguousarray(entries[:, :, :last])
-    return GreenTable(matrix=pm, c0=c0m.copy(), entries=entries, even_table=even)
+    entries = entries.reshape(6, half_grid(pm)[0], -1)
+    return GreenTable(matrix=pm, c0=c0m.copy(), entries=entries, even_table=kernel.half)
 
 
 def apply_green(table, field, out=None, work=None):

@@ -25,17 +25,20 @@ shift sets are exact ({0} and {-1, 0, 1}^2).  For box splines the shifts
 z_i in [-r_i, r_i] cover the truncated support, i.e. up to 33^2 terms at
 the default radius.  Truncating in t rather than in z keeps the
 retained frequencies of every class the negatives of those of its
-partner -h, also on boundary classes where t_i = -1/2.  The table is
-frozen, and its bracket [|c|^2]_h is derived from coeffs on access.
+partner -h, also on boundary classes where t_i = -1/2.
 
 dlVP and box spectra are thus even, c_{-k} = c_k (the trapezoid factors
 depend on |w_i|, sinc is even), so every per-class quantity of -h
 (bracket, class sum, periodised Green matrix) equals that of h, and their
 tables hold only the d1 x (d2 // 2 + 1) classes of the half grid: Smith
 grid indices (i, j) with j <= d2 // 2 in C-order, the layout of an even
-GreenTable.  Every class is one of these or the negative of one.  The
-half-open Dirichlet box is not even on patterns with two-torsion, so a
-Dirichlet table holds all m classes.
+GreenTable.  Every class is one of these or the negative of one.  A
+Dirichlet class keeps one frequency, h with t = M^{-T} h in [-1/2, 1/2)^2,
+and G(h) depends on the line through h only.  The one kept for -h is -h
+unless some t_i = -1/2, which the box wraps back, so a Dirichlet table is
+even exactly when no class has t_i = -1/2 beside a coordinate outside
+{0, -1/2}.  The negative of such a class is one too, so coefficient_table
+checks the half grid in integers and keeps it unless a class offends.
 
 Every coefficient is scale x a product of factors, each a function of
 one integer: the numerator w_i on axis i (Dirichlet box, dlVP ramp, box
@@ -279,23 +282,27 @@ class CoefficientTable:
     """Per-class kernel coefficients c_{h + M^T z} over the retained shifts.
 
     The table holds n classes in Smith-grid C-order: the half grid's
-    d1 x (d2 // 2 + 1) when half is set (dlVP and box splines, see the
-    module docstring), all m otherwise (Dirichlet).  coeffs[i, j] belongs
-    to frequency freqs[i] + M^T shifts[j].  The table is frozen, and what
-    follows from coeffs is derived on access, never stored: bracket and
-    class_sums.  orthonormalize scales coeffs in place rather than copying
-    them.
+    d1 x (d2 // 2 + 1) when its classes are even under h -> -h (see the
+    module docstring), all m otherwise.  coeffs[i, j] belongs to frequency
+    freqs[i] + M^T shifts[j].  The table is frozen, and what follows from
+    its rows is derived on access, never stored: half, bracket and
+    class_sums.  orthonormalize scales coeffs in place, not a copy.
     """
 
     spec: KernelSpec
     freqs: np.ndarray  # (n, 2) canonical representatives
     shifts: np.ndarray  # (t, 2)
     coeffs: np.ndarray  # (n, t) real
-    half: bool  # only the half-grid classes are stored
 
     @property
     def matrix(self):
         return self.spec.matrix
+
+    @property
+    def half(self):
+        """Whether the rows are the half-grid classes, read from their count;
+        on d2 <= 2 that is every class, each its own negative."""
+        return len(self.freqs) == math.prod(half_grid(self.matrix))
 
     @property
     def bracket(self):
@@ -321,26 +328,33 @@ class CoefficientTable:
 _BLOCK_ELEMENTS = 1 << 16
 
 
+def _pairs_evenly(w, n):
+    """No class at t = w / n has t_i = -1/2 beside a t_j outside {0, -1/2}."""
+    face = 2 * w == -n
+    return not np.any(face.any(axis=1) & ((w != 0) & ~face).any(axis=1))
+
+
 def coefficient_table(spec):
-    """Evaluate the kernel coefficients on the stored classes and every
-    retained shift: the half-grid classes for dlVP and box splines, all m
-    for Dirichlet (see CoefficientTable)."""
+    """Evaluate the kernel coefficients on every retained shift of the
+    stored classes: the half grid when they are even, else all m."""
     pm = spec.matrix
-    half = spec.kind != "dirichlet"
     freqs = generating_set(pm).freqs
-    if half:
-        d1, last = half_grid(pm)
-        freqs = freqs.reshape(d1, -1, 2)[:, :last].reshape(-1, 2)
+    d1, last = half_grid(pm)
+    half = freqs.reshape(d1, -1, 2)[:, :last].reshape(-1, 2)
+    w, n = frac_coordinates(pm.mt, half)
+    if spec.kind == "dirichlet" and not _pairs_evenly(w, n):
+        w, n = frac_coordinates(pm.mt, freqs)
+    else:
+        freqs = half
     radii = _shift_radii(spec)
     shifts = shift_set(spec)
-    w, n = frac_coordinates(pm.mt, freqs)
     coeffs = np.empty((len(freqs), len(shifts)))
     grid = coeffs.reshape((len(freqs),) + tuple(2 * r + 1 for r in radii))
     step = max(1, _BLOCK_ELEMENTS // len(shifts))
     for start in range(0, len(freqs), step):
         rows = slice(start, start + step)
         _coeff_block(spec, radii, w[rows], n, grid[rows])
-    return CoefficientTable(spec=spec, freqs=freqs, shifts=shifts, coeffs=coeffs, half=half)
+    return CoefficientTable(spec=spec, freqs=freqs, shifts=shifts, coeffs=coeffs)
 
 
 def orthonormalize(table):

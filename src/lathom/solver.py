@@ -44,8 +44,8 @@ table) poses the problem.  tensor.require_elliptic decides positivity of
 C by the leading principal minors at every point, O(m), and only in doubt
 by the batched eigvalsh of ellipticity_bounds, which words the error.
 
-On patterns whose Green table is not even under h -> -h (strict Dirichlet
-box with two-torsion, see green.py) the fixed point is genuinely complex;
+On patterns whose Green table is not even under h -> -h (a Dirichlet box
+whose face classes pair unevenly, see kernels.py) the fixed point is complex;
 the iteration then runs in complex arithmetic and the report carries the
 size of the imaginary part.  Everything downstream treats that honestly
 instead of discarding imaginary parts midway.

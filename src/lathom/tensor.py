@@ -106,24 +106,24 @@ def _asymmetry(cm):
     return float(np.max([np.max(np.abs(cm[..., i, j] - cm[..., j, i])) for i, j in pairs]))
 
 
-def ellipticity_bounds(cm):
+def ellipticity_bounds(cm, name="stiffness"):
     """(smallest, largest) eigenvalue of the Mandel matrix; elliptic iff l > 0.
 
-    cm is (3, 3) or batched (..., 3, 3).  Raises NonElliptic for a
-    non-finite entry, which has no eigenvalues, and for a matrix that is
-    not symmetric, max |c_ij - c_ji| > 1e-12 max |eigenvalue| over the
-    batch: eigvalsh reads one triangle only, and the solvers need
-    symmetric stiffnesses.
+    cm is (3, 3) or batched (..., 3, 3).  Raises NonElliptic, naming
+    `name`, for a non-finite entry, which has no eigenvalues, and for a
+    matrix that is not symmetric, max |c_ij - c_ji| > 1e-12 max
+    |eigenvalue| over the batch: eigvalsh reads one triangle only, and the
+    solvers need symmetric stiffnesses.
     """
     cm = np.asarray(cm)
     if not np.all(np.isfinite(cm)):
-        raise NonElliptic("stiffness has a non-finite entry")
+        raise NonElliptic(f"{name} has a non-finite entry")
     vals = np.linalg.eigvalsh(cm)
     lower, upper = float(vals[..., 0].min()), float(vals[..., -1].max())
     scale = max(abs(lower), abs(upper))
     asymmetry = _asymmetry(cm)
     if asymmetry > _SYMMETRY_RTOL * scale:
-        raise NonElliptic(f"stiffness is not symmetric (|c - c^T| = {asymmetry:.3e})")
+        raise NonElliptic(f"{name} is not symmetric (|c - c^T| = {asymmetry:.3e})")
     return lower, upper
 
 
@@ -170,12 +170,12 @@ def require_elliptic(cm, name, lower=None):
 
     The package's one positivity check.  certainly_elliptic accepts in
     O(batch), given lower if a caller holds it; in any doubt
-    ellipticity_bounds decides, and the error names `name` and the
-    smallest eigenvalue.
+    ellipticity_bounds decides, and every error names `name`, a
+    positivity error the smallest eigenvalue too.
     """
     if certainly_elliptic(cm, lower):
         return
-    bound, _ = ellipticity_bounds(cm)
+    bound, _ = ellipticity_bounds(cm, name)
     if not bound > 0.0:
         raise NonElliptic(f"{name} is not positive definite (lower bound {bound:.3e})")
 

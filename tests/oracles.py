@@ -379,13 +379,14 @@ def bracket_sum(spec, h, weight=None):
 def every_class_table(spec):
     """Raw coefficient table over all m classes of the generating set, in
     its order, and every retained shift, each entry evaluated by
-    kernels.coeff at h + M^T z; not orthonormalised, and half is False.
+    kernels.coeff at h + M^T z; not orthonormalised.  Its half flag, read
+    from the row count, holds only where the half grid is the whole grid.
     """
     pm = spec.matrix
     freqs = generating_set(pm).freqs
     shifts = shift_set(spec)
     coeffs = coeff(spec, freqs[:, None, :] + shifts @ pm.entries).reshape(pm.m, len(shifts))
-    return CoefficientTable(spec, freqs, shifts, coeffs, half=False)
+    return CoefficientTable(spec, freqs, shifts, coeffs)
 
 
 def periodised_green_index_form(c0m, spec):

@@ -333,6 +333,19 @@ def test_laminate_oracle_refuses_what_the_solver_refuses():
                 basic_scheme(rasterize_laminate(mat, geom)[0], np.ones(3), table)
 
 
+def test_laminate_oracle_names_the_refused_phase():
+    # the non-finite and asymmetry refusals name the phase as well
+    c = isotropic_stiffness(1.0, 0.3)
+    nan = c.copy()
+    nan[1, 2] = np.nan
+    asymmetric = c.copy()
+    asymmetric[0, 1] += 1.0
+    with pytest.raises(NonElliptic, match="^phase 2 stiffness has a non-finite entry$"):
+        laminate_effective_oracle(LaminateGeometry(c, nan))
+    with pytest.raises(NonElliptic, match="^phase 1 stiffness is not symmetric"):
+        laminate_effective_oracle(LaminateGeometry(asymmetric, c))
+
+
 def test_error_metrics_identical_fields():
     rng = np.random.default_rng(5)
     sol = rng.normal(size=(12, 3))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -16,15 +17,22 @@ from lathom.kernels import (
     synthesize,
     three_direction_set,
 )
+from lathom.green import periodised_green_table
 from lathom.lattice import frac_coordinates, generating_set, pattern_points
+from lathom.pattern_fft import half_grid
+from lathom.tensor import isotropic_stiffness
 
 from oracles import (
     bracket_sum,
     discrete_coeffs,
     dlvp_window,
     every_class_table,
+    is_even,
     pattern_samples,
+    periodised_green_index_form,
     random_regular,
+    random_spd_mandel,
+    regular_pattern,
 )
 
 
@@ -55,6 +63,40 @@ def test_dirichlet_box_is_half_open():
     assert coeff(spec, [2, 0]) == 0.0
     assert coeff(spec, [0, -2]) == pytest.approx(1.0 / root_m)
     assert coeff(spec, [0, 2]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "entries,even",
+    [(np.diag([1, 4]), True), (np.diag([2, 6]), False), (4 * np.eye(2, dtype=int), False)],
+    ids=["diag-1-4", "diag-2-6", "4I"],
+)
+def test_dirichlet_table_is_half_exactly_when_its_classes_pair_evenly(entries, even):
+    # on diag(1, 4) the face t2 = -1/2 only meets t1 = 0; on diag(2, 6) and
+    # 4 I some class (-1/2, t2) with t2 outside {0, -1/2} pairs with
+    # (-1/2, -t2), a frequency on another line
+    spec = KernelSpec.dirichlet(entries)
+    table = coefficient_table(spec)
+    assert table.half == even
+    assert len(table.freqs) == (math.prod(half_grid(spec.matrix)) if even else spec.matrix.m)
+    green = periodised_green_table(isotropic_stiffness(1.0, 0.3), table)
+    assert green.even_table == even
+
+
+def test_dirichlet_half_flag_is_the_measured_evenness():
+    # every regular matrix with entries in [-3, 3]: the integer rule of
+    # coefficient_table agrees with the evenness the oracle measures on
+    # the index-form Green matrices of every class
+    c0 = random_spd_mandel(np.random.default_rng(20), 3)
+    verdicts = []
+    for entries in itertools.product(range(-3, 4), repeat=4):
+        pm = regular_pattern(np.reshape(entries, (2, 2)))
+        if pm is None:
+            continue
+        spec = KernelSpec.dirichlet(pm)
+        even = is_even(pm, periodised_green_index_form(c0, spec))
+        assert coefficient_table(spec).half == even, pm
+        verdicts.append(even)
+    assert (len(verdicts), sum(verdicts)) == (2112, 1720)
 
 
 def test_dlvp_window_values():
@@ -373,7 +415,8 @@ def test_invalid_specs_rejected():
 
 def test_table_is_frozen_and_its_bracket_derived():
     table = coefficient_table(KernelSpec.dlvp([[4, 1], [0, 3]], (0.3, 0.2)))
-    assert "bracket" not in {field.name for field in dataclasses.fields(table)}
+    # the half flag is read from the row count, so it cannot contradict the rows
+    assert {"bracket", "half"}.isdisjoint(field.name for field in dataclasses.fields(table))
     with pytest.raises(dataclasses.FrozenInstanceError):
         table.coeffs = table.coeffs.copy()
     # the bracket follows the coefficients, also after they are scaled in place

@@ -142,16 +142,16 @@ WHOLE_HALF_GRIDS = st.sampled_from(
 
 @given(data=st.data(), c0=spd_mandel())
 def test_coefficient_table_is_the_oracle_rows(data, c0):
-    # dlVP and box tables hold the half-grid classes, Dirichlet tables all
-    # of them, and either way the rows are those of the every-class oracle
-    # bit for bit; the Green table matches the oracle's index-form build on
-    # every class, and the oracle measures the evenness the half table
-    # assumes (and the Dirichlet build measures)
+    # dlVP and box tables hold the half-grid classes, Dirichlet tables too
+    # when their classes pair evenly and all of them otherwise, and either
+    # way the rows are those of the every-class oracle bit for bit; the
+    # Green table matches the oracle's index-form build on every class,
+    # and the oracle measures the evenness that the half flag decides
     pm = data.draw(st.one_of(WHOLE_HALF_GRIDS, patterns(max_m=64)), label="pattern")
     spec = data.draw(kernel_specs(pm), label="kernel")
     table = coefficient_table(spec)
     oracle = every_class_table(spec)
-    assert table.half == (spec.kind != "dirichlet")
+    assert table.half or spec.kind == "dirichlet"
     rows = np.arange(pm.m).reshape(smith_normal_form(pm).grid)
     stored = rows[:, : half_grid(pm)[1]].ravel() if table.half else rows.ravel()
     assert np.array_equal(table.freqs, oracle.freqs[stored])
@@ -161,9 +161,7 @@ def test_coefficient_table_is_the_oracle_rows(data, c0):
     green = periodised_green_table(c0, orthonormalize(table))
     expected = periodised_green_index_form(c0, spec)
     assert np.max(np.abs(class_matrices(green) - expected)) <= 1e-13 * np.max(np.abs(expected))
-    assert green.even_table == is_even(pm, expected)
-    if table.half:
-        assert green.even_table
+    assert table.half == green.even_table == is_even(pm, expected)
 
 
 @given(data=st.data(), c0=spd_mandel())
@@ -199,8 +197,8 @@ SMITH_CASES = [
 @settings(max_examples=25)
 @given(data=st.data(), c0=spd_mandel())
 def test_real_green_path_matches_the_full_spectrum(entries, data, c0):
-    # even tables (dlVP, box, Dirichlet on odd divisors) take the real
-    # half-spectrum path; the others stay honestly complex
+    # even tables (dlVP, box, Dirichlet whose classes pair evenly) take
+    # the real half-spectrum path; the others stay honestly complex
     if entries is None:
         pm = data.draw(patterns(max_m=400), label="pattern")
     else:

@@ -424,7 +424,7 @@ def random_field(m, seed, contrast=10.0):
 
 
 CG_TABLES = {
-    # even divisors: the half-open box makes the table odd and the field complex
+    # 16 I: the half-open box pairs faces unevenly, so the field is complex
     "dirichlet_16": ([[16, 0], [0, 16]], KernelSpec.dirichlet),
     "dirichlet_15": ([[15, 0], [0, 15]], KernelSpec.dirichlet),
     "dlvp_sheared": ([[16, 0], [8, 16]], lambda mat: KernelSpec.dlvp(mat, (0.25, 0.1))),
@@ -539,7 +539,7 @@ def test_solver_memory_is_its_named_buffers():
 
 
 def test_complex_solver_memory_is_its_named_buffers():
-    # a Dirichlet table on even divisors is not even: the solve is complex
+    # a Dirichlet table on 64 I is not even: the solve is complex
     # and every Green application takes the full spectrum, written through
     # the same workspace, so it too allocates only its named buffers
     n = 64
