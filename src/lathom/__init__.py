@@ -20,7 +20,9 @@ from .bench import (
     HashinGeometry,
     LaminateGeometry,
     error_metrics,
+    hashin_field,
     laminate_effective_oracle,
+    laminate_field,
     nearest_point_grid,
     rasterize_hashin,
     rasterize_laminate,
@@ -48,6 +50,7 @@ from .lattice import Pattern, PatternMatrix, as_pattern_matrix, generating_set, 
 from .pattern_fft import pattern_dft, pattern_fft, pattern_ifft, smith_normal_form
 from .solver import (
     SolveReport,
+    StiffnessField,
     basic_scheme,
     default_reference,
     effective_action,
@@ -90,6 +93,7 @@ __all__ = [
     "strain_basis",
     # solver
     "SolveReport",
+    "StiffnessField",
     "basic_scheme",
     "default_reference",
     "effective_action",
@@ -100,7 +104,9 @@ __all__ = [
     "HashinGeometry",
     "LaminateGeometry",
     "error_metrics",
+    "hashin_field",
     "laminate_effective_oracle",
+    "laminate_field",
     "nearest_point_grid",
     "rasterize_hashin",
     "rasterize_laminate",

@@ -4,8 +4,10 @@ Two microstructure families are provided: a three-phase assembly of two
 confocal ellipses in a matrix, and a two-phase layered medium (with one
 phase, a homogeneous cell).  Both hold their phases as (3, 3) Mandel
 stiffness matrices and are sampled pointwise on a pattern: each pattern
-point gets the stiffness of the phase it falls in, with no voxel
-averaging, and each rasteriser returns (c, phases).  The layered medium
+point gets the phase it falls in, with no voxel averaging.  hashin_field
+and laminate_field return the sampled field by phase (a StiffnessField:
+phase codes and the phases' stiffnesses), and the rasterisers expand it
+to (c, phases) with the dense (m, 3, 3) field c.  The layered medium
 has an exact effective tensor from the interface conditions, which
 serves as the reference for convergence studies.
 """
@@ -20,7 +22,7 @@ from .errors import InvalidGeometry, PatternMismatch, ShapeMismatch, ValidationE
 from .green import strain_basis
 from .lattice import as_pattern_matrix, pattern_points, refinement
 from .pattern_fft import smith_normal_form
-from .solver import _write_atomic, _write_csv, effective_action
+from .solver import StiffnessField, _write_atomic, _write_csv, effective_action
 from .tensor import as_mandel_stiffness, isotropic_stiffness, require_elliptic
 
 __all__ = [
@@ -30,6 +32,8 @@ __all__ = [
     "HashinGeometry",
     "LaminateGeometry",
     "rotation_matrix",
+    "hashin_field",
+    "laminate_field",
     "rasterize_hashin",
     "rasterize_laminate",
     "laminate_phases",
@@ -119,15 +123,21 @@ class HashinGeometry:
         return np.stack([self.core_material, self.coating_material, self.matrix_material])
 
 
-def rasterize_hashin(m_mat, geom):
-    """Sample the three-phase geometry on P(M).
+def hashin_field(m_mat, geom):
+    """The three-phase geometry sampled on P(M), as a StiffnessField.
 
-    Returns (c, phases): the stiffness field (m, 3, 3) in canonical pattern
-    ordering and the phase codes (m,) with 0 core, 1 coating, 2 matrix.
+    Its phase codes (m,) follow the canonical pattern ordering, with 0
+    core, 1 coating, 2 matrix; a phase that no point samples stays in the
+    table.
     """
-    pat = pattern_points(m_mat)
-    phases = geom.phase_of(pat.points)
-    return geom.stiffness_by_phase()[phases], phases
+    return StiffnessField(geom.stiffness_by_phase(), geom.phase_of(pattern_points(m_mat).points))
+
+
+def rasterize_hashin(m_mat, geom):
+    """(c, phases) of hashin_field: the dense stiffness field (m, 3, 3) and
+    the phase codes (m,)."""
+    field = hashin_field(m_mat, geom)
+    return field.dense(), field.phases
 
 
 @dataclasses.dataclass(eq=False)
@@ -162,6 +172,10 @@ class LaminateGeometry:
                 "volume_fraction",
             )
 
+    def stiffness_by_phase(self):
+        """(2, 3, 3) stack indexed by phase code."""
+        return np.stack([self.material_1, self.material_2])
+
 
 def laminate_phases(m_mat, geom):
     """Phase codes (m,) on P(M): 0 for phase 1, 1 for phase 2.
@@ -179,14 +193,17 @@ def laminate_phases(m_mat, geom):
     return np.where(u < geom.volume_fraction * (2 * den), 0, 1).astype(np.int8)
 
 
-def rasterize_laminate(m_mat, geom):
-    """Sample the layered medium on P(M).
+def laminate_field(m_mat, geom):
+    """The layered medium sampled on P(M), as a StiffnessField whose phase
+    codes are laminate_phases (a homogeneous cell carries phase 0 only)."""
+    return StiffnessField(geom.stiffness_by_phase(), laminate_phases(m_mat, geom))
 
-    Returns (c, phases): the stiffness field (m, 3, 3) in canonical pattern
-    ordering and the phase codes (m,) of laminate_phases.
-    """
-    phases = laminate_phases(m_mat, geom)
-    return np.where((phases == 0)[:, None, None], geom.material_1, geom.material_2), phases
+
+def rasterize_laminate(m_mat, geom):
+    """(c, phases) of laminate_field: the dense stiffness field (m, 3, 3)
+    and the phase codes (m,)."""
+    field = laminate_field(m_mat, geom)
+    return field.dense(), field.phases
 
 
 def laminate_effective_oracle(geom):
@@ -228,14 +245,16 @@ def _relative_norm(diff, ref):
 
 
 def summed_action(c, field):
-    """Sum of C : E over the pattern (no mean, no loading)."""
+    """Sum of C : E over the pattern (no mean, no loading); c is a stiffness
+    field as solver.basic_scheme takes it."""
     return len(field) * effective_action(c, field, np.zeros(field.shape[1]))
 
 
 def error_metrics(solution, reference, c, eps0, ref_effective, mode="mean_total"):
     """Compare a strain field against a reference on the same pattern.
 
-    Returns (e_eff, e_l2, e_log):
+    c is a stiffness field as solver.basic_scheme takes it.  Returns
+    (e_eff, e_l2, e_log):
 
     - e_eff: relative distance of the effective (mean total) stress from
       `ref_effective`.  mode="summed_action" instead compares

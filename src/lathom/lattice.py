@@ -63,8 +63,8 @@ def _int_entry(x):
 class PatternMatrix:
     """Regular 2 x 2 integer matrix defining pattern and frequency sets.
 
-    Immutable and hashable; derived data (pattern, generating set, Smith
-    decomposition) is cached per instance through the module functions.
+    Immutable and hashable; its Smith decomposition is cached per instance
+    through the module functions.
     """
 
     __slots__ = ("entries", "det", "m")
@@ -307,21 +307,16 @@ class GeneratingSet:
         return np.mod(k @ self._t_inv, self._diag) @ self._strides
 
 
-@functools.lru_cache(maxsize=None)
-def _pattern_cached(pm):
-    return Pattern(pm)
-
-
-@functools.lru_cache(maxsize=None)
-def _generating_set_cached(pm):
-    return GeneratingSet(pm)
-
-
 def pattern_points(m_mat):
-    """The pattern P(M) in its canonical (Smith coordinate) ordering."""
-    return _pattern_cached(as_pattern_matrix(m_mat))
+    """The pattern P(M) in its canonical (Smith coordinate) ordering.
+
+    Built on every call and cached nowhere, so a pattern lives only as
+    long as its caller holds it.
+    """
+    return Pattern(as_pattern_matrix(m_mat))
 
 
 def generating_set(m_mat):
-    """The generating set G(M^T) in its canonical ordering."""
-    return _generating_set_cached(as_pattern_matrix(m_mat))
+    """The generating set G(M^T) in its canonical ordering, built on every
+    call like pattern_points."""
+    return GeneratingSet(as_pattern_matrix(m_mat))

@@ -1,9 +1,13 @@
 """Solvers for the discretised Lippmann-Schwinger equation.
 
 Fields live on the pattern as Mandel vectors per point: at this API
-strain-like quantities have shape (m, 3), stiffness fields (m, 3, 3).  The
-coefficients are those of fundamental-interpolant translates, which equal
-the point values at 2 pi y, so no basis change happens anywhere.
+strain-like quantities have shape (m, 3).  A stiffness field is a
+StiffnessField, phase codes (m,) and a (p, 3, 3) table of the phases'
+Mandel matrices; a plain (m, 3, 3) array is the field with one phase per
+point (p = m), taken without a copy, and a single (3, 3) matrix one phase
+everywhere.  The coefficients are those of fundamental-interpolant
+translates, which equal the point values at 2 pi y, so no basis change
+happens anywhere.
 
 The strain fluctuation E solves
 
@@ -28,7 +32,8 @@ iteration (x, its successor, r, z, p, w and the product q) are C-contiguous
 the transforms read and write without strides.  C - C0 is stored by its
 six unique entries, (6, m) (tensor.symmetric_entries, read from the lower
 triangle that the positivity check examines), and multiplied in three
-fused rows (tensor.apply_symmetric) through one (m,) scratch plane.
+fused rows (tensor.apply_symmetric) through one (m,) scratch plane; its
+rows are the phase table's entries gathered by phase, C-contiguous.
 These buffers and the Green application's spectral scratch are allocated
 once per solve, and every step writes into them: an iteration allocates
 no array, on either kind of Green table.  The strain is transposed to
@@ -41,8 +46,9 @@ last finite iterate.
 
 C0 is table.c0, which the table's construction checked, so (C, eps0,
 table) poses the problem.  tensor.require_elliptic decides positivity of
-C by the leading principal minors at every point, O(m), and only in doubt
-by the batched eigvalsh of ellipticity_bounds, which words the error.
+C by the batched eigvalsh of ellipticity_bounds over the phases that some
+point carries, O(p); a phase no point samples poses nothing and is not
+examined, here or by default_reference.
 
 On patterns whose Green table is not even under h -> -h (a Dirichlet box
 whose face classes pair unevenly, see kernels.py) the fixed point is complex;
@@ -76,6 +82,7 @@ from .tensor import (
 )
 
 __all__ = [
+    "StiffnessField",
     "SolveReport",
     "basic_scheme",
     "residual_ls",
@@ -100,12 +107,71 @@ class SolveReport:
     imag_fraction: float = 0.0  # |Im E| / |E|, zero on even tables
 
 
-def _as_stiffness_field(c, m):
-    c = np.asarray(c, dtype=float)
-    if c.shape == (3, 3):
-        c = np.broadcast_to(c, (m, 3, 3))
-    if c.shape != (m, 3, 3):
-        raise ShapeMismatch(f"stiffness field must be {(m, 3, 3)}, got {c.shape}")
+@dataclass(eq=False)
+class StiffnessField:
+    """A stiffness field by phase: C(y_i) = stiffness[phases[i]].
+
+    stiffness is the (p, 3, 3) Mandel matrices of the phases and phases the
+    integer code (m,) of each point.  phases None is one phase per point,
+    p = m: a dense (m, 3, 3) field, held as given.  ShapeMismatch for a
+    wrong shape, ValidationError for a code outside range(p).
+    """
+
+    stiffness: np.ndarray
+    phases: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.stiffness = np.asarray(self.stiffness, dtype=float)
+        if self.stiffness.ndim != 3 or self.stiffness.shape[1:] != (3, 3):
+            raise ShapeMismatch(f"phase stiffnesses must be (p, 3, 3), got {self.stiffness.shape}")
+        if self.phases is None:
+            return
+        self.phases = np.asarray(self.phases)
+        if self.phases.ndim != 1 or not np.issubdtype(self.phases.dtype, np.integer):
+            raise ShapeMismatch(
+                f"phase codes must be (m,) integers, got {self.phases.dtype} {self.phases.shape}"
+            )
+        if len(self.phases) and not 0 <= self.phases.min() <= self.phases.max() < len(self.stiffness):
+            raise ValidationError(f"phase codes must lie in range({len(self.stiffness)})")
+
+    @property
+    def m(self):
+        """The number of points."""
+        return len(self.stiffness if self.phases is None else self.phases)
+
+    def gather(self, per_phase, axis=0):
+        """Per-phase values (phase along axis) taken at every point, C-contiguous."""
+        return per_phase if self.phases is None else np.take(per_phase, self.phases, axis=axis)
+
+    def dense(self):
+        """C(y) at every point, (m, 3, 3)."""
+        return self.gather(self.stiffness)
+
+    def present(self):
+        """The stiffnesses of the phases that some point carries, (q, 3, 3)."""
+        if self.phases is None:
+            return self.stiffness
+        carried = np.bincount(self.phases, minlength=len(self.stiffness)) > 0
+        return self.stiffness if carried.all() else self.stiffness[carried]
+
+
+def _as_stiffness_field(c, m=None):
+    """c as a StiffnessField, of m points unless m is None.
+
+    A StiffnessField passes as it is, an (m, 3, 3) array is one phase per
+    point and a (3, 3) matrix one phase at every point (at one point when m
+    is None).  ShapeMismatch for any other shape or number of points.
+    """
+    if not isinstance(c, StiffnessField):
+        c = np.asarray(c, dtype=float)
+        if c.shape == (3, 3):
+            c = StiffnessField(c[None], None if m is None else np.zeros(m, np.int8))
+        elif c.ndim == 3:
+            c = StiffnessField(c)
+        else:
+            raise ShapeMismatch(f"stiffness field must be (m, 3, 3) or (3, 3), got {c.shape}")
+    if m is not None and c.m != m:
+        raise ShapeMismatch(f"stiffness field must have {m} points, got {c.m}")
     return c
 
 
@@ -203,8 +269,9 @@ def _cg_iteration(dc, eps0, table, tol, max_iter):
 def _solve_inputs(c, eps0, table):
     """(c, eps0) of one cell problem on table, as basic_scheme takes them.
 
-    c becomes an (m, 3, 3) field (a single (3, 3) is broadcast).  Raises
-    ShapeMismatch for a wrong shape, ValidationError unless eps0 is finite.
+    c becomes a StiffnessField of m points (see _as_stiffness_field).
+    Raises ShapeMismatch for a wrong shape, ValidationError unless eps0 is
+    finite.
     """
     c = _as_stiffness_field(c, table.matrix.m)
     eps0 = np.asarray(eps0, dtype=float)
@@ -218,16 +285,19 @@ def _solve_inputs(c, eps0, table):
 def basic_scheme(c, eps0, table, tol=1e-10, max_iter=5000):
     """Solve the cell problem by Green-preconditioned conjugate gradients.
 
-    c is the pointwise stiffness (m, 3, 3), eps0 the macroscopic strain as
-    a Mandel vector and table the periodised Green operator, whose c0 is
-    the reference.  The run stops when the relative LS residual is at most
-    tol (see the module docstring).  The name is the paper's for its
+    c is the stiffness field, a StiffnessField or an (m, 3, 3) or (3, 3)
+    array; eps0 the macroscopic strain as a Mandel vector and table the
+    periodised Green operator, whose c0 is the reference.  Positivity is
+    checked on the phases that some point carries, and C - C0 is formed
+    per phase and gathered by phase code into the (6, m) rows that CG
+    multiplies by.  The run stops when the relative LS residual is at
+    most tol (see the module docstring).  The name is the paper's for its
     fixed-point method; it stays because perfbench times every solve by
     the span `solver:basic_scheme`, so a rename belongs with a change to
-    the benchmark.  Raises ValidationError unless tol is finite and positive,
-    max_iter an integer >= 1 and eps0 finite; NonElliptic if the stiffness
-    field is not symmetric and uniformly positive; Diverged(iterations,
-    report) at the first non-finite residual norm and
+    the benchmark.  Raises ValidationError unless tol is finite and
+    positive, max_iter an integer >= 1 and eps0 finite; NonElliptic if a
+    phase that some point carries is not symmetric positive definite;
+    Diverged(iterations, report) at the first non-finite residual norm and
     NotConverged(iterations, report) when max_iter runs out.
     """
     start = time.perf_counter()
@@ -236,11 +306,13 @@ def basic_scheme(c, eps0, table, tol=1e-10, max_iter=5000):
         raise ValidationError("tolerance must be finite and positive")
     if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    require_elliptic(c.present(), "stiffness field")
     # the lower triangle: the solver applies the matrix that eigvalsh reads
-    dc = symmetric_entries(np.swapaxes(c, -1, -2))
-    require_elliptic(c, "stiffness field", dc)
+    dc = symmetric_entries(np.swapaxes(c.stiffness, -1, -2))
     dc -= symmetric_entries(table.c0)[:, None]
+    dc = c.gather(dc, axis=1)  # np.take: C-contiguous rows, unlike dc[:, phases]
     strain, history, stop = _cg_iteration(dc, eps0, table, tol, max_iter)
+    del dc  # before effective_action gathers C(y)
     strain = strain.T.copy()
     scale = _field_norm(strain)
     imag = 0.0
@@ -279,7 +351,7 @@ def residual_ls(strain, c, c0, eps0, table):
     if not np.allclose(as_mandel_stiffness(c0), table.c0, rtol=1e-12, atol=1e-12):
         raise ValidationError("reference stiffness differs from the table's")
     c, eps0 = _solve_inputs(c, eps0, table)
-    tau = apply(c - table.c0, strain + eps0)
+    tau = apply(c.gather(c.stiffness - table.c0), strain + eps0)
     return _field_norm(strain + apply_green(table, tau))
 
 
@@ -303,7 +375,11 @@ def _exact_mean(values):
 
 
 def effective_action(c, strain, eps0):
-    """Discrete mean stress (1/m) sum_y C(y):(E_y + eps0), Mandel vector."""
+    """Discrete mean stress (1/m) sum_y C(y):(E_y + eps0), Mandel vector.
+
+    c is a stiffness field as basic_scheme takes it; C(y) is gathered at
+    every point for the sum.
+    """
     strain = np.asarray(strain)
     if strain.ndim != 2 or strain.shape[1] != 3:
         raise ShapeMismatch(f"strain field must be (m, 3), got shape {strain.shape}")
@@ -311,7 +387,7 @@ def effective_action(c, strain, eps0):
     eps0 = np.asarray(eps0)
     if eps0.shape != (3,):
         raise ShapeMismatch(f"macroscopic strain must be (3,), got {eps0.shape}")
-    return _exact_mean(apply(c, strain + eps0))
+    return _exact_mean(apply(c.dense(), strain + eps0))
 
 
 def effective_tensor(c, table, tol=1e-10, max_iter=5000):
@@ -332,15 +408,13 @@ def effective_tensor(c, table, tol=1e-10, max_iter=5000):
 def default_reference(c):
     """Isotropic reference from the midpoint of the pointwise Lame ranges.
 
-    Projects each point onto its isotropic part and takes lambda0, mu0 as
-    the arithmetic mean of the pointwise min and max.  Conjugate gradients
+    c is a stiffness field as basic_scheme takes it.  Projects each phase
+    that some point carries onto its isotropic part and takes lambda0, mu0
+    as the arithmetic mean of the min and max.  Conjugate gradients
     converge for any symmetric positive definite reference, so it sets
     only the conditioning; no contraction is needed.
     """
-    c = np.asarray(c, dtype=float)
-    if c.ndim == 2:
-        c = c[None, :, :]
-    lams, mus = isotropic_parts(c)
+    lams, mus = isotropic_parts(_as_stiffness_field(c).present())
     lam0 = 0.5 * (float(np.min(lams)) + float(np.max(lams)))
     mu0 = 0.5 * (float(np.min(mus)) + float(np.max(mus)))
     return lame_stiffness(lam0, mu0)

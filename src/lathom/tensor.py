@@ -28,7 +28,6 @@ __all__ = [
     "isotropic_parts",
     "lame_parameters",
     "ellipticity_bounds",
-    "certainly_elliptic",
     "require_elliptic",
     "apply",
     "SYMMETRIC_PAIRS",
@@ -46,8 +45,6 @@ SYMMETRIC_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 _ROWS = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 # relative asymmetry a stiffness may carry, against its largest |eigenvalue|
 _SYMMETRY_RTOL = 1e-12
-# certainly_elliptic's margin: leading minors above it times |C|_F^k
-_MINOR_MARGIN = 1e-10
 
 
 def as_mandel_stiffness(c):
@@ -127,54 +124,13 @@ def ellipticity_bounds(cm, name="stiffness"):
     return lower, upper
 
 
-def certainly_elliptic(cm, lower=None):
-    """True when ellipticity_bounds would accept the batch cm (..., 3, 3).
-
-    A cheap sufficient test in O(batch) arithmetic, no eigenvalues:
-
-    - symmetry against half the largest |diagonal entry|, which is at most
-      half the largest |eigenvalue| that ellipticity_bounds measures
-      against;
-    - the leading minors of the lower triangle (the one eigvalsh reads),
-      a00 > 0, d2 > 1e-10 |C|_F^2 and d3 > 1e-10 |C|_F^3 at every point.
-      Their rounding errors are below eps |C|_F^k, so the minors are
-      truly positive (Sylvester) and the smallest eigenvalue is at least
-      d3 / |C|_F^2 > 1e-10 |C|_F, far above eigvalsh's rounding.
-
-    lower, if given, is symmetric_entries(np.swapaxes(cm, -1, -2)), that
-    triangle's entries, which a caller may hold anyway.  False means
-    undecided, not rejected: require_elliptic then asks
-    ellipticity_bounds.  A non-finite entry turns some comparison into one
-    with NaN, which is False.
-    """
-    cm = np.asarray(cm)
-    if lower is None:
-        lower = symmetric_entries(np.swapaxes(cm, -1, -2))
-    a00, a11, a22, a10, a20, a21 = lower
-    diagonal = float(np.max(np.abs(lower[:3])))
-    if not _asymmetry(cm) <= 0.5 * _SYMMETRY_RTOL * diagonal:
-        return False
-    if not np.all(a00 > 0.0):
-        return False
-    frobenius2 = a00 * a00 + a11 * a11 + a22 * a22 + 2.0 * (a10 * a10 + a20 * a20 + a21 * a21)
-    if not np.all(a00 * a11 - a10 * a10 > _MINOR_MARGIN * frobenius2):
-        return False
-    det = a00 * (a11 * a22 - a21 * a21)
-    det -= a10 * (a10 * a22 - a21 * a20)
-    det += a20 * (a10 * a21 - a11 * a20)
-    return bool(np.all(det > _MINOR_MARGIN * frobenius2 * np.sqrt(frobenius2)))
-
-
-def require_elliptic(cm, name, lower=None):
+def require_elliptic(cm, name):
     """NonElliptic unless the Mandel matrices cm (..., 3, 3) are symmetric positive definite.
 
-    The package's one positivity check.  certainly_elliptic accepts in
-    O(batch), given lower if a caller holds it; in any doubt
-    ellipticity_bounds decides, and every error names `name`, a
-    positivity error the smallest eigenvalue too.
+    The package's one positivity check: ellipticity_bounds decides, and
+    every error names `name`, a positivity error the smallest eigenvalue
+    too.
     """
-    if certainly_elliptic(cm, lower):
-        return
     bound, _ = ellipticity_bounds(cm, name)
     if not bound > 0.0:
         raise NonElliptic(f"{name} is not positive definite (lower bound {bound:.3e})")

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lathom.cli import (
     emit_heatmap,
     main,
     parse_manifest,
+    run,
     run_selftest,
 )
 from lathom.errors import ParseError, ShapeMismatch, ValidationError
@@ -293,6 +295,32 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert len(strain) == 1 + 64
 
 
+def test_solve_memory_grows_by_the_solver_buffers(tmp_path, capsys):
+    # a whole dlVP Hashin `solve` from 128^2 to 256^2: the tracemalloc peak
+    # grows by at most 320 bytes per point.  CG's seven (3, m) fields, its
+    # plane, the (6, m) rows of C - C0, the Green workspace and the half
+    # table make ~300; a dense (m, 3, 3) stiffness field held through the
+    # solve (72) or a resident pattern (64) would not fit
+    def peak(side):
+        text = (
+            f"[pattern]\nmatrix = {side} 0 0 {side}\n"
+            "[kernel]\nkind = dlvp\nalpha = 0.25 0.25\n"
+            "[geometry]\ntype = hashin\nrotation_degrees = 37.0\n"
+            "[load]\neps0 = 0.6 -0.7 0.3\n"
+            f"[output]\ndirectory = {tmp_path / str(side)}\nstrain_csv = false\n"
+        )
+        manifest = parse_manifest(manifest_file(tmp_path, text, f"{side}.cfg"))
+        tracemalloc.start()
+        try:
+            assert run(manifest) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(128), peak(256)
+    assert large - small <= 320 * (256**2 - 128**2)
+
+
 def test_box_solve_writes_real_strain_csv(tmp_path):
     text = LAMINATE.replace("kind = dirichlet", "kind = box\nradius = 4")
     out = tmp_path / "out"
@@ -486,9 +514,12 @@ def test_exit_2_on_invalid_material(tmp_path, capsys, text, line, fragment):
 
 def test_homogeneous_cell_is_one_isotropic_phase(tmp_path):
     man = parse_manifest(manifest_file(tmp_path, HOMOG))
-    c, phases = _build_field_on(man.matrix, man)
-    assert np.array_equal(c, np.broadcast_to(isotropic_stiffness(2.0, 0.25), (64, 3, 3)))
-    assert phases.shape == (64,) and not phases.any()
+    field = _build_field_on(man.matrix, man)
+    material = isotropic_stiffness(2.0, 0.25)
+    # every point carries phase 0 and nothing else
+    assert field.phases.shape == (64,) and not field.phases.any()
+    assert np.array_equal(field.present(), material[None])
+    assert np.array_equal(field.dense(), np.broadcast_to(material, (64, 3, 3)))
 
 
 # heatmaps

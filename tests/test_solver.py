@@ -13,8 +13,11 @@ from lathom.errors import (
 )
 from lathom.green import periodised_green_table
 from lathom.kernels import KernelSpec, coefficient_table, orthonormalize, three_direction_set
+from lathom.bench import HashinGeometry, hashin_field
 from lathom.lattice import pattern_points
 from lathom.solver import (
+    StiffnessField,
+    _as_stiffness_field,
     _formatted_once,
     _write_atomic,
     _write_csv,
@@ -284,6 +287,56 @@ def test_default_reference_is_midpoint_of_lame_ranges():
     iv = np.array([1.0, 1.0, 0.0])
     expected = lam0 * np.outer(iv, iv) + 2.0 * mu0 * np.eye(3)
     assert np.allclose(ref, expected, atol=1e-14)
+
+
+def test_stiffness_field_forms():
+    # a dense (m, 3, 3) field is one phase per point and passes without a
+    # copy; a (3, 3) stiffness is one phase at every point
+    c = random_field(16, seed=3)
+    field = _as_stiffness_field(c, 16)
+    assert field.stiffness is c and field.phases is None
+    assert field.dense() is c and field.present() is c
+    one = _as_stiffness_field(c[0], 16)
+    assert one.phases.shape == (16,) and not one.phases.any()
+    assert np.array_equal(one.dense(), np.broadcast_to(c[0], (16, 3, 3)))
+    # gathered rows are C-contiguous, whatever the axis
+    rows = StiffnessField(c[:2], [1, 0, 1]).gather(np.arange(12.0).reshape(6, 2), axis=1)
+    assert rows.flags.c_contiguous and np.array_equal(rows[0], [1.0, 0.0, 1.0])
+    with pytest.raises(ShapeMismatch):
+        _as_stiffness_field(c, 15)
+    with pytest.raises(ShapeMismatch):
+        _as_stiffness_field(np.eye(4), 16)
+    with pytest.raises(ShapeMismatch):
+        StiffnessField(c[:2], [0.0, 1.0])
+    for codes in ([0, 2], [-1, 0]):
+        with pytest.raises(ValidationError, match="range"):
+            StiffnessField(c[:2], codes)
+
+
+def test_a_phase_no_point_samples_changes_nothing():
+    # the thin coating of this Hashin cell holds no point of 16 I: whatever
+    # its stiffness, even one that is not positive definite, the reference
+    # and the solve are those of the core and the matrix alone
+    mat = [[16, 0], [0, 16]]
+    geom = HashinGeometry(
+        rho_outer=0.0005, rotation_degrees=45.0, coating_material=isotropic_stiffness(1e3, 0.3)
+    )
+    field = hashin_field(mat, geom)
+    assert np.array_equal(np.bincount(field.phases, minlength=3) > 0, [True, False, True])
+    alone = StiffnessField(field.stiffness[[0, 2]], field.phases // 2)
+    c0 = default_reference(field)
+    assert np.array_equal(c0, default_reference(alone))
+    assert not np.allclose(c0, default_reference(field.stiffness))  # had the coating counted
+    table = green_table(mat, c0, kind="dlvp", alpha=(0.25, 0.25))
+    eps0 = np.array([0.6, -0.7, 0.3])
+    expected = basic_scheme(alone, eps0, table)
+    for coating in (isotropic_stiffness(1e3, 0.3), -np.eye(3), np.full((3, 3), np.nan)):
+        stiffness = field.stiffness.copy()
+        stiffness[1] = coating
+        got = basic_scheme(StiffnessField(stiffness, field.phases), eps0, table)
+        assert got.residual_history == expected.residual_history
+        assert np.array_equal(got.strain, expected.strain)
+        assert np.array_equal(got.effective_action, expected.effective_action)
 
 
 def test_report_summary_mentions_key_fields():
