@@ -19,7 +19,7 @@ from lathom import (
     isotropic_stiffness,
     laminate_effective_oracle,
     periodised_green_table,
-    rasterize_laminate,
+    stiffness_field,
 )
 
 geom = LaminateGeometry(
@@ -34,7 +34,7 @@ print(np.array_str(oracle, precision=6))
 
 for n in (16, 32, 64):
     mat = [[n, 0], [0, n]]
-    c, _ = rasterize_laminate(mat, geom)
+    c = stiffness_field(mat, geom)
     c0 = default_reference(c)
     table = periodised_green_table(c0, coefficient_table(KernelSpec.dirichlet(mat)))
     eff, asym = effective_tensor(c, table)

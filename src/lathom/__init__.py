@@ -20,13 +20,11 @@ from .bench import (
     HashinGeometry,
     LaminateGeometry,
     error_metrics,
-    hashin_field,
     laminate_effective_oracle,
-    laminate_field,
     nearest_point_grid,
     rasterize_hashin,
-    rasterize_laminate,
     restrict_field,
+    stiffness_field,
 )
 from .cli import RunManifest, main, parse_manifest, run, run_selftest
 from .errors import LathomError, NotConverged, ParseError, ValidationError
@@ -104,13 +102,11 @@ __all__ = [
     "HashinGeometry",
     "LaminateGeometry",
     "error_metrics",
-    "hashin_field",
     "laminate_effective_oracle",
-    "laminate_field",
     "nearest_point_grid",
     "rasterize_hashin",
-    "rasterize_laminate",
     "restrict_field",
+    "stiffness_field",
     # cli
     "RunManifest",
     "main",

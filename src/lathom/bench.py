@@ -4,12 +4,12 @@ Two microstructure families are provided: a three-phase assembly of two
 confocal ellipses in a matrix, and a two-phase layered medium (with one
 phase, a homogeneous cell).  Both hold their phases as (3, 3) Mandel
 stiffness matrices and are sampled pointwise on a pattern: each pattern
-point gets the phase it falls in, with no voxel averaging.  hashin_field
-and laminate_field return the sampled field by phase (a StiffnessField:
-phase codes and the phases' stiffnesses), and the rasterisers expand it
-to (c, phases) with the dense (m, 3, 3) field c.  The layered medium
-has an exact effective tensor from the interface conditions, which
-serves as the reference for convergence studies.
+point gets the phase it falls in, with no voxel averaging.  Each geometry
+names its phases on a pattern (phases_on) and lists their stiffnesses
+(stiffness_by_phase); stiffness_field samples any geometry on P(M) as a
+StiffnessField, which the solvers take as it is.  The layered medium has
+an exact effective tensor from the interface conditions, which serves as
+the reference for convergence studies.
 """
 
 import dataclasses
@@ -32,11 +32,8 @@ __all__ = [
     "HashinGeometry",
     "LaminateGeometry",
     "rotation_matrix",
-    "hashin_field",
-    "laminate_field",
+    "stiffness_field",
     "rasterize_hashin",
-    "rasterize_laminate",
-    "laminate_phases",
     "laminate_effective_oracle",
     "summed_action",
     "error_metrics",
@@ -118,26 +115,13 @@ class HashinGeometry:
         outer = outer + x[:, 1] ** 2 / (self.c2**2 + self.rho_outer)
         return np.where(core <= 1.0, 0, np.where(outer <= 1.0, 1, 2)).astype(np.int8)
 
+    def phases_on(self, pattern):
+        """Phase codes (m,) of a Pattern's points, in its ordering."""
+        return self.phase_of(pattern.points)
+
     def stiffness_by_phase(self):
         """(3, 3, 3) stack indexed by phase code."""
         return np.stack([self.core_material, self.coating_material, self.matrix_material])
-
-
-def hashin_field(m_mat, geom):
-    """The three-phase geometry sampled on P(M), as a StiffnessField.
-
-    Its phase codes (m,) follow the canonical pattern ordering, with 0
-    core, 1 coating, 2 matrix; a phase that no point samples stays in the
-    table.
-    """
-    return StiffnessField(geom.stiffness_by_phase(), geom.phase_of(pattern_points(m_mat).points))
-
-
-def rasterize_hashin(m_mat, geom):
-    """(c, phases) of hashin_field: the dense stiffness field (m, 3, 3) and
-    the phase codes (m,)."""
-    field = hashin_field(m_mat, geom)
-    return field.dense(), field.phases
 
 
 @dataclasses.dataclass(eq=False)
@@ -172,38 +156,45 @@ class LaminateGeometry:
                 "volume_fraction",
             )
 
+    def phases_on(self, pattern):
+        """Phase codes (m,) of a Pattern's points: 0 for phase 1, 1 for phase 2.
+
+        The layer coordinate is evaluated in exact integer arithmetic, so the
+        half-open slab boundary never flickers: with f1 = 1/2 and M = 4 I the
+        normal e1 splits the 16 points exactly 8 / 8.
+        """
+        nvec = np.asarray(self.normal, dtype=np.int64)
+        # n . y = t / den exactly; shift by 1/2 and wrap into [0, 1).
+        t = pattern.numerators @ nvec
+        den = int(pattern.denominator)
+        u = np.mod(2 * t + den, 2 * den)
+        return np.where(u < self.volume_fraction * (2 * den), 0, 1).astype(np.int8)
+
     def stiffness_by_phase(self):
         """(2, 3, 3) stack indexed by phase code."""
         return np.stack([self.material_1, self.material_2])
 
 
-def laminate_phases(m_mat, geom):
-    """Phase codes (m,) on P(M): 0 for phase 1, 1 for phase 2.
+def stiffness_field(m_mat, geom):
+    """A geometry sampled on P(M), as a StiffnessField.
 
-    The layer coordinate is evaluated in exact integer arithmetic, so the
-    half-open slab boundary never flickers: with f1 = 1/2 and M = 4 I the
-    normal e1 splits the 16 points exactly 8 / 8.
+    Its phase codes (m,) are geom.phases_on in the canonical pattern
+    ordering and its table geom.stiffness_by_phase(); a phase that no point
+    samples stays in the table (a homogeneous cell carries phase 0 only).
     """
-    pat = pattern_points(as_pattern_matrix(m_mat))
-    nvec = np.asarray(geom.normal, dtype=np.int64)
-    # n . y = t / den exactly; shift by 1/2 and wrap into [0, 1).
-    t = pat.numerators @ nvec
-    den = int(pat.denominator)
-    u = np.mod(2 * t + den, 2 * den)
-    return np.where(u < geom.volume_fraction * (2 * den), 0, 1).astype(np.int8)
+    return StiffnessField(geom.stiffness_by_phase(), geom.phases_on(pattern_points(m_mat)))
 
 
-def laminate_field(m_mat, geom):
-    """The layered medium sampled on P(M), as a StiffnessField whose phase
-    codes are laminate_phases (a homogeneous cell carries phase 0 only)."""
-    return StiffnessField(geom.stiffness_by_phase(), laminate_phases(m_mat, geom))
+def rasterize_hashin(m_mat, geom):
+    """(c, phases) of stiffness_field: the dense stiffness field (m, 3, 3)
+    and the phase codes (m,).
 
-
-def rasterize_laminate(m_mat, geom):
-    """(c, phases) of laminate_field: the dense stiffness field (m, 3, 3)
-    and the phase codes (m,)."""
-    field = laminate_field(m_mat, geom)
-    return field.dense(), field.phases
+    It stays because the benchmark's output checks (perfbench/checks.py)
+    call it and perfbench/probes.py times it by name; the library and the
+    command line call stiffness_field.
+    """
+    f = stiffness_field(m_mat, geom)
+    return f.dense(), f.phases
 
 
 def laminate_effective_oracle(geom):
@@ -359,6 +350,19 @@ def write_phase_csv(path, m_mat, phases):
     _write_csv(path, ["y1", "y2", "phase"], [pattern_points(pm).points, phases])
 
 
+def _write_raster(path, m_mat, codes, lut, shape=None):
+    """Binary netpbm image of per-point codes (m,) through a uint8 lookup table.
+
+    Each pixel takes the code of its nearest pattern point
+    (nearest_point_grid) and shows lut[code]: grey levels (n,) make a PGM
+    (P5), RGB rows (n, 3) a PPM (P6).
+    """
+    img = lut[codes[nearest_point_grid(m_mat, shape)]]
+    magic = "P5" if img.ndim == 2 else "P6"
+    header = f"{magic}\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
+    _write_atomic(path, [header + img.tobytes()])
+
+
 def write_phase_pgm(path, m_mat, phases, shape=None):
     """Phase map as a binary PGM image (nearest pattern point per pixel).
 
@@ -366,9 +370,6 @@ def write_phase_pgm(path, m_mat, phases, shape=None):
     grey levels in between.
     """
     pm, phases = _check_phases(m_mat, phases)
-    grid = nearest_point_grid(pm, shape)
     span = max(int(phases.max()), 1)
     levels = ((span - np.arange(span + 1)) * 255 // span).astype(np.uint8)
-    img = levels[phases[grid]]
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    _write_atomic(path, [header + img.tobytes()])
+    _write_raster(path, pm, phases, levels, shape)

@@ -36,11 +36,10 @@ from .bench import (
     DEFAULT_MATRIX_MATERIAL,
     HashinGeometry,
     LaminateGeometry,
+    _write_raster,
     error_metrics,
-    hashin_field,
-    laminate_field,
-    nearest_point_grid,
     restrict_field,
+    stiffness_field,
     summed_action,
     write_phase_csv,
     write_phase_pgm,
@@ -275,18 +274,15 @@ def _pair(field, first, second, default=(_REQUIRED, _REQUIRED), build=isotropic_
     }
 
 
-# geometry.type -> (constructor, field builder, its keys); other types' keys
-# are unknown.  The builders sample the phases, not a dense field, so
-# perfbench's probe of rasterize_hashin sees no call and its
-# bench.rasterize_s reads ~0.
+# geometry.type -> (constructor, its keys); other types' keys are unknown
 _GEOMETRIES = {
-    "laminate": (LaminateGeometry, laminate_field, {
+    "laminate": (LaminateGeometry, {
         "normal": _Key(_numbers(int, 2), _REQUIRED),
         "volume_fraction": _Key(_real, _REQUIRED),
         **_pair("material_1", "young_1", "poisson_1"),
         **_pair("material_2", "young_2", "poisson_2"),
     }),
-    "hashin": (HashinGeometry, hashin_field, {
+    "hashin": (HashinGeometry, {
         "c1": _Key(_real),
         "c2": _Key(_real),
         "rho_outer": _Key(_real),
@@ -298,7 +294,6 @@ _GEOMETRIES = {
     # one phase: the laminate whose first layer fills the cell
     "homogeneous": (
         lambda material: LaminateGeometry(material, material, volume_fraction=1.0),
-        laminate_field,
         _pair("material", "young", "poisson"),
     ),
 }
@@ -413,7 +408,7 @@ def parse_manifest(path):
         line, entries = sections.get(name, (None, {}))
         _take(name, line, entries, keys, fields)
         if name == "geometry":
-            build, _, variant = _GEOMETRIES[fields["geometry_type"]]
+            build, variant = _GEOMETRIES[fields["geometry_type"]]
             given = {}
             _take(name, line, entries, variant, given)
         for key, (_, at) in entries.items():
@@ -438,13 +433,7 @@ def parse_manifest(path):
     return manifest
 
 
-# field assembly and references
-
-
-def _build_field_on(m_mat, manifest):
-    """The manifest geometry's StiffnessField on P(M): phase codes (m,) and
-    the stiffness of each phase, which the solves take as they are."""
-    return _GEOMETRIES[manifest.geometry_type][1](m_mat, manifest.geometry)
+# Green tables and reference solves
 
 
 def _green_table(manifest, spec, c):
@@ -461,7 +450,7 @@ def _reference_data(manifest, c_coarse):
     ref_mat = manifest.reference_matrix
     if ref_mat is None:
         ref_mat = 2 * manifest.matrix
-    c_ref = _build_field_on(ref_mat, manifest)
+    c_ref = stiffness_field(ref_mat, manifest.geometry)
     table = _green_table(manifest, KernelSpec.dirichlet(ref_mat), c_ref)
     report = basic_scheme(
         c_ref, manifest.eps0, table, tol=manifest.tolerance, max_iter=manifest.max_iter
@@ -503,17 +492,14 @@ def emit_heatmap(m_mat, field, colormap, path, shape=None):
     field = np.asarray(field, dtype=float)
     if field.shape != (pm.m,):
         raise ShapeMismatch(f"expected a scalar field of length {pm.m}, got {field.shape}")
-    grid = nearest_point_grid(pm, shape)
     lo = float(field.min())
     hi = float(field.max())
     span = hi - lo
     if span == 0.0:
-        levels = np.zeros(grid.shape, dtype=np.intp)
+        levels = np.zeros(pm.m, dtype=np.intp)
     else:
-        levels = np.rint((field[grid] - lo) / span * 255.0).astype(np.intp)
-    img = _colormap_lut(colormap)[levels]
-    header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    _write_atomic(path, [header + img.tobytes()])
+        levels = np.rint((field - lo) / span * 255.0).astype(np.intp)
+    _write_raster(path, pm, levels, _colormap_lut(colormap), shape)
     _write_atomic(f"{path}.txt", [f"min {lo:.17g}\nmax {hi:.17g}\n".encode("ascii")])
 
 
@@ -540,7 +526,7 @@ def _solve_kept(manifest, c, table):
 
 
 def _run_solve(manifest):
-    c = _build_field_on(manifest.matrix, manifest)
+    c = stiffness_field(manifest.matrix, manifest.geometry)
     spec = manifest.kernel_spec()
     table = _green_table(manifest, spec, c)
     outdir = manifest.output_dir
@@ -580,7 +566,7 @@ def _run_solve(manifest):
 def _run_sweep(manifest):
     if manifest.sweep_alpha1 is None:
         raise ValidationError("sweep requested but the manifest has no [sweep] section")
-    c = _build_field_on(manifest.matrix, manifest)
+    c = stiffness_field(manifest.matrix, manifest.geometry)
     ref_field, ref_eff = _reference_data(manifest, c)
     rows = []
     status = 0
@@ -603,7 +589,7 @@ def _run_sweep(manifest):
 
 
 def _run_effective(manifest):
-    c = _build_field_on(manifest.matrix, manifest)
+    c = stiffness_field(manifest.matrix, manifest.geometry)
     spec = manifest.kernel_spec()
     table = _green_table(manifest, spec, c)
     tensor, asymmetry = effective_tensor(

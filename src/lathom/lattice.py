@@ -106,21 +106,6 @@ def as_pattern_matrix(m_mat):
     return PatternMatrix(m_mat)
 
 
-@functools.lru_cache(maxsize=None)
-def _reduction_data(key):
-    """Sign-normalised (adjugate, |det|) for the int matrix behind key."""
-    n = _int_det(key)
-    adj = _adjugate(key)
-    if n < 0:
-        n = -n
-        adj = [[-x for x in row] for row in adj]
-    return np.array(adj, dtype=np.int64), n
-
-
-def _matrix_key(a):
-    return tuple(tuple(int(x) for x in row) for row in a)
-
-
 def frac_coordinates(a, k):
     """Exact fractional coordinates A^{-1} k as (numerators, denominator).
 
@@ -129,14 +114,17 @@ def frac_coordinates(a, k):
     max|k| times the largest absolute row sum of adj(A); ValueError when
     that bound lets w, or the 2 w + n of the reductions, leave int64.
     """
-    key = _matrix_key(np.asarray(a))
-    adj, n = _reduction_data(key)
+    rows = np.asarray(a, dtype=np.int64).tolist()
+    n = _int_det(rows)
+    sign = -1 if n < 0 else 1  # adj(A) / det(A) with a positive denominator
+    adj = [[sign * x for x in row] for row in _adjugate(rows)]
+    n *= sign
     k = np.asarray(k, dtype=np.int64)
     if k.size:
         top = max(-int(k.min()), int(k.max()))
-        if 2 * top * max(sum(map(abs, row)) for row in adj.tolist()) + n >= 2**63:
-            raise ValueError(f"vectors with entries up to {top} overflow int64 modulo {key}")
-    return k @ adj.T, n
+        if 2 * top * max(sum(map(abs, row)) for row in adj) + n >= 2**63:
+            raise ValueError(f"vectors with entries up to {top} overflow int64 modulo {rows}")
+    return k @ np.array(adj, dtype=np.int64).T, n
 
 
 def _reduce(a, k):
@@ -266,8 +254,12 @@ class Pattern:
         self._s_inv = s_inv
         j = _box_enumeration(diag)
         z = reduce_point(pm, j @ s_arr.T)
-        adj, n = _reduction_data(_matrix_key(pm.entries))
-        num = z @ adj.T
+        # M^{-1} z = adj(M) z / det(M), with |adj(M) z| <= m / 2 for a reduced
+        # z: exact in int64, where frac_coordinates' bound for any vector
+        # can refuse large entries
+        adj = np.array(_adjugate(pm.entries.tolist()), dtype=np.int64)
+        num = z @ (adj.T if pm.det > 0 else -adj.T)
+        n = pm.m
         self.z = z
         self.numerators = num
         self.denominator = n

@@ -266,20 +266,16 @@ def _cg_iteration(dc, eps0, table, tol, max_iter):
     return x, history, "diverged"
 
 
-def _solve_inputs(c, eps0, table):
-    """(c, eps0) of one cell problem on table, as basic_scheme takes them.
-
-    c becomes a StiffnessField of m points (see _as_stiffness_field).
-    Raises ShapeMismatch for a wrong shape, ValidationError unless eps0 is
-    finite.
-    """
-    c = _as_stiffness_field(c, table.matrix.m)
+def _as_load(eps0):
+    """eps0 as a float Mandel vector (3,), the one load check of the solver
+    and the mean stress: ShapeMismatch for another shape, ValidationError
+    unless it is finite."""
     eps0 = np.asarray(eps0, dtype=float)
     if eps0.shape != (3,):
         raise ShapeMismatch(f"macroscopic strain must be (3,), got {eps0.shape}")
     if not np.all(np.isfinite(eps0)):
         raise ValidationError("macroscopic strain must be finite")
-    return c, eps0
+    return eps0
 
 
 def basic_scheme(c, eps0, table, tol=1e-10, max_iter=5000):
@@ -301,7 +297,7 @@ def basic_scheme(c, eps0, table, tol=1e-10, max_iter=5000):
     NotConverged(iterations, report) when max_iter runs out.
     """
     start = time.perf_counter()
-    c, eps0 = _solve_inputs(c, eps0, table)
+    c, eps0 = _as_stiffness_field(c, table.matrix.m), _as_load(eps0)
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError("tolerance must be finite and positive")
     if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
@@ -350,7 +346,7 @@ def residual_ls(strain, c, c0, eps0, table):
         raise ShapeMismatch(f"expected {(pm.m, 3)}, got {strain.shape}")
     if not np.allclose(as_mandel_stiffness(c0), table.c0, rtol=1e-12, atol=1e-12):
         raise ValidationError("reference stiffness differs from the table's")
-    c, eps0 = _solve_inputs(c, eps0, table)
+    c, eps0 = _as_stiffness_field(c, pm.m), _as_load(eps0)
     tau = apply(c.gather(c.stiffness - table.c0), strain + eps0)
     return _field_norm(strain + apply_green(table, tau))
 
@@ -378,15 +374,14 @@ def effective_action(c, strain, eps0):
     """Discrete mean stress (1/m) sum_y C(y):(E_y + eps0), Mandel vector.
 
     c is a stiffness field as basic_scheme takes it; C(y) is gathered at
-    every point for the sum.
+    every point for the sum.  eps0 is checked as basic_scheme checks it
+    (ValidationError unless finite).
     """
     strain = np.asarray(strain)
     if strain.ndim != 2 or strain.shape[1] != 3:
         raise ShapeMismatch(f"strain field must be (m, 3), got shape {strain.shape}")
     c = _as_stiffness_field(c, strain.shape[0])
-    eps0 = np.asarray(eps0)
-    if eps0.shape != (3,):
-        raise ShapeMismatch(f"macroscopic strain must be (3,), got {eps0.shape}")
+    eps0 = _as_load(eps0)
     return _exact_mean(apply(c.dense(), strain + eps0))
 
 

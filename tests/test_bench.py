@@ -6,12 +6,11 @@ from lathom.bench import (
     LaminateGeometry,
     error_metrics,
     laminate_effective_oracle,
-    laminate_phases,
     nearest_point_grid,
     rasterize_hashin,
-    rasterize_laminate,
     restrict_field,
     rotation_matrix,
+    stiffness_field,
     write_phase_csv,
     write_phase_pgm,
 )
@@ -109,6 +108,11 @@ def test_hashin_rasterize_shapes():
     assert phases.dtype == np.int8
     stack = geom.stiffness_by_phase()
     np.testing.assert_array_equal(c, stack[phases])
+    # rasterize_hashin expands stiffness_field, whose codes are phases_on
+    field = stiffness_field([[8, 0], [0, 8]], geom)
+    np.testing.assert_array_equal(field.phases, phases)
+    np.testing.assert_array_equal(field.stiffness, stack)
+    np.testing.assert_array_equal(geom.phases_on(pattern_points([[8, 0], [0, 8]])), phases)
 
 
 def test_hashin_fractions_against_monte_carlo():
@@ -129,7 +133,7 @@ def test_hashin_fractions_against_monte_carlo():
             np.mean(q_out > 1.0),
         ]
     )
-    _, phases = rasterize_hashin([[256, 0], [0, 256]], geom)
+    phases = geom.phases_on(pattern_points([[256, 0], [0, 256]]))
     grid = np.bincount(phases, minlength=3) / phases.size
     assert np.all(np.abs(mc - grid) < 0.01)
     # sanity: all three phases are present and matrix dominates
@@ -143,8 +147,8 @@ def test_hashin_quarter_turn_permutes_phases(n, base):
     # the quarter-turn permutation of the pattern, with no float slack
     m_mat = [[n, 0], [0, n]]
     pat = pattern_points(m_mat)
-    _, phases = rasterize_hashin(m_mat, HashinGeometry(rotation_degrees=base))
-    _, rotated = rasterize_hashin(m_mat, HashinGeometry(rotation_degrees=base + 90.0))
+    phases = HashinGeometry(rotation_degrees=base).phases_on(pat)
+    rotated = HashinGeometry(rotation_degrees=base + 90.0).phases_on(pat)
     np.testing.assert_array_equal(rotated[pat.index(pat.z @ QUARTER.T)], phases)
 
 
@@ -173,13 +177,15 @@ def test_laminate_split_counts():
     c2 = isotropic_stiffness(10.0, 0.3)
     geom = LaminateGeometry(c1, c2, normal=(1, 0), volume_fraction=0.5)
     m_mat = [[4, 0], [0, 4]]
-    phases = laminate_phases(m_mat, geom)
+    pat = pattern_points(m_mat)
+    phases = geom.phases_on(pat)
+    assert phases.dtype == np.int8
     assert np.bincount(phases, minlength=2).tolist() == [8, 8]
     # phase 1 is exactly the half-open left slab
-    pat = pattern_points(m_mat)
     np.testing.assert_array_equal(phases == 0, pat.points[:, 0] < 0.0)
-    c, sampled = rasterize_laminate(m_mat, geom)
-    np.testing.assert_array_equal(sampled, phases)
+    field = stiffness_field(m_mat, geom)
+    np.testing.assert_array_equal(field.phases, phases)
+    c = field.dense()
     np.testing.assert_array_equal(c[phases == 0], np.broadcast_to(c1, (8, 3, 3)))
     np.testing.assert_array_equal(c[phases == 1], np.broadcast_to(c2, (8, 3, 3)))
 
@@ -188,17 +194,17 @@ def test_laminate_full_fraction_is_homogeneous():
     c1 = isotropic_stiffness(2.0, 0.2)
     c2 = isotropic_stiffness(7.0, 0.3)
     geom = LaminateGeometry(c1, c2, volume_fraction=1.0)
-    c, phases = rasterize_laminate([[5, 0], [0, 3]], geom)
-    np.testing.assert_array_equal(c, np.broadcast_to(c1, (15, 3, 3)))
-    np.testing.assert_array_equal(phases, np.zeros(15))
+    field = stiffness_field([[5, 0], [0, 3]], geom)
+    np.testing.assert_array_equal(field.dense(), np.broadcast_to(c1, (15, 3, 3)))
+    np.testing.assert_array_equal(field.phases, np.zeros(15))
 
 
 def test_laminate_fraction_bound():
     c = isotropic_stiffness(1.0, 0.3)
-    m_mat = [[8, 0], [0, 8]]
+    pat = pattern_points([[8, 0], [0, 8]])
     for f1 in np.linspace(0.05, 0.95, 19):
         geom = LaminateGeometry(c, c, normal=(1, 0), volume_fraction=float(f1))
-        count = int(np.sum(laminate_phases(m_mat, geom) == 0))
+        count = int(np.sum(geom.phases_on(pat) == 0))
         # 8 distinct layers along the normal
         assert abs(count / 64.0 - f1) <= 1.0 / 8.0 + 1e-12
 
@@ -209,12 +215,10 @@ def test_laminate_normal_directions():
     m_mat = [[8, 0], [0, 8]]
     pat = pattern_points(m_mat)
     geom = LaminateGeometry(c1, c2, normal=(0, 1), volume_fraction=0.5)
-    np.testing.assert_array_equal(
-        laminate_phases(m_mat, geom) == 0, pat.points[:, 1] < 0.0
-    )
+    np.testing.assert_array_equal(geom.phases_on(pat) == 0, pat.points[:, 1] < 0.0)
     # oblique normal still splits the measure evenly
     geom = LaminateGeometry(c1, c2, normal=(1, 1), volume_fraction=0.5)
-    assert int(np.sum(laminate_phases(m_mat, geom) == 0)) == 32
+    assert int(np.sum(geom.phases_on(pat) == 0)) == 32
 
 
 def test_laminate_oracle_identical_phases():
@@ -329,8 +333,10 @@ def test_laminate_oracle_refuses_what_the_solver_refuses():
         for geom in (LaminateGeometry(bad, c), LaminateGeometry(c, bad)):
             with pytest.raises(NonElliptic):
                 laminate_effective_oracle(geom)
-            with pytest.raises(NonElliptic):
-                basic_scheme(rasterize_laminate(mat, geom)[0], np.ones(3), table)
+            field = stiffness_field(mat, geom)
+            for c_field in (field, field.dense()):
+                with pytest.raises(NonElliptic):
+                    basic_scheme(c_field, np.ones(3), table)
 
 
 def test_laminate_oracle_names_the_refused_phase():
@@ -446,8 +452,8 @@ def test_restrict_matches_coarse_rasterization():
     geom = HashinGeometry()
     fine = [[32, 0], [0, 32]]
     coarse = [[16, 0], [0, 16]]
-    _, fine_phases = rasterize_hashin(fine, geom)
-    _, coarse_phases = rasterize_hashin(coarse, geom)
+    fine_phases = stiffness_field(fine, geom).phases
+    coarse_phases = stiffness_field(coarse, geom).phases
     np.testing.assert_array_equal(
         restrict_field(fine_phases, fine, coarse), coarse_phases
     )
@@ -492,7 +498,7 @@ def test_nearest_point_grid_default_shapes():
 def test_phase_csv_roundtrip(tmp_path):
     m_mat = [[4, 0], [0, 4]]
     geom = HashinGeometry()
-    _, phases = rasterize_hashin(m_mat, geom)
+    phases = stiffness_field(m_mat, geom).phases
     path = tmp_path / "phases.csv"
     write_phase_csv(path, m_mat, phases)
     lines = path.read_text().splitlines()
@@ -533,7 +539,7 @@ def test_phase_pgm_image(tmp_path):
 
 def test_phase_pgm_three_levels_and_shape(tmp_path):
     m_mat = [[8, 0], [0, 8]]
-    _, phases = rasterize_hashin(m_mat, HashinGeometry())
+    phases = stiffness_field(m_mat, HashinGeometry()).phases
     path = tmp_path / "map.pgm"
     write_phase_pgm(path, m_mat, phases, shape=(16, 16))
     data = path.read_bytes()
@@ -568,7 +574,7 @@ def test_laminate_solver_matches_oracle():
     c2 = isotropic_stiffness(10.0, 0.3)
     geom = LaminateGeometry(c1, c2, normal=(1, 0), volume_fraction=0.5)
     m_mat = [[32, 0], [0, 32]]
-    c, _ = rasterize_laminate(m_mat, geom)
+    c = stiffness_field(m_mat, geom)
     c0 = default_reference(c)
     table = periodised_green_table(
         c0, orthonormalize(coefficient_table(KernelSpec.dirichlet(m_mat)))

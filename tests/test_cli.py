@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import lathom
-from lathom.bench import LaminateGeometry, nearest_point_grid, rasterize_laminate
+from lathom.bench import LaminateGeometry, nearest_point_grid, stiffness_field
 from lathom.cli import (
-    _build_field_on,
     _key_line,
     emit_heatmap,
     main,
@@ -514,7 +513,7 @@ def test_exit_2_on_invalid_material(tmp_path, capsys, text, line, fragment):
 
 def test_homogeneous_cell_is_one_isotropic_phase(tmp_path):
     man = parse_manifest(manifest_file(tmp_path, HOMOG))
-    field = _build_field_on(man.matrix, man)
+    field = stiffness_field(man.matrix, man.geometry)
     material = isotropic_stiffness(2.0, 0.25)
     # every point carries phase 0 and nothing else
     assert field.phases.shape == (64,) and not field.phases.any()
@@ -639,7 +638,7 @@ def test_effective_csv_matches_library(tmp_path, capsys):
         isotropic_stiffness(1.0, 0.3), isotropic_stiffness(10.0, 0.3),
         normal=(1, 0), volume_fraction=0.5,
     )
-    c, _ = rasterize_laminate([[8, 0], [0, 8]], geom)
+    c = stiffness_field([[8, 0], [0, 8]], geom)
     table = periodised_green_table(
         default_reference(c), coefficient_table(KernelSpec.dirichlet([[8, 0], [0, 8]]))
     )

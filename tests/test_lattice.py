@@ -70,6 +70,19 @@ def test_reduction_rejects_int64_overflow():
         assert np.all(in_symmetric_box(pm.mt, h))
 
 
+def test_pattern_numerators_are_exact_for_large_entries():
+    # adj(M) z is far below the int64 bound that frac_coordinates checks for
+    # arbitrary vectors, so the pattern takes its numerators from the
+    # reduction; M (numerators / n) = z holds in exact integers
+    mat = [[3, 2**40], [0, 5]]
+    pat = pattern_points(mat)
+    n = pat.denominator
+    assert len(pat) == 15 and n == 15
+    for z, num in zip(pat.z.tolist(), pat.numerators.tolist()):
+        assert [mat[0][0] * num[0] + mat[0][1] * num[1], mat[1][1] * num[1]] == [n * z[0], n * z[1]]
+        assert all(-n <= 2 * v < n for v in num)
+
+
 def test_pattern_identity_and_diag2():
     pat = pattern_points(np.eye(2, dtype=int))
     assert len(pat) == 1

@@ -1,0 +1,42 @@
+"""tools/parity.py: the comparison of two source trees' outputs."""
+
+import pathlib
+import runpy
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+parity = runpy.run_path(str(ROOT / "tools" / "parity.py"))
+
+
+def test_a_tree_agrees_with_itself(tmp_path, capsys):
+    # both sides run this tree, each in a fresh process: every output of a
+    # two-phase laminate solve, phase maps included, repeats byte for byte
+    src = str(ROOT / "src")
+    manifest = str(ROOT / "demos" / "manifests" / "laminate_exact.cfg")
+    assert parity["compare"](src, src, [("laminate", "solve", manifest)], str(tmp_path))
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "== laminate: lathom solve demos/manifests/laminate_exact.cfg"
+    verdicts = dict(line.split(None, 1) for line in out[1:] if not line.startswith("   exit"))
+    assert verdicts["iterations"] == "2 | 2"
+    for name in ("phases.csv", "phases.pgm", "strain.csv", "stderr"):
+        assert verdicts[name] == "identical bytes"
+
+
+def test_differences_are_located():
+    compare = parity["compare_outputs"]
+    report = b"iterations      3\nwall time [s]   0.%d\n"
+    assert compare(report % 1, report % 2, skip_wall_time=True) == (
+        True,
+        "identical apart from wall time",
+    )
+    assert not compare(report % 1, report % 2)[0]
+    agree, verdict = compare(b"y1,y2\n1,2.5\n3,4\n", b"y1,y2\n1,2.5\n3,4.5\n")
+    assert not agree
+    assert verdict == "largest relative difference 1.111e-01 at line 3, field 2: 4 vs 4.5"
+    agree, verdict = compare(b"P5\n1 2\n255\n\x00\xff", b"P5\n1 2\n255\n\x00\x7f")
+    assert not agree and verdict.endswith("at byte 12: 255 vs 127")
+
+
+def test_the_ci_loop_includes_the_laminate_solve():
+    runs = {(name, command) for name, command, _ in parity["ci_runs"]()}
+    assert ("solve_laminate_exact", "solve") in runs
+    assert ("laminate_exact", "effective") in runs

@@ -1,7 +1,8 @@
 """Property tests: lattice algebra, the fast transform, the kernel and
 Green tables, Green boundedness, the Green table layout and both Green
-paths, the solver's positivity check and its fixed point, and a stiffness
-field by phase against its dense expansion.
+paths, the solver's positivity check and its fixed point, a stiffness
+field by phase against its dense expansion, and the effective tensor
+under the axis swap.
 
 Patterns, kernels and reference stiffnesses are drawn by hypothesis (see
 conftest.py for the profile); each property is exact or holds to a stated
@@ -16,13 +17,14 @@ from hypothesis.extra import numpy as hnp
 from lathom.errors import NonElliptic
 from lathom.green import apply_green, periodised_green_table
 from lathom.kernels import KernelSpec, coeff, coefficient_table, orthonormalize, three_direction_set
-from lathom.lattice import PatternMatrix, frac_coordinates, reduce_mod
+from lathom.lattice import PatternMatrix, frac_coordinates, pattern_points, reduce_mod
 from lathom.pattern_fft import half_grid, pattern_dft, pattern_fft, smith_normal_form
 from lathom.solver import (
     StiffnessField,
     basic_scheme,
     default_reference,
     effective_action,
+    effective_tensor,
     residual_ls,
 )
 from lathom.tensor import ellipticity_bounds, isotropic_stiffness, require_elliptic
@@ -314,6 +316,62 @@ def test_phase_field_is_its_dense_expansion(kind, data):
     strain = by_phase.strain
     assert np.array_equal(effective_action(field, strain, eps0), effective_action(dense, strain, eps0))
     assert residual_ls(strain, field, c0, eps0, table) == residual_ls(strain, dense, c0, eps0, table)
+
+
+# the axis swap y -> P y, and Q, which swaps e11 and e22 in the Mandel layout
+AXIS_SWAP = np.array([[0, 1], [1, 0]], dtype=np.int64)
+MANDEL_SWAP = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def swapped_spec(spec):
+    """The kernel of spec on P M P: dlVP slopes and box radii swap, and box
+    directions e1, e2, e1 + e2 become e2, e1, e1 + e2."""
+    pm = AXIS_SWAP @ spec.matrix.entries @ AXIS_SWAP
+    if spec.kind == "dlvp":
+        return KernelSpec.dlvp(pm, spec.alpha[::-1])
+    if spec.kind == "box":
+        return KernelSpec.box_spline(pm, AXIS_SWAP @ spec.xi, spec.radius[::-1])
+    return KernelSpec.dirichlet(pm)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "dirichlet-uneven", "dlvp", "box"])
+@settings(max_examples=8)
+@given(data=st.data())
+def test_effective_tensor_commutes_with_the_axis_swap(kind, data):
+    # the discretisation maps to itself under y -> P y: the pattern becomes
+    # P M P, each point's stiffness moves to the point P z by exact integer
+    # indices as Q C Q, and the effective tensor becomes Q C_eff Q
+    if kind == "dirichlet-uneven":
+        pm = PatternMatrix(data.draw(st.sampled_from(UNEVEN_DIRICHLET), label="pattern"))
+    else:
+        pm = data.draw(two_d_patterns(max_m=64), label="pattern")
+    if kind == "box":
+        multiplicities = [(1, 1, 0), (1, 1, 1), (2, 2, 0), (2, 1, 1), (1, 2, 0)]
+        pqr = data.draw(st.sampled_from(multiplicities), label="directions")
+        radius = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 4)), label="radius")
+        spec = KernelSpec.box_spline(pm, three_direction_set(*pqr), radius)
+    else:
+        spec = data.draw(kernel_specs(pm, [kind.split("-")[0]]), label="kernel")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    a = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(pm.m, 3, 3))
+    c = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(3)
+    swapped = PatternMatrix(AXIS_SWAP @ pm.entries @ AXIS_SWAP)
+    pat = pattern_points(pm)
+    rows = pattern_points(swapped).index(pat.z @ AXIS_SWAP.T)
+    assert sorted(rows.tolist()) == list(range(pm.m))
+    c_swapped = np.empty_like(c)
+    c_swapped[rows] = MANDEL_SWAP @ c @ MANDEL_SWAP
+    c0 = default_reference(c)
+    assert np.array_equal(MANDEL_SWAP @ c0 @ MANDEL_SWAP, c0)  # isotropic
+    tables = [
+        periodised_green_table(c0, coefficient_table(s)) for s in (spec, swapped_spec(spec))
+    ]
+    if kind == "dirichlet-uneven":
+        assert not tables[0].even_table
+    eff, _ = effective_tensor(c, tables[0], tol=1e-13)
+    eff_swapped, _ = effective_tensor(c_swapped, tables[1], tol=1e-13)
+    error = np.linalg.norm(MANDEL_SWAP @ eff @ MANDEL_SWAP - eff_swapped)
+    assert error <= 1e-11 * np.linalg.norm(eff)
 
 
 def stiffness_batch(kind, n, scale, rng):

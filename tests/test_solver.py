@@ -13,7 +13,7 @@ from lathom.errors import (
 )
 from lathom.green import periodised_green_table
 from lathom.kernels import KernelSpec, coefficient_table, orthonormalize, three_direction_set
-from lathom.bench import HashinGeometry, hashin_field
+from lathom.bench import HashinGeometry, stiffness_field
 from lathom.lattice import pattern_points
 from lathom.solver import (
     StiffnessField,
@@ -277,6 +277,16 @@ def test_effective_action_shapes_and_values():
         effective_action(c, np.zeros(8), np.zeros(3))
 
 
+def test_effective_action_refuses_a_non_finite_load():
+    # one load check for the solver and the mean stress: a nan or inf eps0
+    # is refused, as basic_scheme and residual_ls refuse it, instead of
+    # returning a mean stress of nan and inf
+    c = np.broadcast_to(np.eye(3), (8, 3, 3))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            effective_action(c, np.zeros((8, 3)), [bad, 0.0, 0.0])
+
+
 def test_default_reference_is_midpoint_of_lame_ranges():
     lam1, mu1 = lame_parameters(1.0, 0.3)
     lam2, mu2 = lame_parameters(10.0, 0.2)
@@ -321,7 +331,7 @@ def test_a_phase_no_point_samples_changes_nothing():
     geom = HashinGeometry(
         rho_outer=0.0005, rotation_degrees=45.0, coating_material=isotropic_stiffness(1e3, 0.3)
     )
-    field = hashin_field(mat, geom)
+    field = stiffness_field(mat, geom)
     assert np.array_equal(np.bincount(field.phases, minlength=3) > 0, [True, False, True])
     alone = StiffnessField(field.stiffness[[0, 2]], field.phases // 2)
     c0 = default_reference(field)
