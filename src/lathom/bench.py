@@ -49,6 +49,9 @@ DEFAULT_CORE_MATERIAL = (1.0, 0.3)
 DEFAULT_COATING_MATERIAL = (10.0, 0.3)
 DEFAULT_MATRIX_MATERIAL = (5.0, 0.3)
 
+# points per block of HashinGeometry.phases_on
+_POINT_BLOCK = 1 << 14
+
 
 def _isotropic_default(pair):
     return dataclasses.field(default_factory=lambda: isotropic_stiffness(*pair))
@@ -116,8 +119,18 @@ class HashinGeometry:
         return np.where(core <= 1.0, 0, np.where(outer <= 1.0, 1, 2)).astype(np.int8)
 
     def phases_on(self, pattern):
-        """Phase codes (m,) of a Pattern's points, in its ordering."""
-        return self.phase_of(pattern.points)
+        """Phase codes (m,) of a Pattern's points, in its ordering.
+
+        Sampled in blocks of points: the per-point floats of phase_of are
+        made per block, not at the size of the pattern, so setup leaves no
+        (m,)-sized freed temporaries in the heap ahead of the solve.
+        """
+        points = pattern.points
+        codes = np.empty(len(points), dtype=np.int8)
+        for start in range(0, len(points), _POINT_BLOCK):
+            block = slice(start, start + _POINT_BLOCK)
+            codes[block] = self.phase_of(points[block])
+        return codes
 
     def stiffness_by_phase(self):
         """(3, 3, 3) stack indexed by phase code."""

@@ -57,7 +57,7 @@ from .errors import (
 )
 from .green import apply_green, green_multiplier, periodised_green_table, strain_basis
 from .kernels import KernelSpec, coefficient_table, three_direction_set
-from .lattice import as_pattern_matrix, refinement
+from .lattice import _require_exact_reductions, as_pattern_matrix, refinement
 from .pattern_fft import pattern_dft, pattern_fft
 from .solver import (
     _write_atomic,
@@ -218,12 +218,12 @@ def _bool(raw, line, label):
 
 
 def _matrix(raw, line, label):
-    mat = np.array(_numbers(int, 4)(raw, line, label), dtype=np.int64).reshape(2, 2)
+    values = _numbers(int, 4)(raw, line, label)
     try:
-        as_pattern_matrix(mat)
-    except LathomError as exc:
+        _require_exact_reductions([values[:2], values[2:]])
+    except (LathomError, ValueError) as exc:
         raise ValidationError(f"{label}: {exc}", line)
-    return mat
+    return np.array(values, dtype=np.int64).reshape(2, 2)
 
 
 def _alphas(raw, line, label):
@@ -422,13 +422,22 @@ def parse_manifest(path):
         section = "kernel" if isinstance(exc, InvalidSpec) else "geometry"
         at = _key_line(lines, sections[section][0], section, exc.parameter)
         raise ValidationError(str(exc), at)
-    # reference_matrix is checked against [pattern] matrix once both are parsed
+    # reference_matrix is checked against [pattern] matrix once both are
+    # parsed; without it, reference solves run on 2 M, checked here too
     if manifest.reference_matrix is not None:
         try:
             refinement(manifest.reference_matrix, manifest.matrix)
         except (PatternMismatch, ValueError) as exc:
             raise ValidationError(
                 f"solve.reference_matrix: {exc}", lines["solve", "reference_matrix"]
+            )
+    else:
+        try:
+            _require_exact_reductions(2 * manifest.matrix)
+        except ValueError as exc:
+            raise ValidationError(
+                f"pattern.matrix: the default reference pattern 2 M: {exc}",
+                lines["pattern", "matrix"],
             )
     return manifest
 

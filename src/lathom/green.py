@@ -32,7 +32,10 @@ Gp_h = G(h).  With c = |c_k|^2 / [|c|^2]_h the sum is
 
 accumulated for blocks of classes over all their shifts at once, as
 planes, for the six unique entries only; green_multiplier is the same sum
-with one term of weight one.
+with one term of weight one.  Each block takes its coefficients from the
+kernel table into one of those planes (kernels.CoefficientTable.block),
+evaluated there from the closed forms unless the table already holds
+them, so setup holds no (classes, shifts) array of its own.
 
 The per-class matrices are real and symmetric, and G(k) depends on the
 line through k only.  The whole table is even under h -> -h when the
@@ -196,16 +199,18 @@ def periodised_green_table(c0, kernel):
     """Assemble Gp_h = sum_z |c_{h+M^T z}|^2 G(h+M^T z) / [|c|^2]_h per class.
 
     kernel is any CoefficientTable.  Row blocks of the classes it holds
-    take all their shifts as (classes, shifts) planes, and each class
-    becomes (sum c) S - sum (c / q) u u^T for its six unique entries (see
-    the module docstring), so a half kernel table gives the half spectrum
-    of an even table.  The zero class, whose k = 0 term is 0/0, is forced
-    to the zero matrix.  Raises DegenerateClass if a class has a vanishing
-    bracket, ShapeMismatch unless c0 is a (3, 3) Mandel matrix and
-    NonElliptic unless it is positive definite.
+    take all their shifts as (classes, shifts) planes: the table writes the
+    block's coefficients into the weights plane (kernels.CoefficientTable
+    .block), so no (classes, shifts) table is built unless the kernel
+    already holds one, and each class becomes (sum c) S - sum (c / q)
+    u u^T for its six unique entries (see the module docstring), so a
+    half kernel table gives the half spectrum of an even table.  The zero
+    class, whose k = 0 term is 0/0, is forced to the zero matrix.  Raises
+    ShapeMismatch unless c0 is a (3, 3) Mandel matrix, NonElliptic unless
+    it is positive definite and DegenerateClass for the first class with a
+    vanishing bracket.
     """
     pm = kernel.matrix
-    inverse = 1.0 / kernel.checked_bracket()  # c^2 times this is the share of its class
     c0m = as_mandel_stiffness(c0)
     require_elliptic(c0m, "reference stiffness")
     s = np.linalg.inv(c0m)
@@ -223,8 +228,9 @@ def periodised_green_table(c0, kernel):
         k1, k2, weights = block[:3]
         np.add(freqs[:, 0, None], offsets[:, 0], out=k1)
         np.add(freqs[:, 1, None], offsets[:, 1], out=k2)
-        np.square(kernel.coeffs[rows], out=weights)
-        weights *= inverse[rows, None]
+        bracket = kernel.block(rows, weights)
+        np.square(weights, out=weights)
+        weights *= (1.0 / bracket)[:, None]  # c^2 times this is the share of its class
         _green_sums(s, k1, k2, weights, entries[:, rows], block[3:])
     entries[:, 0] = 0.0  # the zero class sits at Smith grid index (0, 0)
     entries = entries.reshape(6, half_grid(pm)[0], -1)

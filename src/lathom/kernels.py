@@ -43,11 +43,14 @@ checks the half grid in integers and keeps it unless a class offends.
 Every coefficient is scale x a product of factors, each a function of
 one integer: the numerator w_i on axis i (Dirichlet box, dlVP ramp, box
 truncation) or xi.w for a direction column (box sinc).  A shift moves the
-numerators of its class by n z, so coefficient_table evaluates each factor
-once per class on the few distinct offsets z_i or xi.z, in row blocks, and
+numerators of its class by n z, so a block of classes evaluates each
+factor once per class on the few distinct offsets z_i or xi.z and
 multiplies the factor tables into the shift grid through broadcast and
 strided views; coeff evaluates the same factors at single frequencies,
-and the two agree bit for bit.
+and the two agree bit for bit.  coefficient_table fixes only the stored
+classes and the shifts.  The Green build asks the table for one block of
+rows at a time (CoefficientTable.block), so the (classes, shifts) array
+exists only when a caller reads coeffs, or gives it.
 
 Boundary classifications (is M^{-T}k inside the box, on a face, outside)
 are made in exact integer arithmetic, so no coefficient can be
@@ -56,6 +59,7 @@ misclassified by rounding.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -223,8 +227,11 @@ def _coeff_block(spec, radii, w, n, out):
         else:
             outside.append(np.abs(num) > spec.radius[i] * n)
     if spec.kind == "box":
-        cols, powers = np.unique(spec.xi.T.astype(np.int64), axis=0, return_counts=True)
-        for col, power in zip(cols, powers):
+        # the distinct columns in ascending order, as np.unique(axis=0) has
+        # them, without its per-call cost
+        columns = collections.Counter(map(tuple, spec.xi.T.astype(int).tolist()))
+        for col, power in sorted(columns.items()):
+            col = np.array(col)
             reach = int(np.abs(col) @ radii)
             table = _sinc_factor(w @ col, np.arange(-reach, reach + 1), n) ** power
             # grid index g holds the offset xi_c . (g - radii), which sits
@@ -277,6 +284,42 @@ def shift_set(spec):
     return np.array(list(itertools.product(*ranges)), dtype=np.int64)
 
 
+def _checked(bracket, freqs):
+    """bracket; DegenerateClass for the first class (of freqs) whose bracket
+    is at or below the floor."""
+    bad = np.nonzero(bracket <= _DEGENERACY_FLOOR)[0]
+    if bad.size:
+        raise DegenerateClass(freqs[bad[0]])
+    return bracket
+
+
+# coefficients per row block when a whole table is evaluated: the block's
+# passes run in cache, and its factor tables stay small
+_BLOCK_ELEMENTS = 1 << 16
+
+
+class _Coefficients:
+    """The coeffs field of a CoefficientTable: the array given at
+    construction, or else the closed forms, evaluated in row blocks on
+    first access and kept, so that every later read, and a rescaling in
+    place, sees one array."""
+
+    def __get__(self, table, owner=None):
+        if table is None:
+            return None  # the field's default
+        if table.__dict__["coeffs"] is None:
+            coeffs = np.empty((len(table.freqs), len(table.shifts)))
+            step = max(1, _BLOCK_ELEMENTS // len(table.shifts))
+            for start in range(0, len(coeffs), step):
+                rows = slice(start, start + step)
+                table._evaluate(rows, coeffs[rows])
+            table.__dict__["coeffs"] = coeffs
+        return table.__dict__["coeffs"]
+
+    def __set__(self, table, coeffs):
+        table.__dict__["coeffs"] = coeffs
+
+
 @dataclass(frozen=True)
 class CoefficientTable:
     """Per-class kernel coefficients c_{h + M^T z} over the retained shifts.
@@ -286,13 +329,16 @@ class CoefficientTable:
     module docstring), all m otherwise.  coeffs[i, j] belongs to frequency
     freqs[i] + M^T shifts[j].  The table is frozen, and what follows from
     its rows is derived on access, never stored: half, bracket and
-    class_sums.  orthonormalize scales coeffs in place, not a copy.
+    class_sums.  coeffs itself is derived on first access unless it was
+    given, and then kept; orthonormalize scales it in place, not a copy.
+    block writes the rows of a block of classes without the (n, t) array,
+    from coeffs once the table holds it (given, read or rescaled).
     """
 
     spec: KernelSpec
     freqs: np.ndarray  # (n, 2) canonical representatives
     shifts: np.ndarray  # (t, 2)
-    coeffs: np.ndarray  # (n, t) real
+    coeffs: np.ndarray = _Coefficients()  # (n, t) real
 
     @property
     def matrix(self):
@@ -309,23 +355,34 @@ class CoefficientTable:
         """Per-class sums of squares [|c|^2]_h over the retained shifts, (n,)."""
         return np.einsum("mt,mt->m", self.coeffs, self.coeffs)
 
-    def checked_bracket(self):
-        """bracket; DegenerateClass if a class's is at or below the floor."""
-        bracket = self.bracket
-        bad = np.nonzero(bracket <= _DEGENERACY_FLOOR)[0]
-        if bad.size:
-            raise DegenerateClass(self.freqs[bad[0]])
-        return bracket
-
     def class_sums(self):
         """Signed bracket sums [c(f)]_h (plain sums, not squared), one per
         stored class."""
         return self.coeffs.sum(axis=1)
 
+    def block(self, rows, out):
+        """Write the coefficients of the stored classes `rows` (a slice) to
+        out, shape (b, t), and return their checked bracket, (b,).
 
-# coefficients per row block of coefficient_table: the block's passes run in
-# cache, and its factor tables stay small
-_BLOCK_ELEMENTS = 1 << 16
+        The rows come from coeffs once the table holds it, else from the
+        closed forms, so the (n, t) array is never built here.
+        DegenerateClass for the first class whose bracket is at or below
+        the floor.
+        """
+        coeffs = self.__dict__["coeffs"]
+        if coeffs is None:
+            self._evaluate(rows, out)
+        else:
+            np.copyto(out, coeffs[rows])
+        return _checked(np.einsum("mt,mt->m", out, out), self.freqs[rows])
+
+    def _evaluate(self, rows, out):
+        """The closed forms at every retained shift of the stored classes
+        `rows`, written to the contiguous (b, t) array out."""
+        radii = _shift_radii(self.spec)
+        w, n = frac_coordinates(self.matrix.mt, self.freqs[rows])
+        grid = out.reshape((len(w),) + tuple(2 * r + 1 for r in radii))
+        _coeff_block(self.spec, radii, w, n, grid)
 
 
 def _pairs_evenly(w, n):
@@ -335,37 +392,28 @@ def _pairs_evenly(w, n):
 
 
 def coefficient_table(spec):
-    """Evaluate the kernel coefficients on every retained shift of the
-    stored classes: the half grid when they are even, else all m."""
+    """The kernel's coefficient table on the stored classes: the half grid
+    when they are even, else all m.  It fixes the classes and the shifts;
+    the coefficients are evaluated when they are first read, and a Green
+    build that reads none evaluates them one block of classes at a time."""
     pm = spec.matrix
     freqs = generating_set(pm).freqs
     d1, last = half_grid(pm)
     half = freqs.reshape(d1, -1, 2)[:, :last].reshape(-1, 2)
-    w, n = frac_coordinates(pm.mt, half)
-    if spec.kind == "dirichlet" and not _pairs_evenly(w, n):
-        w, n = frac_coordinates(pm.mt, freqs)
-    else:
+    if spec.kind != "dirichlet" or _pairs_evenly(*frac_coordinates(pm.mt, half)):
         freqs = half
-    radii = _shift_radii(spec)
-    shifts = shift_set(spec)
-    coeffs = np.empty((len(freqs), len(shifts)))
-    grid = coeffs.reshape((len(freqs),) + tuple(2 * r + 1 for r in radii))
-    step = max(1, _BLOCK_ELEMENTS // len(shifts))
-    for start in range(0, len(freqs), step):
-        rows = slice(start, start + step)
-        _coeff_block(spec, radii, w[rows], n, grid[rows])
-    return CoefficientTable(spec=spec, freqs=freqs, shifts=shifts, coeffs=coeffs)
+    return CoefficientTable(spec=spec, freqs=freqs, shifts=shift_set(spec))
 
 
 def orthonormalize(table):
     """Rescale each class in place so that m [|c|^2]_h = 1 and return the table.
 
     The coefficients are scaled where they are, not copied: a box table is
-    the largest array of setup.  A degenerate class raises DegenerateClass
-    before anything is written.  periodised_green_table normalises the
-    class weights itself, so setup does not need this step.
+    large.  A degenerate class raises DegenerateClass before anything is
+    written.  periodised_green_table normalises the class weights itself,
+    so setup does not need this step.
     """
-    bracket = table.checked_bracket()
+    bracket = _checked(table.bracket, table.freqs)
     coeffs = table.coeffs  # the table is frozen; its array is not
     coeffs *= (1.0 / np.sqrt(table.matrix.m * bracket))[:, None]
     return table

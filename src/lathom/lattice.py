@@ -106,6 +106,20 @@ def as_pattern_matrix(m_mat):
     return PatternMatrix(m_mat)
 
 
+def _inverse_parts(a):
+    """(adj, n) over python ints with A^{-1} = adj / n and n > 0."""
+    rows = np.asarray(a, dtype=np.int64).tolist()
+    n = _int_det(rows)
+    sign = -1 if n < 0 else 1
+    return [[sign * x for x in row] for row in _adjugate(rows)], n * sign
+
+
+def _reduces_in_int64(adj, n, top):
+    """Whether vectors with entries up to top have numerators w = adj k,
+    and the 2 w + n of the reductions, inside int64."""
+    return 2 * top * max(sum(map(abs, row)) for row in adj) + n < 2**63
+
+
 def frac_coordinates(a, k):
     """Exact fractional coordinates A^{-1} k as (numerators, denominator).
 
@@ -114,15 +128,12 @@ def frac_coordinates(a, k):
     max|k| times the largest absolute row sum of adj(A); ValueError when
     that bound lets w, or the 2 w + n of the reductions, leave int64.
     """
-    rows = np.asarray(a, dtype=np.int64).tolist()
-    n = _int_det(rows)
-    sign = -1 if n < 0 else 1  # adj(A) / det(A) with a positive denominator
-    adj = [[sign * x for x in row] for row in _adjugate(rows)]
-    n *= sign
+    adj, n = _inverse_parts(a)
     k = np.asarray(k, dtype=np.int64)
     if k.size:
         top = max(-int(k.min()), int(k.max()))
-        if 2 * top * max(sum(map(abs, row)) for row in adj) + n >= 2**63:
+        if not _reduces_in_int64(adj, n, top):
+            rows = np.asarray(a, dtype=np.int64).tolist()
             raise ValueError(f"vectors with entries up to {top} overflow int64 modulo {rows}")
     return k @ np.array(adj, dtype=np.int64).T, n
 
@@ -297,6 +308,28 @@ class GeneratingSet:
         """Indices of frequencies k (any representatives mod M^T), vectorised."""
         k = np.asarray(k, dtype=np.int64)
         return np.mod(k @ self._t_inv, self._diag) @ self._strides
+
+
+def _require_exact_reductions(m_mat):
+    """ValueError unless the reductions behind the canonical sets of M stay
+    in int64, decided in O(1) before any set of size m is built.
+
+    Pattern and GeneratingSet reduce the Smith-grid vectors j S^T and i T
+    through frac_coordinates, and the canonical vectors (entries at most
+    half an absolute row sum of M or M^T) are reduced again downstream; the
+    largest entry of a Smith-grid vector sits at a corner of the grid.
+    """
+    pm = as_pattern_matrix(m_mat)
+    s_arr, diag, t_arr, _, _ = _smith_grid(pm)
+    last = [int(d) - 1 for d in diag]
+    for a, basis in ((pm.entries, s_arr.T.tolist()), (pm.mt, t_arr.tolist())):
+        corner = max(sum(i * abs(row[c]) for i, row in zip(last, basis)) for c in (0, 1))
+        canonical = max(sum(map(abs, row)) for row in a.tolist()) // 2
+        if not _reduces_in_int64(*_inverse_parts(a), max(corner, canonical)):
+            raise ValueError(
+                f"pattern matrix {pm.entries.tolist()} has entries too large for exact "
+                "int64 reductions"
+            )
 
 
 def pattern_points(m_mat):

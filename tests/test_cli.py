@@ -475,6 +475,31 @@ def test_exit_2_on_malformed_input(tmp_path, capsys, make, fragment):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "matrix,fragment",
+    [
+        # m = 15: the Smith-grid frequencies (or points) of these matrices
+        # leave int64 in the exact reductions; they used to end in a
+        # traceback from frac_coordinates, exit 1, after parsing succeeded
+        ("3 1099511627776 0 5", "too large for exact int64 reductions"),
+        ("3 0 1099511627776 5", "too large for exact int64 reductions"),
+        ("3 18446744073709551616 0 5", "must be int64 integers"),
+        # M itself passes; a sweep's reference solve on 2 M used to fail
+        # after the coarse work was done
+        ("3 536870912 0 5", "the default reference pattern 2 M"),
+    ],
+    ids=["frequencies", "points", "beyond-int64", "reference"],
+)
+def test_exit_2_on_a_matrix_too_large_for_exact_reductions(tmp_path, capsys, matrix, fragment):
+    path = manifest_file(tmp_path, replace(LAMINATE, "matrix = 8 0 0 8", f"matrix = {matrix}"))
+    with pytest.raises(ValidationError) as info:
+        parse_manifest(path)
+    assert info.value.line == 2 and fragment in str(info.value)
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_key_line_falls_back_to_the_section_header():
     lines = {("kernel", "directions"): 5, ("geometry", "c2"): 9}
     assert _key_line(lines, 3, "kernel", "xi") == 5

@@ -228,18 +228,19 @@ def test_single_frequency_class_support():
 
 
 def test_setup_memory_grows_by_the_half_table():
-    # box (2, 2, 0), radius 16: the setup's tracemalloc peak from 16^2 to
-    # 32^2 grows by less than 0.6 x the all-class (m, t) table's growth.
-    # The half table holds 9/16 and 17/32 of the classes; block buffers
-    # (the Green build's 2.6 MB of planes, more than the 16^2 table itself)
-    # are the same at both sizes and cancel
+    # box (2, 2, 0), radius 16, set up as the CLI does: the tracemalloc
+    # peak from 16^2 to 32^2 grows by less than 0.6 x the all-class (m, t)
+    # table's growth.  The half table holds 9/16 and 17/32 of the classes,
+    # and the one-pass build holds no table at all; block buffers (the
+    # Green build's 2.6 MB of planes, more than the 16^2 table itself) are
+    # the same at both sizes and cancel
     c0 = isotropic_stiffness(1.0, 0.3)
 
     def peak_and_all_class_bytes(side):
         spec = KernelSpec.box_spline(np.diag([side, side]), three_direction_set(2, 2, 0), radius=16)
         tracemalloc.start()
         try:
-            periodised_green_table(c0, orthonormalize(coefficient_table(spec)))
+            periodised_green_table(c0, coefficient_table(spec))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -248,6 +249,27 @@ def test_setup_memory_grows_by_the_half_table():
     small, small_all = peak_and_all_class_bytes(16)
     large, large_all = peak_and_all_class_bytes(32)
     assert large - small < 0.6 * (large_all - small_all)
+
+
+def test_one_pass_green_build_holds_no_coefficient_table():
+    # box (2, 2, 0), radius 16 on 48^2: the half table is 1200 x 1089
+    # doubles (10.5 MB).  Built from the spec, the Green table takes each
+    # block's coefficients into its own planes, so the peak stays below
+    # half of that, and the entries equal, bit for bit, those built from
+    # the coefficients once they have been read
+    c0 = isotropic_stiffness(1.0, 0.3)
+    spec = KernelSpec.box_spline(np.diag([48, 48]), three_direction_set(2, 2, 0), radius=16)
+    tracemalloc.start()
+    try:
+        one_pass = periodised_green_table(c0, coefficient_table(spec))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    read = coefficient_table(spec)
+    table_bytes = read.coeffs.nbytes
+    assert table_bytes == 1200 * 1089 * 8
+    assert peak < table_bytes / 2
+    assert np.array_equal(periodised_green_table(c0, read).entries, one_pass.entries)
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from lathom.errors import PatternMismatch, ZeroDeterminant
+from lathom.kernels import KernelSpec, coefficient_table
 from lathom.lattice import (
     PatternMatrix,
+    _require_exact_reductions,
     as_pattern_matrix,
     frac_coordinates,
     generating_set,
@@ -81,6 +83,25 @@ def test_pattern_numerators_are_exact_for_large_entries():
     for z, num in zip(pat.z.tolist(), pat.numerators.tolist()):
         assert [mat[0][0] * num[0] + mat[0][1] * num[1], mat[1][1] * num[1]] == [n * z[0], n * z[1]]
         assert all(-n <= 2 * v < n for v in num)
+
+
+def test_exact_reduction_check_admits_only_what_builds():
+    # decided in O(1) from the Smith-grid corners and the canonical box:
+    # what it admits builds both canonical sets and the frequencies' exact
+    # coordinates, and it refuses the matrices whose reductions overflow
+    admitted = ([[2**15 + 1, 2**15], [2**15, 2**15 - 1]], [[3, 2**20], [0, 5]], [[64, 0], [32, 64]])
+    for mat in admitted:
+        _require_exact_reductions(mat)
+        pattern_points(mat)
+        freqs = generating_set(mat).freqs
+        frac_coordinates(np.asarray(mat).T, freqs)
+        assert len(coefficient_table(KernelSpec.dlvp(mat, 0.25)).freqs) > 0
+    refused = (([[3, 2**40], [0, 5]], generating_set), ([[3, 0], [2**40, 5]], pattern_points))
+    for mat, fails in refused:
+        with pytest.raises(ValueError, match="too large for exact int64 reductions"):
+            _require_exact_reductions(mat)
+        with pytest.raises(ValueError, match="overflow"):
+            fails(mat)
 
 
 def test_pattern_identity_and_diag2():

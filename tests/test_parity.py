@@ -40,3 +40,26 @@ def test_the_ci_loop_includes_the_laminate_solve():
     runs = {(name, command) for name, command, _ in parity["ci_runs"]()}
     assert ("solve_laminate_exact", "solve") in runs
     assert ("laminate_exact", "effective") in runs
+
+
+def test_green_tables_are_compared_by_bytes(tmp_path):
+    # this tree's corpus builder, run twice in fresh processes, repeats
+    # every table bit for bit: a manifest's kernel and the Dirichlet tables
+    # of the 48 regular matrices with entries in [-1, 1]
+    src = str(ROOT / "src")
+    manifests = [("laminate", str(ROOT / "demos" / "manifests" / "laminate_exact.cfg"))]
+    first, second = (
+        parity["build_tables"](src, manifests, str(tmp_path / f"{n}.npz"), span=1) for n in (1, 2)
+    )
+    assert len(first) == 49 and "laminate" in first and "dirichlet 1 0 0 1" in first
+    for name, entries in first.items():
+        assert entries.shape[0] == 6
+        assert parity["compare_tables"](entries, second[name]) == (True, "identical bytes")
+    compare = parity["compare_tables"]
+    entries = first["laminate"]
+    moved = entries.copy()
+    moved[2, 1, 0] *= 1 + 1e-12
+    agree, verdict = compare(entries, moved)
+    assert not agree and verdict.endswith("at entry 2, class (1, 0)")
+    cut = entries[:, :1]
+    assert compare(entries, cut) == (False, f"shape {entries.shape} vs {cut.shape}")

@@ -2,7 +2,7 @@
 Green tables, Green boundedness, the Green table layout and both Green
 paths, the solver's positivity check and its fixed point, a stiffness
 field by phase against its dense expansion, and the effective tensor
-under the axis swap.
+under the axis swap and the quarter turn.
 
 Patterns, kernels and reference stiffnesses are drawn by hypothesis (see
 conftest.py for the profile); each property is exact or holds to a stated
@@ -11,13 +11,19 @@ floating-point tolerance.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lathom.errors import NonElliptic
 from lathom.green import apply_green, periodised_green_table
 from lathom.kernels import KernelSpec, coeff, coefficient_table, orthonormalize, three_direction_set
-from lathom.lattice import PatternMatrix, frac_coordinates, pattern_points, reduce_mod
+from lathom.lattice import (
+    PatternMatrix,
+    frac_coordinates,
+    generating_set,
+    pattern_points,
+    reduce_mod,
+)
 from lathom.pattern_fft import half_grid, pattern_dft, pattern_fft, smith_normal_form
 from lathom.solver import (
     StiffnessField,
@@ -372,6 +378,75 @@ def test_effective_tensor_commutes_with_the_axis_swap(kind, data):
     eff_swapped, _ = effective_tensor(c_swapped, tables[1], tol=1e-13)
     error = np.linalg.norm(MANDEL_SWAP @ eff @ MANDEL_SWAP - eff_swapped)
     assert error <= 1e-11 * np.linalg.norm(eff)
+
+
+QUARTER_TURN = np.array([[0, -1], [1, 0]], dtype=np.int64)
+# strains turn as R e R^T: e11 and e22 swap and e12 changes sign
+MANDEL_TURN = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+
+
+def dirichlet_turns(pm):
+    """Whether the Dirichlet box of pm keeps no class with t_i = -1/2
+    beside a nonzero t_j on one of the two faces, t = M^{-T} h.
+
+    The turn maps t to (-t2, t1), so a class on the face t2 = -1/2 lands
+    on t1 = +1/2, which the half-open box wraps to another line.  On every
+    regular matrix with entries in [-3, 3] the effective tensor commutes
+    with the turn to 2.4e-16 when one face is free of such classes, and
+    misses by 3e-3 or more when both carry them.  That is neither evenness
+    nor its failure: [[0, 2], [2, 2]] is even and misses (its corner class
+    t = (-1/2, -1/2) sits on both faces), [[6, 2], [0, 5]] is not and holds.
+    """
+    w, n = frac_coordinates(pm.mt, generating_set(pm).freqs)
+    on_face = (2 * w == -n) & (w[:, ::-1] != 0)
+    return not on_face.any(axis=0).all()
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "dirichlet-both-faces", "dlvp", "box"])
+@settings(max_examples=8)
+@given(data=st.data())
+def test_effective_tensor_commutes_with_the_quarter_turn(kind, data):
+    # y -> R y maps the pattern to R M R^T and each point's stiffness to
+    # the point R z as Q C Q^T.  The kernels that the turn maps to
+    # themselves: dlVP with equal slopes, box (2, 2, 0) with equal radii
+    # (its directions turn into their negatives, and sinc is even) and
+    # Dirichlet unless its box wraps classes on both faces (see
+    # dirichlet_turns), where the turn is shown to break
+    if kind == "dirichlet-both-faces":
+        # on 2 M the corner class t = (-1/2, -1/2) sits on both faces
+        pm = PatternMatrix(2 * data.draw(two_d_patterns(max_m=16), label="pattern").entries)
+        assert not dirichlet_turns(pm)
+    else:
+        pm = data.draw(two_d_patterns(max_m=64), label="pattern")
+    turned = PatternMatrix(QUARTER_TURN @ pm.entries @ QUARTER_TURN.T)
+    if kind == "dlvp":
+        alpha = data.draw(st.floats(0.0, 0.5), label="slope")
+        specs = [KernelSpec.dlvp(m, alpha) for m in (pm, turned)]
+    elif kind == "box":
+        radius = data.draw(st.integers(1, 4), label="radius")
+        xi = three_direction_set(2, 2, 0)
+        specs = [KernelSpec.box_spline(m, xi, radius) for m in (pm, turned)]
+    else:
+        assume(kind != "dirichlet" or dirichlet_turns(pm))
+        specs = [KernelSpec.dirichlet(m) for m in (pm, turned)]
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    a = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(pm.m, 3, 3))
+    c = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(3)
+    pat = pattern_points(pm)
+    rows = pattern_points(turned).index(pat.z @ QUARTER_TURN.T)
+    assert sorted(rows.tolist()) == list(range(pm.m))
+    c_turned = np.empty_like(c)
+    c_turned[rows] = MANDEL_TURN @ c @ MANDEL_TURN.T
+    c0 = default_reference(c)
+    assert np.array_equal(MANDEL_TURN @ c0 @ MANDEL_TURN.T, c0)  # isotropic
+    tables = [periodised_green_table(c0, coefficient_table(spec)) for spec in specs]
+    eff, _ = effective_tensor(c, tables[0], tol=1e-13)
+    eff_turned, _ = effective_tensor(c_turned, tables[1], tol=1e-13)
+    error = np.linalg.norm(MANDEL_TURN @ eff @ MANDEL_TURN.T - eff_turned)
+    if kind == "dirichlet-both-faces":
+        assert error > 1e-6 * np.linalg.norm(eff)
+    else:
+        assert error <= 1e-11 * np.linalg.norm(eff)
 
 
 def stiffness_batch(kind, n, scale, rng):

@@ -14,12 +14,27 @@ For every output file, and for the standard output and error, it prints
 trees and where it sits (line and field of a text file, byte offset of a
 binary one).  The wall-time line of report.txt and of a solve's standard
 output is ignored.  Iteration counts (report.txt, sweep.csv) are printed
-side by side.  The exit status is 0 when everything agrees and 1 on any
-difference, a differing exit code or iteration count included.
+side by side.
+
+Then each tree, in a fresh process, builds the Green tables of a fixed
+corpus, `periodised_green_table(c0, coefficient_table(spec))` as the
+command line does: the kernel of every benchmark workload at seeds 1 and
+5 and of every manifest under demos/manifests (each sweep pair too), with
+the manifest's reference or the default one of its stiffness field, and
+the Dirichlet kernel on every regular matrix with entries in [-3, 3],
+with the fixed reference CORPUS_REFERENCE.  Per table it prints
+"identical bytes" or the largest difference relative to the table's
+largest entry and where it sits; the Dirichlet tables are summed up in
+one line, each differing one listed.
+
+The exit status is 0 when everything agrees and 1 on any difference, a
+differing exit code or iteration count included.
 """
 
 from __future__ import annotations
 
+import glob
+import json
 import math
 import os
 import re
@@ -29,10 +44,17 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
 WORKLOADS = os.path.join(ROOT, "perfbench", "workloads.py")
 WORKLOAD_SEED = 1
+TABLE_SEEDS = (1, 5)
+TABLE_SPAN = 3
+# anisotropic, so that all six entries of the Dirichlet corpus's classes
+# are nonzero
+CORPUS_REFERENCE = [[3.0, 1.0, 0.2], [1.0, 2.5, -0.3], [0.2, -0.3, 1.7]]
 WALL_TIME = "wall time"
 
 # `lathom CMD demos/manifests/X.cfg --out "$RUNNER_TEMP/$run/NAME"` in the loop
@@ -208,6 +230,105 @@ def compare(old_src, new_src, runs, workdir):
     return same
 
 
+def table_manifests(directory):
+    """(name, manifest path) of each manifest whose kernels join the table
+    corpus: the workloads at TABLE_SEEDS, rendered into `directory`, and
+    every demo manifest."""
+    runs = [run for seed in TABLE_SEEDS for run in workload_runs(directory, seed)]
+    found = [(name, path) for name, _, path in runs]
+    for path in sorted(glob.glob(os.path.join(ROOT, "demos", "manifests", "*.cfg"))):
+        found.append((os.path.splitext(os.path.basename(path))[0], path))
+    return found
+
+
+# run in a fresh process per tree; argv[1] is the JSON job of build_tables
+_TABLE_BUILDER = """
+import itertools, json, sys
+import numpy as np
+from lathom import (
+    KernelSpec, coefficient_table, default_reference, parse_manifest,
+    periodised_green_table, stiffness_field,
+)
+
+job = json.loads(sys.argv[1])
+tables = {}
+
+def build(name, c0, spec):
+    tables[name] = periodised_green_table(c0, coefficient_table(spec)).entries
+
+for name, path in job["manifests"]:
+    manifest = parse_manifest(path)
+    c0 = manifest.reference
+    if c0 is None:
+        c0 = default_reference(stiffness_field(manifest.matrix, manifest.geometry))
+    build(name, c0, manifest.kernel_spec())
+    for pair in manifest.sweep_pairs or ():
+        build(f"{name} alpha {pair[0]!r} {pair[1]!r}", c0, manifest.kernel_spec(alpha=pair))
+span = range(-job["span"], job["span"] + 1)
+for a, b, c, d in itertools.product(span, repeat=4):
+    if a * d != b * c:
+        spec = KernelSpec.dirichlet([[a, b], [c, d]])
+        build(f"dirichlet {a} {b} {c} {d}", np.array(job["reference"]), spec)
+np.savez(job["out"], **tables)
+"""
+
+
+def build_tables(src, manifests, out, span=TABLE_SPAN):
+    """Green tables of the corpus built by tree `src` in a fresh process,
+    as {name: entries}, the Dirichlet matrices taking entries in [-span,
+    span]; raises CalledProcessError if the build fails."""
+    job = {"manifests": manifests, "span": span, "reference": CORPUS_REFERENCE, "out": out}
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run([sys.executable, "-c", _TABLE_BUILDER, json.dumps(job)], env=env, check=True)
+    with np.load(out) as data:
+        return {name: data[name] for name in data.files}
+
+
+def compare_tables(old, new):
+    """(agree, verdict) for two Green tables' entries (6, ...)."""
+    if old.shape != new.shape:
+        return False, f"shape {old.shape} vs {new.shape}"
+    if old.tobytes() == new.tobytes():
+        return True, "identical bytes"
+    diff = np.abs(old - new)
+    at = np.unravel_index(np.argmax(diff), diff.shape)
+    scale = float(np.max(np.abs(old)))
+    rel = float(diff[at]) / scale if scale > 0.0 else math.inf
+    return False, (
+        f"largest relative difference {rel:.3e} at entry {at[0]}, class {tuple(map(int, at[1:]))}"
+    )
+
+
+def compare_corpus(old_src, new_src, workdir):
+    """Build the table corpus with both trees under workdir, print the
+    comparison and return True when every table is identical bytes."""
+    manifests = table_manifests(workdir)
+    old, new = (
+        build_tables(src, manifests, os.path.join(workdir, f"{side}_tables.npz"))
+        for side, src in (("old", old_src), ("new", new_src))
+    )
+    print(f"== Green tables: {len(old)} | {len(new)}")
+    same = old.keys() == new.keys()
+    dirichlet, differing = 0, []
+    for name in sorted(old.keys() & new.keys()):
+        agree, verdict = compare_tables(old[name], new[name])
+        same = same and agree
+        if name.startswith("dirichlet "):
+            dirichlet += 1
+            if not agree:
+                differing.append((name, verdict))
+        else:
+            print(f"   {name:<40} {verdict}")
+    for name in sorted(old.keys() ^ new.keys()):
+        print(f"   {name:<40} only in {'old' if name in old else 'new'}")
+    agreeing = dirichlet - len(differing)
+    span = f"[-{TABLE_SPAN}, {TABLE_SPAN}]"
+    print(f"   dirichlet, entries in {span}: {agreeing} of {dirichlet} tables identical bytes")
+    for name, verdict in differing:
+        print(f"   {name:<40} {verdict}")
+    return same
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -222,6 +343,7 @@ def main(argv=None):
     try:
         runs = ci_runs() + workload_runs(workdir)
         same = compare(old_src, new_src, runs, workdir)
+        same = compare_corpus(old_src, new_src, workdir) and same
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     print("no difference" if same else "DIFFERENCES FOUND")
