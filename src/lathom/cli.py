@@ -64,7 +64,6 @@ from .solver import (
     _write_csv,
     basic_scheme,
     default_reference,
-    effective_action,
     effective_tensor,
     report_summary,
     residual_ls,
@@ -468,7 +467,7 @@ def _reference_data(manifest, c_coarse):
     if manifest.metric_mode == "summed_action":
         ref_eff = summed_action(c_coarse, ref_field)
     else:
-        ref_eff = effective_action(c_ref, report.strain, manifest.eps0)
+        ref_eff = report.effective_action
     return ref_field, ref_eff
 
 

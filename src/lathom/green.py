@@ -75,6 +75,7 @@ allocates its buffers once allocates nothing per application.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -171,15 +172,17 @@ class GreenTable:
     (tensor.symmetric_entries) of the class matrix of each frequency class
     on the Smith grid: (6,) + half_grid(matrix) when even_table,
     (6, d1, d2) otherwise (see the module docstring).  The zero class is
-    the zero matrix.  even_table, the coefficient table's half flag, says
-    that the matrices are even under h -> -h (class-wise), which decides
-    whether real fields stay real under application.
+    the zero matrix.
     """
 
     matrix: PatternMatrix
     c0: np.ndarray  # (3, 3) Mandel reference stiffness
     entries: np.ndarray  # (6,) + half or full Smith grid, real
-    even_table: bool
+
+    @cached_property  # apply_green reads it on every call
+    def even_table(self):
+        """Whether the classes are even under h -> -h: the entries hold the half grid."""
+        return self.entries.shape[1:] == half_grid(self.matrix)
 
     def workspace(self):
         """Complex scratch for apply_green, reused across applications."""
@@ -234,7 +237,7 @@ def periodised_green_table(c0, kernel):
         _green_sums(s, k1, k2, weights, entries[:, rows], block[3:])
     entries[:, 0] = 0.0  # the zero class sits at Smith grid index (0, 0)
     entries = entries.reshape(6, half_grid(pm)[0], -1)
-    return GreenTable(matrix=pm, c0=c0m.copy(), entries=entries, even_table=kernel.half)
+    return GreenTable(matrix=pm, c0=c0m.copy(), entries=entries)
 
 
 def apply_green(table, field, out=None, work=None):

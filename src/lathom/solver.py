@@ -4,10 +4,9 @@ Fields live on the pattern as Mandel vectors per point: at this API
 strain-like quantities have shape (m, 3).  A stiffness field is a
 StiffnessField, phase codes (m,) and a (p, 3, 3) table of the phases'
 Mandel matrices; a plain (m, 3, 3) array is the field with one phase per
-point (p = m), taken without a copy, and a single (3, 3) matrix one phase
-everywhere.  The coefficients are those of fundamental-interpolant
-translates, which equal the point values at 2 pi y, so no basis change
-happens anywhere.
+point, codes arange(m), and a single (3, 3) matrix one phase everywhere.
+The coefficients are those of fundamental-interpolant translates, which
+equal the point values at 2 pi y, so no basis change happens anywhere.
 
 The strain fluctuation E solves
 
@@ -33,7 +32,9 @@ the transforms read and write without strides.  C - C0 is stored by its
 six unique entries, (6, m) (tensor.symmetric_entries, read from the lower
 triangle that the positivity check examines), and multiplied in three
 fused rows (tensor.apply_symmetric) through one (m,) scratch plane; its
-rows are the phase table's entries gathered by phase, C-contiguous.
+rows are the phase table's entries gathered by phase, C-contiguous.  The
+mean stress and the LS residual use the same product, on rows of C and of
+C - C0 gathered a block of points at a time.
 These buffers and the Green application's spectral scratch are allocated
 once per solve, and every step writes into them: an iteration allocates
 no array, on either kind of Green table.  The strain is transposed to
@@ -72,7 +73,6 @@ from .errors import Diverged, NotConverged, ShapeMismatch, ValidationError
 from .green import apply_green
 from .lattice import pattern_points
 from .tensor import (
-    apply,
     apply_symmetric,
     as_mandel_stiffness,
     isotropic_parts,
@@ -112,20 +112,17 @@ class StiffnessField:
     """A stiffness field by phase: C(y_i) = stiffness[phases[i]].
 
     stiffness is the (p, 3, 3) Mandel matrices of the phases and phases the
-    integer code (m,) of each point.  phases None is one phase per point,
-    p = m: a dense (m, 3, 3) field, held as given.  ShapeMismatch for a
-    wrong shape, ValidationError for a code outside range(p).
+    integer code (m,) of each point.  ShapeMismatch for a wrong shape,
+    ValidationError for a code outside range(p).
     """
 
     stiffness: np.ndarray
-    phases: np.ndarray | None = None
+    phases: np.ndarray
 
     def __post_init__(self):
         self.stiffness = np.asarray(self.stiffness, dtype=float)
         if self.stiffness.ndim != 3 or self.stiffness.shape[1:] != (3, 3):
             raise ShapeMismatch(f"phase stiffnesses must be (p, 3, 3), got {self.stiffness.shape}")
-        if self.phases is None:
-            return
         self.phases = np.asarray(self.phases)
         if self.phases.ndim != 1 or not np.issubdtype(self.phases.dtype, np.integer):
             raise ShapeMismatch(
@@ -137,20 +134,14 @@ class StiffnessField:
     @property
     def m(self):
         """The number of points."""
-        return len(self.stiffness if self.phases is None else self.phases)
+        return len(self.phases)
 
     def gather(self, per_phase, axis=0):
         """Per-phase values (phase along axis) taken at every point, C-contiguous."""
-        return per_phase if self.phases is None else np.take(per_phase, self.phases, axis=axis)
-
-    def dense(self):
-        """C(y) at every point, (m, 3, 3)."""
-        return self.gather(self.stiffness)
+        return np.take(per_phase, self.phases, axis=axis)
 
     def present(self):
         """The stiffnesses of the phases that some point carries, (q, 3, 3)."""
-        if self.phases is None:
-            return self.stiffness
         carried = np.bincount(self.phases, minlength=len(self.stiffness)) > 0
         return self.stiffness if carried.all() else self.stiffness[carried]
 
@@ -158,21 +149,47 @@ class StiffnessField:
 def _as_stiffness_field(c, m=None):
     """c as a StiffnessField, of m points unless m is None.
 
-    A StiffnessField passes as it is, an (m, 3, 3) array is one phase per
-    point and a (3, 3) matrix one phase at every point (at one point when m
-    is None).  ShapeMismatch for any other shape or number of points.
+    A StiffnessField passes as it is, an (m, 3, 3) array takes the codes
+    arange(m), one phase per point, and a (3, 3) matrix zero codes, one
+    phase at every point (at one point when m is None).  ShapeMismatch for
+    any other shape or number of points.
     """
     if not isinstance(c, StiffnessField):
         c = np.asarray(c, dtype=float)
         if c.shape == (3, 3):
-            c = StiffnessField(c[None], None if m is None else np.zeros(m, np.int8))
+            c = StiffnessField(c[None], np.zeros(1 if m is None else m, np.int8))
         elif c.ndim == 3:
-            c = StiffnessField(c)
+            c = StiffnessField(c, np.arange(len(c)))
         else:
             raise ShapeMismatch(f"stiffness field must be (m, 3, 3) or (3, 3), got {c.shape}")
     if m is not None and c.m != m:
         raise ShapeMismatch(f"stiffness field must have {m} points, got {c.m}")
     return c
+
+
+def _entry_rows(stiffness, c0=None):
+    """The six unique entries (6, n) of Mandel matrices (n, 3, 3), or of them
+    minus c0, read from the lower triangle that the positivity check reads."""
+    rows = symmetric_entries(np.swapaxes(stiffness, -1, -2))
+    if c0 is not None:
+        rows -= symmetric_entries(c0)[:, None]
+    return rows
+
+
+# points per block of _stress_rows, which so holds no (6, m) rows
+_POINT_BLOCK = 1 << 14
+
+
+def _stress_rows(c, strain, eps0, c0=None):
+    """C(y):(E_y + eps0), or (C(y) - c0):(E_y + eps0), component-major
+    (3, m): the solver's product, a block of points at a time."""
+    out = np.empty((3, c.m), np.result_type(strain, eps0))
+    for start in range(0, c.m, _POINT_BLOCK):
+        points = slice(start, start + _POINT_BLOCK)
+        rows = _entry_rows(np.take(c.stiffness, c.phases[points], axis=0), c0)
+        total = np.add(strain[points].T, eps0[:, None], order="C")
+        apply_symmetric(rows, total, out[:, points], np.empty_like(total[0]))
+    return out
 
 
 def _field_norm(a):
@@ -303,12 +320,10 @@ def basic_scheme(c, eps0, table, tol=1e-10, max_iter=5000):
     if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     require_elliptic(c.present(), "stiffness field")
-    # the lower triangle: the solver applies the matrix that eigvalsh reads
-    dc = symmetric_entries(np.swapaxes(c.stiffness, -1, -2))
-    dc -= symmetric_entries(table.c0)[:, None]
-    dc = c.gather(dc, axis=1)  # np.take: C-contiguous rows, unlike dc[:, phases]
+    # np.take: C-contiguous rows, unlike indexing with [:, phases]
+    dc = c.gather(_entry_rows(c.stiffness, table.c0), axis=1)
     strain, history, stop = _cg_iteration(dc, eps0, table, tol, max_iter)
-    del dc  # before effective_action gathers C(y)
+    del dc  # before effective_action's product
     strain = strain.T.copy()
     scale = _field_norm(strain)
     imag = 0.0
@@ -336,9 +351,10 @@ def basic_scheme(c, eps0, table, tol=1e-10, max_iter=5000):
 def residual_ls(strain, c, c0, eps0, table):
     """l2 residual of the fixed-point form, E + Green_p (C - C0):(E + eps0).
 
-    The inputs are validated as basic_scheme validates them.  c0 must be
-    table.c0 (ValidationError otherwise) and poses nothing; it stays only
-    because perfbench's output check calls this with it.
+    The shapes and eps0 are validated as basic_scheme validates them, but
+    no stiffness is checked for positivity.  c0 must be table.c0
+    (ValidationError otherwise) and poses nothing; it stays only because
+    perfbench's output check calls this with it.
     """
     pm = table.matrix
     strain = np.asarray(strain)
@@ -347,34 +363,29 @@ def residual_ls(strain, c, c0, eps0, table):
     if not np.allclose(as_mandel_stiffness(c0), table.c0, rtol=1e-12, atol=1e-12):
         raise ValidationError("reference stiffness differs from the table's")
     c, eps0 = _as_stiffness_field(c, pm.m), _as_load(eps0)
-    tau = apply(c.gather(c.stiffness - table.c0), strain + eps0)
-    return _field_norm(strain + apply_green(table, tau))
+    tau = _stress_rows(c, strain, eps0, table.c0)
+    return _field_norm(strain + apply_green(table, tau.T))
 
 
-def _exact_mean(values):
-    """Column means via compensated summation (exact for constant columns).
+def _exact_mean(rows):
+    """Row means of a (3, m) field by compensated summation (exact for
+    constant rows).
 
     math.fsum is correctly rounded, so the container it reads does not
-    change the result: it reads each column as a list of Python floats,
-    which is faster than iterating over a strided numpy column.
+    change the result: it reads each row as a list of Python floats.
     """
-    values = np.asarray(values)
-    m = values.shape[0]
-    if np.iscomplexobj(values):
-        return np.array(
-            [
-                complex(math.fsum(col.real.tolist()), math.fsum(col.imag.tolist())) / m
-                for col in values.T
-            ]
-        )
-    return np.array([math.fsum(col.tolist()) / m for col in values.T])
+    m = rows.shape[1]
+    if np.iscomplexobj(rows):
+        parts = [(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist())) for row in rows]
+        return np.array([complex(re, im) / m for re, im in parts])
+    return np.array([math.fsum(row.tolist()) / m for row in rows])
 
 
 def effective_action(c, strain, eps0):
     """Discrete mean stress (1/m) sum_y C(y):(E_y + eps0), Mandel vector.
 
-    c is a stiffness field as basic_scheme takes it; C(y) is gathered at
-    every point for the sum.  eps0 is checked as basic_scheme checks it
+    c is a stiffness field as basic_scheme takes it, and C(y) multiplies by
+    the solver's six-entry rows.  eps0 is checked as basic_scheme checks it
     (ValidationError unless finite).
     """
     strain = np.asarray(strain)
@@ -382,7 +393,7 @@ def effective_action(c, strain, eps0):
         raise ShapeMismatch(f"strain field must be (m, 3), got shape {strain.shape}")
     c = _as_stiffness_field(c, strain.shape[0])
     eps0 = _as_load(eps0)
-    return _exact_mean(apply(c.dense(), strain + eps0))
+    return _exact_mean(_stress_rows(c, strain, eps0))
 
 
 def effective_tensor(c, table, tol=1e-10, max_iter=5000):

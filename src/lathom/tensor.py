@@ -11,7 +11,7 @@ component-major: symmetric_entries gives shape (6,) + batch in the order
 SYMMETRIC_PAIRS = (00, 11, 22, 01, 02, 12), symmetric_matrices unpacks it,
 and apply_symmetric multiplies such a field by a component-major vector
 field (3,) + batch in three fused rows.  The Green operator's table and
-the solver's stiffness contrast both use it.
+the solver's stiffness rows, of C and of C - C0, both use it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "lame_parameters",
     "ellipticity_bounds",
     "require_elliptic",
-    "apply",
     "SYMMETRIC_PAIRS",
     "symmetric_entries",
     "symmetric_matrices",
@@ -136,18 +135,6 @@ def require_elliptic(cm, name):
         raise NonElliptic(f"{name} is not positive definite (lower bound {bound:.3e})")
 
 
-def apply(cm, e, out=None):
-    """C : e in Mandel coordinates; cm (3, 3) or batched (..., 3, 3).
-
-    out, if given, receives the result (einsum's out).
-    """
-    cm = np.asarray(cm)
-    e = np.asarray(e)
-    if cm.shape[-1] != e.shape[-1]:
-        raise ShapeMismatch(f"operator {cm.shape} vs vector {e.shape}")
-    return np.einsum("...ab,...b->...a", cm, e, out=out)
-
-
 def symmetric_entries(cm):
     """The six unique entries of symmetric matrices cm (..., 3, 3), shape (6, ...).
 
@@ -167,10 +154,10 @@ def symmetric_matrices(entries):
 def apply_symmetric(entries, e, out, scratch):
     """out[a] = sum_b C_ab e[b] for C stored as symmetric_entries, component-major.
 
-    entries is (6, ...), e and out are (3, ...) and scratch is one plane of
-    out's dtype, all broadcasting against each other.  Each row is one
-    product and two multiply-adds through scratch, so nothing is
-    allocated.  Returns out.
+    entries is (6, ...), e and out are (3, n, ...) (a row of out must be an
+    array, so one vector is (3, 1)) and scratch is one plane of out's dtype,
+    all broadcasting against each other.  Each row is one product and two
+    multiply-adds through scratch, so nothing is allocated.  Returns out.
     """
     for a, row in enumerate(_ROWS):
         np.multiply(entries[row[0]], e[0], out=out[a])

@@ -210,6 +210,12 @@ def mandel_operator_2d(full):
     return out
 
 
+def stiffness_product(c, e):
+    """C : e per point, the einsum over the full Mandel matrices: c (3, 3) or
+    (..., 3, 3), e (..., 3), batches broadcasting."""
+    return np.einsum("...ab,...b->...a", np.asarray(c), np.asarray(e))
+
+
 def classical_basic_scheme(c_grid, lam0, mu0, eps0, tol=1e-10, max_iter=5000):
     """Plain truncated-Fourier Basic Scheme on an n1 x n2 tensor grid.
 
@@ -296,7 +302,7 @@ def periodised_basic_scheme(c, c0, eps0, table, tol=1e-10, max_iter=5000):
     eps0 = np.asarray(eps0, dtype=float)
     strain = np.zeros((m, 3))
     for iterations in range(1, max_iter + 1):
-        new = -full_spectrum_green(table, np.einsum("mab,mb->ma", dc, strain + eps0))
+        new = -full_spectrum_green(table, stiffness_product(dc, strain + eps0))
         num, den = np.linalg.norm(new - strain), np.linalg.norm(new + eps0)
         strain = new
         if num == 0.0 or (den > 0.0 and num / den <= tol):
@@ -442,6 +448,5 @@ def residual_variational(strain, c, c0, eps0, table):
     strain = np.asarray(strain)
     if strain.shape != (m, 3):
         raise ShapeMismatch(f"expected {(m, 3)}, got {strain.shape}")
-    c = np.broadcast_to(np.asarray(c, dtype=float), (m, 3, 3))
-    total = np.einsum("mab,mb->ma", c, strain + np.asarray(eps0))
+    total = stiffness_product(np.asarray(c, dtype=float), strain + np.asarray(eps0))
     return float(np.linalg.norm(full_spectrum_green(table, total) @ np.asarray(c0).T))

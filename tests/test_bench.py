@@ -185,7 +185,7 @@ def test_laminate_split_counts():
     np.testing.assert_array_equal(phases == 0, pat.points[:, 0] < 0.0)
     field = stiffness_field(m_mat, geom)
     np.testing.assert_array_equal(field.phases, phases)
-    c = field.dense()
+    c = field.gather(field.stiffness)
     np.testing.assert_array_equal(c[phases == 0], np.broadcast_to(c1, (8, 3, 3)))
     np.testing.assert_array_equal(c[phases == 1], np.broadcast_to(c2, (8, 3, 3)))
 
@@ -195,7 +195,7 @@ def test_laminate_full_fraction_is_homogeneous():
     c2 = isotropic_stiffness(7.0, 0.3)
     geom = LaminateGeometry(c1, c2, volume_fraction=1.0)
     field = stiffness_field([[5, 0], [0, 3]], geom)
-    np.testing.assert_array_equal(field.dense(), np.broadcast_to(c1, (15, 3, 3)))
+    np.testing.assert_array_equal(field.gather(field.stiffness), np.broadcast_to(c1, (15, 3, 3)))
     np.testing.assert_array_equal(field.phases, np.zeros(15))
 
 
@@ -334,7 +334,7 @@ def test_laminate_oracle_refuses_what_the_solver_refuses():
             with pytest.raises(NonElliptic):
                 laminate_effective_oracle(geom)
             field = stiffness_field(mat, geom)
-            for c_field in (field, field.dense()):
+            for c_field in (field, field.gather(field.stiffness)):
                 with pytest.raises(NonElliptic):
                     basic_scheme(c_field, np.ones(3), table)
 

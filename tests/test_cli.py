@@ -543,7 +543,7 @@ def test_homogeneous_cell_is_one_isotropic_phase(tmp_path):
     # every point carries phase 0 and nothing else
     assert field.phases.shape == (64,) and not field.phases.any()
     assert np.array_equal(field.present(), material[None])
-    assert np.array_equal(field.dense(), np.broadcast_to(material, (64, 3, 3)))
+    assert np.array_equal(field.gather(field.stiffness), np.broadcast_to(material, (64, 3, 3)))
 
 
 # heatmaps

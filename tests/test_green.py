@@ -17,11 +17,7 @@ from lathom.kernels import (
 )
 from lathom.lattice import PatternMatrix, generating_set
 from lathom.pattern_fft import half_grid
-from lathom.tensor import (
-    apply as tensor_apply,
-    ellipticity_bounds,
-    isotropic_stiffness,
-)
+from lathom.tensor import ellipticity_bounds, isotropic_stiffness
 
 from oracles import (
     class_matrices,
@@ -33,6 +29,7 @@ from oracles import (
     mandel_operator_2d,
     periodised_green_index_form,
     random_spd_mandel,
+    stiffness_product,
     to_mandel,
 )
 
@@ -401,7 +398,7 @@ def test_apply_green_on_transposed_component_major_buffers():
 
 
 def green_of_c0(table, c0m, field):
-    return apply_green(table, tensor_apply(c0m, field))
+    return apply_green(table, stiffness_product(c0m, field))
 
 
 def test_projection_iff_dirichlet():

@@ -308,7 +308,7 @@ def test_phase_field_is_its_dense_expansion(kind, data):
     codes = data.draw(hnp.arrays(np.int8, pm.m, elements=st.integers(0, p - 1)), label="codes")
     eps0 = data.draw(hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)), label="eps0")
     field = StiffnessField(stiffness, codes)
-    dense = field.dense()
+    dense = field.gather(stiffness)
     c0 = default_reference(field)
     assert np.array_equal(c0, default_reference(dense))
     table = periodised_green_table(c0, coefficient_table(spec))

@@ -11,13 +11,15 @@ from lathom.errors import (
     ShapeMismatch,
     ValidationError,
 )
-from lathom.green import periodised_green_table
+from lathom.green import apply_green, periodised_green_table
 from lathom.kernels import KernelSpec, coefficient_table, orthonormalize, three_direction_set
 from lathom.bench import HashinGeometry, stiffness_field
 from lathom.lattice import pattern_points
 from lathom.solver import (
     StiffnessField,
     _as_stiffness_field,
+    _entry_rows,
+    _exact_mean,
     _formatted_once,
     _write_atomic,
     _write_csv,
@@ -29,9 +31,15 @@ from lathom.solver import (
     residual_ls,
     write_strain_csv,
 )
-from lathom.tensor import ellipticity_bounds, isotropic_stiffness, lame_parameters
+from lathom.tensor import apply_symmetric, ellipticity_bounds, isotropic_stiffness, lame_parameters
 
-from oracles import classical_basic_scheme, periodised_basic_scheme, residual_variational
+from oracles import (
+    classical_basic_scheme,
+    periodised_basic_scheme,
+    random_spd_mandel,
+    residual_variational,
+    stiffness_product,
+)
 
 
 def green_table(m_mat, c0, kind="dirichlet", alpha=None):
@@ -173,6 +181,37 @@ def test_residual_ls_validates_as_the_solver_does():
         residual_ls(zero, c, isotropic_stiffness(2.0, 0.3), np.ones(3), table)
 
 
+def test_mean_stress_and_ls_residual_multiply_by_the_solvers_rows():
+    # exactly symmetric anisotropic phases, on which the per-point einsum
+    # sums in another order: the mean stress is the exact mean of the
+    # solver's own six-entry product bit for bit, real and complex, and it
+    # and the LS residual agree with the einsum oracle to 1e-14 relative
+    rng = np.random.default_rng(11)
+    mat = [[4, 0], [0, 4]]
+    stiffness = np.stack([random_spd_mandel(rng, 3) for _ in range(3)])
+    assert np.array_equal(stiffness, np.swapaxes(stiffness, -1, -2))
+    field = StiffnessField(stiffness, rng.integers(0, 3, 16))
+    dense = field.gather(stiffness)
+    c0 = random_spd_mandel(rng, 3)
+    even = green_table(mat, c0, kind="dlvp", alpha=(0.25, 0.25))
+    uneven = green_table(mat, c0)
+    assert even.even_table and not uneven.even_table
+    real = rng.normal(size=(16, 3))
+    for strain, table in ((real, even), (real + 1j * rng.normal(size=(16, 3)), uneven)):
+        eps0 = rng.normal(size=3)
+        total = np.ascontiguousarray(strain.T) + eps0[:, None]
+        rows = field.gather(_entry_rows(stiffness), axis=1)
+        stress = apply_symmetric(rows, total, np.empty_like(total), total[0].copy())
+        action = effective_action(field, strain, eps0)
+        assert np.array_equal(action, _exact_mean(stress))
+        expected = stiffness_product(dense, strain + eps0).mean(axis=0)
+        assert np.linalg.norm(action - expected) <= 1e-14 * np.linalg.norm(expected)
+        tau = stiffness_product(dense - c0, strain + eps0)
+        expected = np.linalg.norm(strain + apply_green(table, tau))
+        residual = residual_ls(strain, field, c0, eps0, table)
+        assert abs(residual - expected) <= 1e-14 * expected
+
+
 def test_variational_residual_distinguishes_kernels():
     # needs genuinely two-dimensional heterogeneity: for 1-d laminates with
     # equal Poisson ratio the total stress is constant, both formulations
@@ -300,15 +339,17 @@ def test_default_reference_is_midpoint_of_lame_ranges():
 
 
 def test_stiffness_field_forms():
-    # a dense (m, 3, 3) field is one phase per point and passes without a
-    # copy; a (3, 3) stiffness is one phase at every point
+    # a dense (m, 3, 3) field is one phase per point, codes arange(m), its
+    # array the phase table; a (3, 3) stiffness is one phase at every point
     c = random_field(16, seed=3)
     field = _as_stiffness_field(c, 16)
-    assert field.stiffness is c and field.phases is None
-    assert field.dense() is c and field.present() is c
+    assert field.stiffness is c and np.array_equal(field.phases, np.arange(16))
+    assert field.present() is c
+    assert np.array_equal(field.gather(field.stiffness), c)
     one = _as_stiffness_field(c[0], 16)
     assert one.phases.shape == (16,) and not one.phases.any()
-    assert np.array_equal(one.dense(), np.broadcast_to(c[0], (16, 3, 3)))
+    assert np.array_equal(one.gather(one.stiffness), np.broadcast_to(c[0], (16, 3, 3)))
+    assert _as_stiffness_field(c[0]).m == 1
     # gathered rows are C-contiguous, whatever the axis
     rows = StiffnessField(c[:2], [1, 0, 1]).gather(np.arange(12.0).reshape(6, 2), axis=1)
     assert rows.flags.c_contiguous and np.array_equal(rows[0], [1.0, 0.0, 1.0])

@@ -9,7 +9,7 @@ from lathom.errors import InvalidMaterial, ShapeMismatch
 from lathom.green import strain_basis
 from lathom.tensor import (
     IDENTITY_VECTOR,
-    apply,
+    apply_symmetric,
     as_mandel_stiffness,
     ellipticity_bounds,
     isotropic_parts,
@@ -20,7 +20,14 @@ from lathom.tensor import (
     symmetric_matrices,
 )
 
-from oracles import from_mandel, from_mandel_operator, mandel_operator_2d, to_mandel
+from oracles import (
+    from_mandel,
+    from_mandel_operator,
+    mandel_operator_2d,
+    random_spd_mandel,
+    stiffness_product,
+    to_mandel,
+)
 
 
 def isotropic_index_form(lam, mu, d):
@@ -34,6 +41,13 @@ def isotropic_index_form(lam, mu, d):
 def random_sym(rng, d):
     a = rng.standard_normal((d, d))
     return 0.5 * (a + a.T)
+
+
+def product(cm, e):
+    """apply_symmetric on the six entries of cm (3, 3) or (n, 3, 3) and a
+    component-major e (3, n)."""
+    e = np.asarray(e, dtype=float)
+    return apply_symmetric(symmetric_entries(cm), e, np.empty_like(e), np.empty_like(e[0]))
 
 
 def test_isotropic_reference_values():
@@ -78,7 +92,7 @@ def test_mandel_isometry_random():
         assert abs(np.sum(a * b) - np.vdot(to_mandel(a), to_mandel(b))) < 1e-14
 
 
-def test_apply_matches_index_notation_oracle():
+def test_product_matches_index_notation_oracle():
     rng = np.random.default_rng(1)
     lam, mu = lame_parameters(2.0, 0.2)
     c4 = isotropic_index_form(lam, mu, 2)
@@ -87,16 +101,24 @@ def test_apply_matches_index_notation_oracle():
     for _ in range(20):
         e = random_sym(rng, 2)
         sigma_index = np.einsum("ijkl,kl->ij", c4, e)
-        sigma = from_mandel(apply(cm, to_mandel(e)))
-        assert np.allclose(sigma, sigma_index, atol=1e-14)
+        got = product(cm, to_mandel(e)[:, None])[:, 0]
+        assert np.allclose(from_mandel(got), sigma_index, atol=1e-14)
+        assert np.allclose(got, stiffness_product(cm, to_mandel(e)), atol=1e-14)
 
 
-def test_apply_is_self_adjoint_for_symmetric_c():
+def test_product_is_linear_and_self_adjoint_for_symmetric_c():
+    # a batch of anisotropic phases, one per column, against the oracle's
+    # per-point einsum
     rng = np.random.default_rng(2)
-    c = isotropic_stiffness(5.0, 0.3)
-    for _ in range(20):
-        a, b = rng.standard_normal(3), rng.standard_normal(3)
-        assert np.isclose(np.vdot(apply(c, a), b), np.vdot(a, apply(c, b)), atol=1e-12)
+    c = np.stack([random_spd_mandel(rng, 3) for _ in range(20)])
+    c = 0.5 * (c + np.swapaxes(c, -1, -2))
+    a, b = rng.standard_normal((2, 3, 20))
+    ca, cb = product(c, a), product(c, b)
+    for got, e in ((ca, a), (cb, b)):
+        expected = stiffness_product(c, e.T).T
+        assert np.allclose(got, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
+    assert np.allclose(product(c, 2.0 * a - 3.0 * b), 2.0 * ca - 3.0 * cb, atol=1e-12)
+    assert np.allclose(np.sum(ca * b, axis=0), np.sum(a * cb, axis=0), atol=1e-12)
 
 
 def test_roundtrips_and_identity():
@@ -107,7 +129,7 @@ def test_roundtrips_and_identity():
     c4 = 0.25 * (c4 + c4.transpose(1, 0, 2, 3) + c4.transpose(0, 1, 3, 2) + c4.transpose(1, 0, 3, 2))
     assert np.allclose(from_mandel_operator(mandel_operator_2d(c4)), c4, atol=1e-14)
     assert np.allclose(from_mandel(IDENTITY_VECTOR), np.eye(2))
-    assert np.allclose(apply(np.eye(3), to_mandel(e)), to_mandel(e))
+    assert np.array_equal(product(np.eye(3), to_mandel(e)[:, None])[:, 0], to_mandel(e))
 
 
 def test_isotropic_parts_recovers_lame():
@@ -118,8 +140,12 @@ def test_isotropic_parts_recovers_lame():
 
 
 def test_dimension_mismatch_raised():
-    with pytest.raises(ShapeMismatch):
-        apply(np.eye(3), np.ones(6))
+    # a vector field has three components, and its batch broadcasts
+    # against the entries'
+    with pytest.raises(IndexError):
+        product(np.eye(3), np.ones((2, 1)))
+    with pytest.raises(ValueError):
+        product(np.stack([np.eye(3)] * 4), np.ones((3, 5)))
     # stiffnesses are 3 x 3 Mandel matrices: no 3-d or full index input
     for bad in (np.eye(6), np.ones((2, 2, 2, 2))):
         with pytest.raises(ShapeMismatch):

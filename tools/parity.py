@@ -5,7 +5,8 @@
 OLD_SRC and NEW_SRC are `src` directories (each holding the `lathom`
 package).  The runs are every `lathom` command of the "Demo manifests"
 loop in .github/workflows/tests.yml, on this repository's manifests, and
-the benchmark workloads of perfbench/workloads.py rendered at seed 1.
+the benchmark workloads of perfbench/workloads.py rendered at each seed
+of SEEDS, 1 and 5.
 Each run starts each tree in a fresh Python process on the same manifest,
 with its own output directory.
 
@@ -18,8 +19,8 @@ side by side.
 
 Then each tree, in a fresh process, builds the Green tables of a fixed
 corpus, `periodised_green_table(c0, coefficient_table(spec))` as the
-command line does: the kernel of every benchmark workload at seeds 1 and
-5 and of every manifest under demos/manifests (each sweep pair too), with
+command line does: the kernel of every benchmark workload at SEEDS and
+of every manifest under demos/manifests (each sweep pair too), with
 the manifest's reference or the default one of its stiffness field, and
 the Dirichlet kernel on every regular matrix with entries in [-3, 3],
 with the fixed reference CORPUS_REFERENCE.  Per table it prints
@@ -49,8 +50,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
 WORKLOADS = os.path.join(ROOT, "perfbench", "workloads.py")
-WORKLOAD_SEED = 1
-TABLE_SEEDS = (1, 5)
+SEEDS = (1, 5)
 TABLE_SPAN = 3
 # anisotropic, so that all six entries of the Dirichlet corpus's classes
 # are nonzero
@@ -74,15 +74,17 @@ def ci_runs():
     return runs
 
 
-def workload_runs(directory, seed=WORKLOAD_SEED):
-    """(name, command, manifest path) of each benchmark workload at `seed`;
-    the manifests are rendered into `directory`."""
+def workload_runs(directory):
+    """(name, command, manifest path) of each benchmark workload at each
+    seed of SEEDS; the manifests are rendered into `directory`."""
     runs = []
-    for name, workload in runpy.run_path(WORKLOADS)["WORKLOADS"].items():
-        path = os.path.join(directory, f"{name}_seed{seed}.cfg")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(workload.manifest(seed))
-        runs.append((f"{name}_seed{seed}", workload.command, path))
+    workloads = runpy.run_path(WORKLOADS)["WORKLOADS"]
+    for seed in SEEDS:
+        for name, workload in workloads.items():
+            path = os.path.join(directory, f"{name}_seed{seed}.cfg")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(workload.manifest(seed))
+            runs.append((f"{name}_seed{seed}", workload.command, path))
     return runs
 
 
@@ -232,10 +234,9 @@ def compare(old_src, new_src, runs, workdir):
 
 def table_manifests(directory):
     """(name, manifest path) of each manifest whose kernels join the table
-    corpus: the workloads at TABLE_SEEDS, rendered into `directory`, and
-    every demo manifest."""
-    runs = [run for seed in TABLE_SEEDS for run in workload_runs(directory, seed)]
-    found = [(name, path) for name, _, path in runs]
+    corpus: the workloads at SEEDS, rendered into `directory`, and every
+    demo manifest."""
+    found = [(name, path) for name, _, path in workload_runs(directory)]
     for path in sorted(glob.glob(os.path.join(ROOT, "demos", "manifests", "*.cfg"))):
         found.append((os.path.splitext(os.path.basename(path))[0], path))
     return found
