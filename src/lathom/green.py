@@ -67,8 +67,12 @@ and the table decides the transforms:
 Fields are (m, 3) at this interface.  The solver keeps its fields
 component-major, (3, m), and passes their transposes: such an (m, 3) view
 is a contiguous (3, d1, d2) array on the Smith grid, so the transforms
-read and write it without strides.  Both paths write through `out` and
-take their spectral scratch from GreenTable.workspace(), so a solver that
+read and write it without strides.  Both paths write through `out`.  The
+field's spectrum, (3,) + the table's grid, goes into `spectrum`, which the
+caller may lend from a buffer whose contents are dead during the
+application (the solver lends its next iterate's), and the product and
+one plane of products into GreenTable.workspace(), (4,) + that grid: the
+inverse transform consumes the product in place.  So a solver that
 allocates its buffers once allocates nothing per application.
 """
 
@@ -185,12 +189,13 @@ class GreenTable:
         return self.entries.shape[1:] == half_grid(self.matrix)
 
     def workspace(self):
-        """Complex scratch for apply_green, reused across applications."""
+        """Complex scratch for apply_green, reused across applications: the
+        product (3 planes) and one plane of products."""
         return np.empty((_WORK_PLANES,) + self.entries.shape[1:], dtype=np.complex128)
 
 
-# spectrum (3), product (3) and one plane of products
-_WORK_PLANES = 7
+# product (3) and one plane of products; the spectrum is the caller's
+_WORK_PLANES = 4
 # v(k) and then the scaled u (3), u (3) and q, then c / q
 _SUM_PLANES = 7
 # classes x shifts per block of periodised_green_table: its ten planes
@@ -240,7 +245,7 @@ def periodised_green_table(c0, kernel):
     return GreenTable(matrix=pm, c0=c0m.copy(), entries=entries)
 
 
-def apply_green(table, field, out=None, work=None):
+def apply_green(table, field, out=None, work=None, spectrum=None):
     """Apply the periodised Green operator to a field sampled on the pattern.
 
     field has shape (m, 3).  On an even table a real field comes back
@@ -249,8 +254,10 @@ def apply_green(table, field, out=None, work=None):
     not roundoff).  out, if given, is an (m, 3) array of the result type
     in any memory layout (the solver passes transposes of its (3, m)
     buffers) and receives the result.  work is scratch from
-    table.workspace(), reused across calls (a fresh one is allocated when
-    it is None).
+    table.workspace() and spectrum a C-contiguous complex128 array of
+    shape (3,) + table.entries.shape[1:], both reused across calls and
+    overwritten (fresh ones are allocated when they are None); neither may
+    share memory with field or out.
     """
     pm = table.matrix
     field = np.asarray(field)
@@ -258,13 +265,15 @@ def apply_green(table, field, out=None, work=None):
         raise ShapeMismatch(f"expected field of shape {(pm.m, 3)}, got {field.shape}")
     if work is None:
         work = table.workspace()
-    spectrum, product, scratch = work[:3], work[3:6], work[6]
+    if spectrum is None:
+        spectrum = np.empty((3,) + table.entries.shape[1:], dtype=np.complex128)
+    product, scratch = work[:3], work[3]
     if np.iscomplexobj(field) or not table.even_table:
         if out is None:
             out = np.empty((pm.m, 3), dtype=np.complex128)
         if table.even_table:  # G(a + ib) = Ga + iGb, on the real path
-            apply_green(table, field.real, out=out.real, work=work)
-            apply_green(table, field.imag, out=out.imag, work=work)
+            apply_green(table, field.real, out=out.real, work=work, spectrum=spectrum)
+            apply_green(table, field.imag, out=out.imag, work=work, spectrum=spectrum)
             return out
         pattern_fft(pm, field, out=spectrum.reshape(3, -1).T)
         apply_symmetric(table.entries, spectrum, product, scratch)

@@ -246,6 +246,26 @@ def _box_enumeration(diag):
     return np.indices(tuple(int(x) for x in diag), dtype=np.int64).reshape(2, -1).T
 
 
+def _canonical_points(pm, start, stop):
+    """(z, numerators, points) of the points of P(M) whose canonical
+    indices lie in range(start, stop), as Pattern holds them.
+
+    The canonical order enumerates the Smith grid in C order: index i is
+    grid point j = (i // d2, i % d2), and z = M y reduces S j.  So a block
+    of the pattern is computed without the rest of it.
+    """
+    s_arr, diag = _smith_grid(pm)[:2]
+    j = np.empty((stop - start, 2), dtype=np.int64)
+    np.divmod(np.arange(start, stop, dtype=np.int64), diag[1], out=(j[:, 0], j[:, 1]))
+    z = reduce_point(pm, j @ s_arr.T)
+    # M^{-1} z = adj(M) z / det(M), with |adj(M) z| <= m / 2 for a reduced
+    # z: exact in int64, where frac_coordinates' bound for any vector
+    # can refuse large entries
+    adj = np.array(_adjugate(pm.entries.tolist()), dtype=np.int64)
+    num = z @ (adj.T if pm.det > 0 else -adj.T)
+    return z, num, num / float(pm.m)
+
+
 class Pattern:
     """Ordered pattern P(M): points y with M y integer, reduced into the square.
 
@@ -259,25 +279,14 @@ class Pattern:
 
     def __init__(self, pm):
         self.matrix = pm
-        s_arr, diag, t_arr, s_inv, t_inv = _smith_grid(pm)
+        _, diag, _, s_inv, _ = _smith_grid(pm)
         self._diag = diag
         self._strides = np.array([diag[1], 1])  # C-order index on the Smith grid
         self._s_inv = s_inv
-        j = _box_enumeration(diag)
-        z = reduce_point(pm, j @ s_arr.T)
-        # M^{-1} z = adj(M) z / det(M), with |adj(M) z| <= m / 2 for a reduced
-        # z: exact in int64, where frac_coordinates' bound for any vector
-        # can refuse large entries
-        adj = np.array(_adjugate(pm.entries.tolist()), dtype=np.int64)
-        num = z @ (adj.T if pm.det > 0 else -adj.T)
-        n = pm.m
-        self.z = z
-        self.numerators = num
-        self.denominator = n
-        self.points = num / float(n)
-        for arr in (self.z, self.numerators):
+        self.z, self.numerators, self.points = _canonical_points(pm, 0, pm.m)
+        self.denominator = pm.m
+        for arr in (self.z, self.numerators, self.points):
             arr.setflags(write=False)
-        self.points.setflags(write=False)
 
     def __len__(self):
         return self.matrix.m

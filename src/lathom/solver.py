@@ -25,22 +25,30 @@ above, so the run stops when the relative LS residual
 from its first entry on (at E = 0 the denominator is the norm of the
 constant field eps0, sqrt(m) |eps0|).
 Each iteration costs one Green application and one stiffness product.
-Inside the solver the fields are component-major: the seven fields of the
-iteration (x, its successor, r, z, p, w and the product q) are C-contiguous
-(3, m) buffers, and apply_green receives their (m, 3) transposes, which
-the transforms read and write without strides.  C - C0 is stored by its
-six unique entries, (6, m) (tensor.symmetric_entries, read from the lower
-triangle that the positivity check examines), and multiplied in three
-fused rows (tensor.apply_symmetric) through one (m,) scratch plane; its
-rows are the phase table's entries gathered by phase, C-contiguous.  The
-mean stress and the LS residual use the same product, on rows of C and of
-C - C0 gathered a block of points at a time.
-These buffers and the Green application's spectral scratch are allocated
-once per solve, and every step writes into them: an iteration allocates
-no array, on either kind of Green table.  The strain is transposed to
-(m, 3) once, at exit.  The CG coefficients come from inner products by
-pairwise summation, and |E + eps0| from |E|, sum_y E and |eps0| without
-forming the sum.
+Inside the solver the fields are component-major: the six fields of the
+iteration (x, r, z, p, w and the product q) are C-contiguous (3, m)
+buffers, and apply_green receives their (m, 3) transposes, which the
+transforms read and write without strides.  q is dead from the moment r
+has taken it, so the Green application writes its spectrum into q's
+memory, and q then receives the next iterate, which swaps with x; x and q
+are therefore stored at spectrum size ((3,) + the table's grid, complex),
+which exceeds a real (3, m) field by at most 48 d1 bytes on a half
+spectrum.  The Green workspace holds the product's three planes and one
+scratch plane, which between applications also serves the inner products.
+C - C0 is stored by phase as the six unique entries of each phase's
+matrix, (6, p) (tensor.symmetric_entries, read from the lower triangle
+that the positivity check examines), and multiplied in three fused rows
+(tensor.apply_symmetric) a block of points at a time: the rows are
+gathered by phase code into block-sized scratch, a row that is one number
+at every phase is broadcast, and rows equal at every phase are gathered
+once (_PhaseProduct).  The mean stress and the LS residual multiply by
+the same product, on rows of C and of C - C0.
+These buffers are allocated once per solve, and every step writes into
+them: an iteration allocates no array, on either kind of Green table.  At
+512², real, they are 37.8 MB of fields, 8.4 MB of workspace and 0.7 MB of
+block scratch.  The strain is transposed to (m, 3) once, at exit.  The CG
+coefficients come from inner products by pairwise summation, and
+|E + eps0| from |E|, sum_y E and |eps0| without forming the sum.
 The run stops at the first iteration whose residual norms are not finite,
 which for validated input means the arithmetic overflowed, and keeps the
 last finite iterate.
@@ -71,7 +79,7 @@ import numpy as np
 
 from .errors import Diverged, NotConverged, ShapeMismatch, ValidationError
 from .green import apply_green
-from .lattice import pattern_points
+from .lattice import _canonical_points, as_pattern_matrix
 from .tensor import (
     apply_symmetric,
     as_mandel_stiffness,
@@ -176,19 +184,81 @@ def _entry_rows(stiffness, c0=None):
     return rows
 
 
-# points per block of _stress_rows, which so holds no (6, m) rows
+# points per block of _PhaseProduct, whose gathered rows so stay block-sized
 _POINT_BLOCK = 1 << 14
+
+
+class _PhaseProduct:
+    """The solver's one stiffness product: a field by phase times (3, m)
+    fields, a block of points at a time.
+
+    rows (6, p) are the six unique entries of the phases' matrices
+    (_entry_rows) and phases the (m,) codes.  blocks() gathers the rows by
+    phase code, one block of points at a time, into block-sized scratch
+    allocated here, so a product holds no (6, m) array and allocates no
+    array per call.  A row with the same bits at every phase (the (0, 2)
+    and (1, 2) entries of isotropic phases are zero) is that number,
+    broadcast; a row equal to an earlier one at every phase shares its
+    gathered block.  The products are bit for bit those of the (6, m)
+    rows gathered at every point.
+    """
+
+    def __init__(self, rows, phases, dtype):
+        self._phases = phases
+        self._rows = rows
+        bits = rows.view(np.int64)
+        # per entry: its number, broadcast, or the slot of its gathered row
+        self._gathered_rows, self._plan = [], []
+        for k, row in enumerate(bits):
+            if (row == row[0]).all():
+                self._plan.append(rows[k, :1])
+                continue
+            first = next((j for j in self._gathered_rows if (bits[j] == row).all()), k)
+            if first == k:
+                self._gathered_rows.append(k)
+            self._plan.append(self._gathered_rows.index(first))
+        size = min(_POINT_BLOCK, len(phases))
+        self._index = np.empty(size, np.intp)
+        self._gathered = np.empty((len(self._gathered_rows), size))
+        self._scratch = np.empty(size, dtype)
+        self._held = None  # the block whose rows _gathered holds
+
+    def blocks(self):
+        """(points, entries, scratch) of each block: a slice of the points,
+        the six rows there as tensor.apply_symmetric takes them, and one
+        scratch plane of the product's dtype."""
+        size = len(self._index)
+        for start in range(0, len(self._phases), size):
+            points = slice(start, start + size)
+            n = min(size, len(self._phases) - start)
+            index, gathered = self._index[:n], self._gathered[:, :n]
+            if start != self._held:  # a field of one block is gathered once
+                # as intp: np.take would convert int8 codes into a fresh array
+                np.copyto(index, self._phases[points])
+                for row, source in zip(gathered, self._gathered_rows):
+                    # the codes lie in range(p); mode="clip" writes into row unbuffered
+                    np.take(self._rows[source], index, out=row, mode="clip")
+                self._held = start
+            entries = [gathered[e] if isinstance(e, int) else e for e in self._plan]
+            yield points, entries, self._scratch[:n]
+
+    def apply(self, e, out):
+        """out = C e for a (3, m) field out and a (3, m) field or (3, 1)
+        vector e; returns out."""
+        for points, entries, scratch in self.blocks():
+            apply_symmetric(entries, e[:, points] if e.shape[1] > 1 else e, out[:, points], scratch)
+        return out
 
 
 def _stress_rows(c, strain, eps0, c0=None):
     """C(y):(E_y + eps0), or (C(y) - c0):(E_y + eps0), component-major
     (3, m): the solver's product, a block of points at a time."""
-    out = np.empty((3, c.m), np.result_type(strain, eps0))
-    for start in range(0, c.m, _POINT_BLOCK):
-        points = slice(start, start + _POINT_BLOCK)
-        rows = _entry_rows(np.take(c.stiffness, c.phases[points], axis=0), c0)
+    dtype = np.result_type(strain, eps0)
+    out = np.empty((3, c.m), dtype)
+    product = _PhaseProduct(_entry_rows(c.stiffness, c0), c.phases, dtype)
+    for points, entries, scratch in product.blocks():
         total = np.add(strain[points].T, eps0[:, None], order="C")
-        apply_symmetric(rows, total, out[:, points], np.empty_like(total[0]))
+        apply_symmetric(entries, total, out[:, points], scratch)
     return out
 
 
@@ -231,27 +301,41 @@ def _inner(a, b, scratch):
     return total
 
 
-def _cg_iteration(dc, eps0, table, tol, max_iter):
+def _field_and_spectrum(table, dtype):
+    """A zero (3, m) field of dtype and a spectrum for apply_green over the
+    same memory: (3,) + the table's grid, complex128, never smaller than
+    the field (a half spectrum has d2 // 2 + 1 >= d2 / 2 complex columns)."""
+    spectrum = np.zeros((3,) + table.entries.shape[1:], np.complex128)
+    return spectrum.reshape(-1).view(dtype)[: 3 * table.matrix.m].reshape(3, -1), spectrum
+
+
+def _cg_iteration(rows, phases, eps0, table, tol, max_iter):
     """CG preconditioned by Green_p: (strain (3, m), LS residual history, stop reason).
 
-    dc holds the six unique entries of C - C0, (6, m).  r is the residual
-    of (Green_p^{-1} + C - C0) x = -(C - C0) eps0, z = Green_p r, p the
-    search direction and w = Green_p^{-1} p.  Each entry of the history
-    costs one Green application.  Every field lives in a buffer allocated
-    here, before the first iteration; x is replaced only by a finite
-    iterate.
+    rows (6, p) hold the six unique entries of the phases' C - C0 and
+    phases the (m,) codes.  r is the residual of
+    (Green_p^{-1} + C - C0) x = -(C - C0) eps0, z = Green_p r, p the search
+    direction and w = Green_p^{-1} p; q = (C - C0) p + w is dead once r
+    has taken it, so it lends its memory to the Green application's
+    spectrum and then receives the next iterate, which swaps with x.  Each
+    entry of the history costs one Green application.  Every field lives
+    in a buffer allocated here, before the first iteration, and x is
+    replaced only by a finite iterate.
     """
     m = table.matrix.m
     # a table that is not even makes z complex: then all of them are
     dtype = np.float64 if table.even_table else np.complex128
-    x, x_next, r, z, p, w, q = (np.zeros((3, m), dtype) for _ in range(7))
-    plane = np.empty(m, dtype)
-    real_plane = plane.view(np.float64)
+    # x and q swap, so both are stored at spectrum size
+    (x, x_spectrum), (q, q_spectrum) = (_field_and_spectrum(table, dtype) for _ in range(2))
+    r, z, p, w = (np.zeros((3, m), dtype) for _ in range(4))
+    product = _PhaseProduct(rows, phases, dtype)
     work = table.workspace()
+    # the workspace's scratch plane is free between Green applications
+    real_plane = work[3].reshape(-1).view(np.float64)[: r[0].view(np.float64).size]
     history = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        apply_symmetric(dc, -eps0[:, None], r, plane)
-        apply_green(table, r.T, out=z.T, work=work)
+        product.apply(-eps0[:, None], r)
+        apply_green(table, r.T, out=z.T, work=work, spectrum=q_spectrum)
         np.copyto(p, z)
         np.copyto(w, r)
         rz = _inner(r, z, real_plane)
@@ -262,18 +346,18 @@ def _cg_iteration(dc, eps0, table, tol, max_iter):
                 return x, history, "converged"
             if len(history) == max_iter:
                 return x, history, "max_iter"
-            apply_symmetric(dc, p, q, plane)
+            product.apply(p, q)
             q += w
             alpha = rz / _inner(p, q, real_plane)
             q *= alpha
             r -= q
-            apply_green(table, r.T, out=z.T, work=work)
-            np.multiply(alpha, p, out=x_next)  # p != 0 here, so a non-finite alpha shows in x_next
-            x_next += x
-            rel = _relative(_field_norm(z), _total_norm(x_next, eps0))
+            apply_green(table, r.T, out=z.T, work=work, spectrum=q_spectrum)
+            np.multiply(alpha, p, out=q)  # p != 0 here, so a non-finite alpha shows in q
+            q += x
+            rel = _relative(_field_norm(z), _total_norm(q, eps0))
             if rel is None:
                 break
-            x, x_next = x_next, x
+            x, x_spectrum, q, q_spectrum = q, q_spectrum, x, x_spectrum
             rz, rz_old = _inner(r, z, real_plane), rz
             beta = rz / rz_old
             p *= beta
@@ -302,16 +386,17 @@ def basic_scheme(c, eps0, table, tol=1e-10, max_iter=5000):
     array; eps0 the macroscopic strain as a Mandel vector and table the
     periodised Green operator, whose c0 is the reference.  Positivity is
     checked on the phases that some point carries, and C - C0 is formed
-    per phase and gathered by phase code into the (6, m) rows that CG
-    multiplies by.  The run stops when the relative LS residual is at
-    most tol (see the module docstring).  The name is the paper's for its
-    fixed-point method; it stays because perfbench times every solve by
-    the span `solver:basic_scheme`, so a rename belongs with a change to
-    the benchmark.  Raises ValidationError unless tol is finite and
-    positive, max_iter an integer >= 1 and eps0 finite; NonElliptic if a
-    phase that some point carries is not symmetric positive definite;
-    Diverged(iterations, report) at the first non-finite residual norm and
-    NotConverged(iterations, report) when max_iter runs out.
+    per phase, (6, p), and gathered by phase code a block of points at a
+    time as CG multiplies by it.  The run stops when the relative LS
+    residual is at most tol (see the module docstring).  The name is the
+    paper's for its fixed-point method; it stays because perfbench times
+    every solve by the span `solver:basic_scheme`, so a rename belongs
+    with a change to the benchmark.  Raises ValidationError unless tol is
+    finite and positive, max_iter an integer >= 1 and eps0 finite;
+    NonElliptic if a phase that some point carries is not symmetric
+    positive definite; Diverged(iterations, report) at the first
+    non-finite residual norm and NotConverged(iterations, report) when
+    max_iter runs out.
     """
     start = time.perf_counter()
     c, eps0 = _as_stiffness_field(c, table.matrix.m), _as_load(eps0)
@@ -320,10 +405,8 @@ def basic_scheme(c, eps0, table, tol=1e-10, max_iter=5000):
     if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     require_elliptic(c.present(), "stiffness field")
-    # np.take: C-contiguous rows, unlike indexing with [:, phases]
-    dc = c.gather(_entry_rows(c.stiffness, table.c0), axis=1)
-    strain, history, stop = _cg_iteration(dc, eps0, table, tol, max_iter)
-    del dc  # before effective_action's product
+    rows = _entry_rows(c.stiffness, table.c0)
+    strain, history, stop = _cg_iteration(rows, c.phases, eps0, table, tol, max_iter)
     strain = strain.T.copy()
     scale = _field_norm(strain)
     imag = 0.0
@@ -466,17 +549,17 @@ def _write_atomic(path, chunks):
 _CSV_BLOCK_ROWS = 4096
 
 
-def _csv_blocks(header, columns):
-    """Encoded CSV text, block by block: the header line, then rows."""
-    row = []
-    for col in columns:
-        width = 1 if col.ndim == 1 else col.shape[1]
-        row += ["%s" if col.dtype == object else "%.17g"] * width
-    row = ",".join(row) + "\n"
+def _csv_blocks(header, blocks):
+    """Encoded CSV text: the header line, then each block of rows, given as
+    its columns (each (n,) or (n, k))."""
     yield f"{','.join(header)}\n".encode("ascii")
-    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        part = np.column_stack([col[start : start + _CSV_BLOCK_ROWS] for col in columns])
-        yield ((row * len(part)) % tuple(part.ravel().tolist())).encode("ascii")
+    for columns in blocks:
+        row = []
+        for col in columns:
+            width = 1 if col.ndim == 1 else col.shape[1]
+            row += ["%s" if col.dtype == object else "%.17g"] * width
+        part = np.column_stack(columns)
+        yield ((",".join(row) + "\n") * len(part) % tuple(part.ravel().tolist())).encode("ascii")
 
 
 def _write_csv(path, header, columns):
@@ -485,24 +568,34 @@ def _write_csv(path, header, columns):
     The columns (each (n,) or (n, k)) are stacked block by block, and each
     block of rows is formatted by one template: the same bytes as
     formatting every value on its own, in less than half the time.  A
-    column of dtype object holds its text already (see _formatted_once).
-    The blocks are formatted as the file is written, one at a time.
+    column of dtype object holds its text already (see _texts).  The
+    blocks are formatted as the file is written, one at a time.
     """
-    _write_atomic(path, _csv_blocks(header, [np.asarray(col) for col in columns]))
+    columns = [np.asarray(col) for col in columns]
+    blocks = (
+        [col[start : start + _CSV_BLOCK_ROWS] for col in columns]
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS)
+    )
+    _write_atomic(path, _csv_blocks(header, blocks))
 
 
-def _formatted_once(column):
-    """The %.17g text of a float column (n,) as an object array, each
-    distinct value formatted once.
+def _texts(column, known):
+    """The %.17g text of a float column (n,) as an object array.
 
-    A pattern coordinate column takes at most d_d values, the last Smith
-    divisor (512 at 512²), since d_d y is an integer vector.
-    Values are told apart by their bits, so -0.0 keeps its sign.
+    known maps the bits of each value formatted so far to its text, and
+    gains the column's new values, so a caller that passes the same dict
+    block after block formats each distinct value once: a pattern
+    coordinate takes at most d_d values, the last Smith divisor (512 at
+    512²), since d_d y is an integer vector.  Values are told apart by
+    their bits, so -0.0 keeps its sign.
     """
     column = np.asarray(column, dtype=np.float64)
     bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse]
+    keys = bits.tolist()
+    for key, value in zip(keys, bits.view(np.float64).tolist()):
+        if key not in known:
+            known[key] = "%.17g" % value
+    return np.array([known[key] for key in keys], dtype=object)[inverse]
 
 
 def write_strain_csv(path, m_mat, strain):
@@ -510,15 +603,24 @@ def write_strain_csv(path, m_mat, strain):
 
     Values are printed with %.17g so rewriting the same field is
     byte-identical, and the file is written atomically.  Complex strain
-    appends imag_11, imag_22, imag_12.
+    appends imag_11, imag_22, imag_12.  The points are computed a block of
+    rows at a time, so the write holds no pattern-sized array of its own.
     """
-    pattern = pattern_points(m_mat)
+    pm = as_pattern_matrix(m_mat)
     strain = np.asarray(strain)
-    if strain.shape[0] != len(pattern):
-        raise ShapeMismatch(f"{strain.shape[0]} rows for {len(pattern)} points")
+    if strain.shape[0] != pm.m:
+        raise ShapeMismatch(f"{strain.shape[0]} rows for {pm.m} points")
     header = ["y1", "y2", "eps_11", "eps_22", "eps_12"]
-    columns = [*map(_formatted_once, pattern.points.T), strain.real]
+    parts = [strain.real]
     if np.iscomplexobj(strain) and np.max(np.abs(strain.imag)) > 0.0:
         header += ["imag_11", "imag_22", "imag_12"]
-        columns.append(strain.imag)
-    _write_csv(path, header, columns)
+        parts.append(strain.imag)
+    known = {}
+
+    def blocks():
+        for start in range(0, pm.m, _CSV_BLOCK_ROWS):
+            stop = min(start + _CSV_BLOCK_ROWS, pm.m)
+            points = _canonical_points(pm, start, stop)[2]
+            yield [*(_texts(col, known) for col in points.T), *(part[start:stop] for part in parts)]
+
+    _write_atomic(path, _csv_blocks(header, blocks()))

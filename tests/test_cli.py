@@ -296,10 +296,11 @@ def test_solve_writes_artifacts(tmp_path, capsys):
 
 def test_solve_memory_grows_by_the_solver_buffers(tmp_path, capsys):
     # a whole dlVP Hashin `solve` from 128^2 to 256^2: the tracemalloc peak
-    # grows by at most 320 bytes per point.  CG's seven (3, m) fields, its
-    # plane, the (6, m) rows of C - C0, the Green workspace and the half
-    # table make ~300; a dense (m, 3, 3) stiffness field held through the
-    # solve (72) or a resident pattern (64) would not fit
+    # grows by at most 220 bytes per point.  CG's six (3, m) fields (144),
+    # the Green workspace (32), the half table (24) and the phase codes make
+    # ~200; a seventh field (24), the (6, m) rows of C - C0 (48), a dense
+    # (m, 3, 3) stiffness field held through the solve (72) or a resident
+    # pattern (64) would not fit
     def peak(side):
         text = (
             f"[pattern]\nmatrix = {side} 0 0 {side}\n"
@@ -317,7 +318,7 @@ def test_solve_memory_grows_by_the_solver_buffers(tmp_path, capsys):
             tracemalloc.stop()
 
     small, large = peak(128), peak(256)
-    assert large - small <= 320 * (256**2 - 128**2)
+    assert large - small <= 220 * (256**2 - 128**2)
 
 
 def test_box_solve_writes_real_strain_csv(tmp_path):

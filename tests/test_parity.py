@@ -17,6 +17,10 @@ def test_a_tree_agrees_with_itself(tmp_path, capsys):
     assert out[0] == "== laminate: lathom solve demos/manifests/laminate_exact.cfg"
     verdicts = dict(line.split(None, 1) for line in out[1:] if not line.startswith("   exit"))
     assert verdicts["iterations"] == "2 | 2"
+    # each side's peak resident set, informational
+    old_rss, new_rss = verdicts["peak"].removeprefix("RSS").split("|")
+    assert old_rss.strip().endswith(" MB") and new_rss.strip().endswith(" MB")
+    assert float(old_rss.split()[0]) > 10.0 and float(new_rss.split()[0]) > 10.0
     for name in ("phases.csv", "phases.pgm", "strain.csv", "stderr"):
         assert verdicts[name] == "identical bytes"
 

@@ -252,7 +252,7 @@ def test_green_table_layout_and_complex_fields(entries, data, c0):
     table = periodised_green_table(c0, orthonormalize(coefficient_table(spec)))
     grid = half_grid(pm) if table.even_table else smith_normal_form(pm).grid
     assert table.entries.shape == (6,) + grid
-    assert table.workspace().shape == (7,) + grid
+    assert table.workspace().shape == (4,) + grid
     matrices = periodised_green_index_form(c0, spec)
     for field in (real, real + 1j * imag):
         out = apply_green(table, field)

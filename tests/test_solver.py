@@ -1,3 +1,4 @@
+import itertools
 import os
 import tracemalloc
 
@@ -15,12 +16,13 @@ from lathom.green import apply_green, periodised_green_table
 from lathom.kernels import KernelSpec, coefficient_table, orthonormalize, three_direction_set
 from lathom.bench import HashinGeometry, stiffness_field
 from lathom.lattice import pattern_points
+from lathom import solver
 from lathom.solver import (
     StiffnessField,
     _as_stiffness_field,
     _entry_rows,
     _exact_mean,
-    _formatted_once,
+    _texts,
     _write_atomic,
     _write_csv,
     basic_scheme,
@@ -31,7 +33,13 @@ from lathom.solver import (
     residual_ls,
     write_strain_csv,
 )
-from lathom.tensor import apply_symmetric, ellipticity_bounds, isotropic_stiffness, lame_parameters
+from lathom.tensor import (
+    apply_symmetric,
+    ellipticity_bounds,
+    isotropic_stiffness,
+    lame_parameters,
+    lame_stiffness,
+)
 
 from oracles import (
     classical_basic_scheme,
@@ -478,12 +486,37 @@ def test_write_atomic_streams_and_leaves_nothing_when_the_chunks_fail(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-def test_formatted_once_matches_per_value_formatting():
-    # signed zeros are told apart, repeated and distinct values alike
+def test_texts_match_per_value_formatting():
+    # signed zeros are told apart, repeated and distinct values alike, and
+    # a value that an earlier block formatted is not formatted again
+    known = {}
     for column in (np.tile([0.5, -0.0, 0.0, 1 / 3, 5e-324], 3), np.arange(8) / 7.0):
-        text = _formatted_once(column)
+        text = _texts(column, known)
         assert text.dtype == object
         assert text.tolist() == [f"{x:.17g}" for x in column]
+    assert len(known) == 5 + 8 - 1  # 0.0 is in both columns
+    known[np.float64(0.5).view(np.int64).item()] = "half"
+    assert _texts(np.array([0.5]), known).tolist() == ["half"]
+
+
+def test_strain_csv_memory_does_not_grow_with_the_pattern(tmp_path):
+    # the points are computed a block of rows at a time and their texts
+    # indexed per block, so the write's tracemalloc peak grows by at most
+    # 4 bytes per point from 128^2 to 256^2: the whole Pattern (z,
+    # numerators and points, 48 bytes per point) or one object array of
+    # coordinate texts per column (8 each) would not fit
+    def peak(n):
+        strain = np.random.default_rng(n).normal(size=(n * n, 3))
+        tracemalloc.start()
+        try:
+            write_strain_csv(tmp_path / f"{n}.csv", [[n, 0], [n // 2, n]], strain)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(128), peak(256)
+    assert large - small <= 4 * (256**2 - 128**2)
+    assert large <= 24 * 256**2
 
 
 def test_write_csv_matches_fstring_rows(tmp_path):
@@ -593,56 +626,156 @@ def test_cg_not_converged_carries_partial_report():
     assert report.effective_action is not None
 
 
+@pytest.mark.parametrize("name", ["dirichlet_16", "dlvp_sheared"])
+def test_a_partial_report_keeps_the_iterate_of_its_last_residual(name):
+    # after 1, 2 and 3 iterations the strain that NotConverged carries is
+    # the iterate whose relative LS residual ends the history: q lends its
+    # memory to each Green application's spectrum and then swaps with x,
+    # and an x clobbered by either would not reproduce the residual
+    mat, spec = CG_TABLES[name]
+    m = abs(round(np.linalg.det(mat)))
+    c = random_field(m, seed=4, contrast=100.0)
+    table = periodised_green_table(default_reference(c), coefficient_table(spec(mat)))
+    assert table.even_table == (name != "dirichlet_16")
+    eps0 = np.array([0.4, -1.0, 0.7])
+    for max_iter in (1, 2, 3):
+        with pytest.raises(NotConverged) as err:
+            basic_scheme(c, eps0, table, max_iter=max_iter)
+        report = err.value.report
+        assert report.iterations == max_iter
+        strain = report.strain
+        ls = residual_ls(strain, c, table.c0, eps0, table) / np.linalg.norm(strain + eps0)
+        assert abs(ls - report.residual_history[-1]) <= 1e-12 * ls
 
-def _traced_peak(solve):
-    """Peak traced memory above the level at entry, in bytes."""
+
+@pytest.mark.parametrize("block", [7, 1 << 14])
+def test_blocked_product_by_phase_is_the_dense_product(monkeypatch, block):
+    # m = 50 is no multiple of 7: the product gathered by phase a block at
+    # a time equals the product by the (6, m) rows gathered at every
+    # point bit for bit, real and complex, on isotropic phases (zero rows
+    # broadcast, the equal (0, 0) and (1, 1) rows gathered once, a lambda
+    # that all phases share broadcast too) and on anisotropic ones, two of
+    # whose rows agree at one phase only
+    monkeypatch.setattr(solver, "_POINT_BLOCK", block)
+    rng = np.random.default_rng(12)
+    m = 50
+    isotropic = np.stack([isotropic_stiffness(e, 0.3) for e in (1.0, 7.0, 2.5)])
+    shared_lambda = np.stack([lame_stiffness(1.5, mu) for mu in (0.5, 2.0, 4.0)])
+    anisotropic = np.stack([random_spd_mandel(rng, 3) for _ in range(3)])
+    # rows (0, 0) and (1, 1) equal at the first phase only
+    touching = anisotropic.copy()
+    touching[0, 1, 1] = touching[0, 0, 0]
+    c0 = isotropic_stiffness(3.0, 0.25)
+    # a lambda that the first and the last phase share, the middle one not
+    ends = np.stack([lame_stiffness(lam, mu) for lam, mu in ((1.5, 0.5), (2.5, 2.0), (1.5, 4.0))])
+    cases = ((isotropic, 3), (shared_lambda, 2), (ends, 3), (anisotropic, 6), (touching, 6))
+    for (stiffness, gathered), c0_or_none in itertools.product(cases, (None, c0)):
+        phases = rng.integers(0, 3, m).astype(np.int8)
+        rows = solver._entry_rows(stiffness, c0_or_none)
+        dense = np.take(rows, phases, axis=1)
+        for dtype in (np.float64, np.complex128):
+            e = rng.normal(size=(3, m)).astype(dtype)
+            if dtype is np.complex128:
+                e += 1j * rng.normal(size=(3, m))
+            product = solver._PhaseProduct(rows, phases, dtype)
+            assert len(product._gathered_rows) == gathered
+            for field in (e, e[::-1] * 3.0):  # a block's rows may be kept between calls
+                out = product.apply(field, np.full((3, m), np.nan, dtype))
+                expected = np.empty((3, m), dtype)
+                apply_symmetric(dense, field, expected, np.empty(m, dtype))
+                assert out.tobytes() == expected.tobytes()
+
+
+def _cg_peak(monkeypatch, solve):
+    """Peak traced memory over solve's CG span, above the level at its
+    entry, in bytes."""
+    peaks = []
+
+    def traced(*args):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return cg_iteration(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+
+    cg_iteration = solver._cg_iteration
+    monkeypatch.setattr(solver, "_cg_iteration", traced)
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        try:
-            solve()
-        except NotConverged:
-            pass
-        return tracemalloc.get_traced_memory()[1] - base
+        solve()
+    except NotConverged:
+        pass
     finally:
         tracemalloc.stop()
+        monkeypatch.setattr(solver, "_cg_iteration", cg_iteration)
+    (peak,) = peaks
+    return peak
 
 
-def _assert_named_buffers(table, m, seed):
-    """A solve on table allocates its named buffers and the Green workspace,
-    and no iteration allocates more than the one before."""
-    c = random_field(m, seed=seed)
-    c0 = table.c0
+def _green_transient(table, dtype):
+    """Peak traced memory of one Green application whose buffers are all
+    given: the transforms' own temporaries."""
+    field, out = np.ones((2, 3, table.matrix.m), dtype)
+    work, spectrum = table.workspace(), np.empty((3,) + table.entries.shape[1:], complex)
+    for _ in range(2):  # the first call caches the transforms' plans
+        tracemalloc.start()
+        try:
+            apply_green(table, field.T, out=out.T, work=work, spectrum=spectrum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak
+
+
+def _assert_named_buffers(monkeypatch, table, m, seed):
+    """The CG of a solve on table allocates its named buffers, and no
+    iteration allocates more than the one before."""
+    block = 1 << 10  # several blocks, so that block scratch is told apart from (m,) arrays
+    monkeypatch.setattr(solver, "_POINT_BLOCK", block)
+    c = random_field(m, seed=seed)  # one isotropic phase per point
     eps0 = np.array([1.0, -0.3, 0.5])
     basic_scheme(c, eps0, table)  # the FFT plans are cached from here on
-    field = 3 * m * (8 if table.even_table else 16)
-    # seven (3, m) fields and one (m,) plane of the solve's dtype, and the
-    # real (6, m) entries of C - C0
-    named = (7 + 1 / 3) * field + 6 * m * 8 + table.workspace().nbytes
-    short = _traced_peak(lambda: basic_scheme(c, eps0, table, max_iter=5))
-    full = _traced_peak(lambda: basic_scheme(c, eps0, table))
-    # margin: one field for transform temporaries and small objects
-    assert full <= named + field
+    dtype = np.dtype(np.float64 if table.even_table else np.complex128)
+    field = 3 * m * dtype.itemsize
+    # six fields, x and q at spectrum size (they lend it to the Green
+    # application), the Green workspace (product and one plane, which
+    # also serves the inner products) and the block scratch of the
+    # product: codes as intp, three gathered rows (the (0, 0) and (1, 1)
+    # entries of isotropic phases are equal, the (0, 2) and (1, 2) zero)
+    # and one plane
+    spectrum = 3 * table.entries[0].size * 16
+    workspace = table.workspace().nbytes
+    scratch = block * (8 + 3 * 8 + dtype.itemsize)
+    named = 4 * field + 2 * spectrum + workspace + scratch
+    short = _cg_peak(monkeypatch, lambda: basic_scheme(c, eps0, table, max_iter=5))
+    full = _cg_peak(monkeypatch, lambda: basic_scheme(c, eps0, table))
+    assert short >= named
+    # margin: the transforms' own temporaries, about one (m,) plane here,
+    # and 24 KB of small objects, less than an (m,) plane: neither the
+    # (6, m) rows of C - C0 nor an own scratch plane would fit
+    assert 24 * 1024 < m * 8
+    assert full <= named + _green_transient(table, dtype) + 24 * 1024
     # the residual history and a few cached tuples add some hundred bytes
     # per iteration (~0.09 field over 25 iterations here), far below any
     # array of field size
     assert abs(full - short) <= 0.25 * field
 
 
-def test_solver_memory_is_its_named_buffers():
+def test_solver_memory_is_its_named_buffers(monkeypatch):
     # tracemalloc sees numpy's buffers.  The module docstring names them:
-    # seven (3, m) fields, one (m,) plane, the (6, m) entries of C - C0
-    # and the Green workspace; nothing else of field size may stay alive,
-    # and no iteration may allocate more than the one before
+    # six fields, two of them at spectrum size, the Green workspace and the
+    # product's block scratch; nothing else of field size may stay alive
+    # inside CG, and no iteration may allocate more than the one before
     n = 64
     mat = [[n, 0], [0, n]]
     c0 = default_reference(random_field(n * n, seed=5))
     table = green_table(mat, c0, kind="dlvp", alpha=(0.25, 0.25))
     assert table.even_table
-    _assert_named_buffers(table, n * n, seed=5)
+    _assert_named_buffers(monkeypatch, table, n * n, seed=5)
 
 
-def test_complex_solver_memory_is_its_named_buffers():
+def test_complex_solver_memory_is_its_named_buffers(monkeypatch):
     # a Dirichlet table on 64 I is not even: the solve is complex
     # and every Green application takes the full spectrum, written through
     # the same workspace, so it too allocates only its named buffers
@@ -651,4 +784,4 @@ def test_complex_solver_memory_is_its_named_buffers():
     c0 = default_reference(random_field(n * n, seed=6))
     table = green_table(mat, c0)
     assert not table.even_table
-    _assert_named_buffers(table, n * n, seed=6)
+    _assert_named_buffers(monkeypatch, table, n * n, seed=6)

@@ -15,7 +15,8 @@ For every output file, and for the standard output and error, it prints
 trees and where it sits (line and field of a text file, byte offset of a
 binary one).  The wall-time line of report.txt and of a solve's standard
 output is ignored.  Iteration counts (report.txt, sweep.csv) are printed
-side by side.
+side by side, and so is each process's peak resident set (ru_maxrss),
+which is informational only and never counts as a difference.
 
 Then each tree, in a fresh process, builds the Green tables of a fixed
 corpus, `periodised_green_table(c0, coefficient_table(spec))` as the
@@ -88,17 +89,38 @@ def workload_runs(directory):
     return runs
 
 
+# starts a command and writes its ru_maxrss (KB, from os.wait4) to
+# argv[1]; argv[2:] is the command.  A child's ru_maxrss counts the
+# resident peak of the process it was started from (Linux carries it
+# across exec), so commands start from this small process, not from the
+# comparison, which holds whole output files
+_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[2:])
+_, status, usage = os.wait4(proc.pid, 0)
+with open(sys.argv[1], "w") as handle:
+    handle.write(str(usage.ru_maxrss))
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 def run_lathom(src, command, manifest, out):
     """Run `lathom COMMAND MANIFEST --out OUT` from tree `src` in a fresh
-    process; returns (exit code, stdout, stderr)."""
+    process; returns (exit code, stdout, stderr, the process's own peak
+    resident set in MB)."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    rss = f"{out}.maxrss"
     proc = subprocess.run(
-        [sys.executable, "-m", "lathom", command, manifest, "--out", out],
+        [sys.executable, "-c", _LAUNCHER, rss, sys.executable, "-m", "lathom", command, manifest]
+        + ["--out", out],
         cwd=os.path.dirname(out),
         env=env,
         capture_output=True,
     )
-    return proc.returncode, proc.stdout, proc.stderr
+    with open(rss, encoding="ascii") as handle:
+        peak = int(handle.read()) / 1024.0
+    os.remove(rss)
+    return proc.returncode, proc.stdout, proc.stderr, peak
 
 
 def _number(token):
@@ -175,10 +197,11 @@ def compare_outputs(old, new, skip_wall_time=False):
 
 
 def _run_side(src, command, manifest, out):
-    """(exit code, stdout, stderr, {relative path: bytes}) of one run."""
+    """(exit code, stdout, stderr, {relative path: bytes}, peak RSS in MB)
+    of one run."""
     os.makedirs(os.path.dirname(out), exist_ok=True)
-    code, stdout, stderr = run_lathom(src, command, manifest, out)
-    return code, stdout, stderr, _files(out) if os.path.isdir(out) else {}
+    code, stdout, stderr, peak = run_lathom(src, command, manifest, out)
+    return code, stdout, stderr, _files(out) if os.path.isdir(out) else {}, peak
 
 
 def _files(directory):
@@ -218,6 +241,8 @@ def compare(old_src, new_src, runs, workdir):
         if old_iters or new_iters:
             text = f"{' '.join(old_iters)} | {' '.join(new_iters)}"
             rows.append(("iterations", old_iters == new_iters, text))
+        # informational: it varies from run to run, so it never differs
+        rows.append(("peak RSS", True, f"{old[4]:.1f} MB | {new[4]:.1f} MB"))
         rows.append(("stdout", *compare_outputs(old[1], new[1], skip_wall_time=True)))
         rows.append(("stderr", *compare_outputs(old[2], new[2])))
         for rel in sorted(old[3].keys() | new[3].keys()):
