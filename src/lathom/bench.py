@@ -5,11 +5,12 @@ confocal ellipses in a matrix, and a two-phase layered medium (with one
 phase, a homogeneous cell).  Both hold their phases as (3, 3) Mandel
 stiffness matrices and are sampled pointwise on a pattern: each pattern
 point gets the phase it falls in, with no voxel averaging.  Each geometry
-names its phases on a pattern (phases_on) and lists their stiffnesses
-(stiffness_by_phase); stiffness_field samples any geometry on P(M) as a
-StiffnessField, which the solvers take as it is.  The layered medium has
-an exact effective tensor from the interface conditions, which serves as
-the reference for convergence studies.
+names the phases of exact rational points (phases_at) and lists their
+stiffnesses (stiffness_by_phase); stiffness_field samples any geometry on
+P(M), a block of points at a time, as a StiffnessField, which the solvers
+take as it is.  The layered medium has an exact effective tensor from the
+interface conditions, which serves as the reference for convergence
+studies.
 """
 
 import dataclasses
@@ -20,9 +21,9 @@ import numpy as np
 
 from .errors import InvalidGeometry, PatternMismatch, ShapeMismatch, ValidationError
 from .green import strain_basis
-from .lattice import as_pattern_matrix, pattern_points, refinement
+from .lattice import _blocks, _canonical_points, as_pattern_matrix, pattern_points, refinement
 from .pattern_fft import smith_normal_form
-from .solver import StiffnessField, _write_atomic, _write_csv, effective_action
+from .solver import StiffnessField, _write_atomic, _write_point_csv, effective_action
 from .tensor import as_mandel_stiffness, isotropic_stiffness, require_elliptic
 
 __all__ = [
@@ -48,9 +49,6 @@ __all__ = [
 DEFAULT_CORE_MATERIAL = (1.0, 0.3)
 DEFAULT_COATING_MATERIAL = (10.0, 0.3)
 DEFAULT_MATRIX_MATERIAL = (5.0, 0.3)
-
-# points per block of HashinGeometry.phases_on
-_POINT_BLOCK = 1 << 14
 
 
 def _isotropic_default(pair):
@@ -118,19 +116,9 @@ class HashinGeometry:
         outer = outer + x[:, 1] ** 2 / (self.c2**2 + self.rho_outer)
         return np.where(core <= 1.0, 0, np.where(outer <= 1.0, 1, 2)).astype(np.int8)
 
-    def phases_on(self, pattern):
-        """Phase codes (m,) of a Pattern's points, in its ordering.
-
-        Sampled in blocks of points: the per-point floats of phase_of are
-        made per block, not at the size of the pattern, so setup leaves no
-        (m,)-sized freed temporaries in the heap ahead of the solve.
-        """
-        points = pattern.points
-        codes = np.empty(len(points), dtype=np.int8)
-        for start in range(0, len(points), _POINT_BLOCK):
-            block = slice(start, start + _POINT_BLOCK)
-            codes[block] = self.phase_of(points[block])
-        return codes
+    def phases_at(self, numerators, denominator):
+        """Phase codes of the points numerators / denominator, (n, 2) int."""
+        return self.phase_of(numerators / float(denominator))
 
     def stiffness_by_phase(self):
         """(3, 3, 3) stack indexed by phase code."""
@@ -169,8 +157,9 @@ class LaminateGeometry:
                 "volume_fraction",
             )
 
-    def phases_on(self, pattern):
-        """Phase codes (m,) of a Pattern's points: 0 for phase 1, 1 for phase 2.
+    def phases_at(self, numerators, denominator):
+        """Phase codes of the points numerators / denominator, (n, 2) int:
+        0 for phase 1, 1 for phase 2.
 
         The layer coordinate is evaluated in exact integer arithmetic, so the
         half-open slab boundary never flickers: with f1 = 1/2 and M = 4 I the
@@ -178,8 +167,8 @@ class LaminateGeometry:
         """
         nvec = np.asarray(self.normal, dtype=np.int64)
         # n . y = t / den exactly; shift by 1/2 and wrap into [0, 1).
-        t = pattern.numerators @ nvec
-        den = int(pattern.denominator)
+        t = numerators @ nvec
+        den = int(denominator)
         u = np.mod(2 * t + den, 2 * den)
         return np.where(u < self.volume_fraction * (2 * den), 0, 1).astype(np.int8)
 
@@ -191,11 +180,16 @@ class LaminateGeometry:
 def stiffness_field(m_mat, geom):
     """A geometry sampled on P(M), as a StiffnessField.
 
-    Its phase codes (m,) are geom.phases_on in the canonical pattern
-    ordering and its table geom.stiffness_by_phase(); a phase that no point
-    samples stays in the table (a homogeneous cell carries phase 0 only).
+    Its phase codes (m,) are geom.phases_at of the pattern points in
+    canonical order, a block of points at a time, and its table
+    geom.stiffness_by_phase(); a phase that no point samples stays in the
+    table (a homogeneous cell carries phase 0 only).
     """
-    return StiffnessField(geom.stiffness_by_phase(), geom.phases_on(pattern_points(m_mat)))
+    pm = as_pattern_matrix(m_mat)
+    phases = np.empty(pm.m, np.int8)
+    for points in _blocks(pm.m):
+        phases[points] = geom.phases_at(_canonical_points(pm, points.start, points.stop)[1], pm.m)
+    return StiffnessField(geom.stiffness_by_phase(), phases)
 
 
 def rasterize_hashin(m_mat, geom):
@@ -360,7 +354,7 @@ def _check_phases(m_mat, phases):
 def write_phase_csv(path, m_mat, phases):
     """Phase codes as CSV rows y1,y2,phase in canonical pattern order."""
     pm, phases = _check_phases(m_mat, phases)
-    _write_csv(path, ["y1", "y2", "phase"], [pattern_points(pm).points, phases])
+    _write_point_csv(path, pm, ["phase"], [phases])
 
 
 def _write_raster(path, m_mat, codes, lut, shape=None):

@@ -30,12 +30,13 @@ Gp_h = G(h).  With c = |c_k|^2 / [|c|^2]_h the sum is
 
     Gp_h = (sum c) S - sum (c / q) u u^T,   u = S v(k), q = v^T S v,
 
-accumulated for blocks of classes over all their shifts at once, as
-planes, for the six unique entries only; green_multiplier is the same sum
-with one term of weight one.  Each block takes its coefficients from the
-kernel table into one of those planes (kernels.CoefficientTable.block),
-evaluated there from the closed forms unless the table already holds
-them, so setup holds no (classes, shifts) array of its own.
+accumulated for blocks of classes (lattice._blocks) over all their shifts
+at once, as planes, for the six unique entries only; green_multiplier is
+the same sum with one term of weight one.  Each block takes its
+coefficients from the kernel table into one of those planes
+(kernels.CoefficientTable.block), evaluated there from the closed forms
+unless the table already holds them, so setup holds no (classes, shifts)
+array of its own.
 
 The per-class matrices are real and symmetric, and G(k) depends on the
 line through k only.  The whole table is even under h -> -h when the
@@ -84,7 +85,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ShapeMismatch
-from .lattice import PatternMatrix
+from .lattice import _GREEN_BLOCK, PatternMatrix, _blocks
 from .pattern_fft import half_grid, pattern_fft, pattern_ifft, pattern_irfft, pattern_rfft
 from .tensor import (
     SYMMETRIC_PAIRS,
@@ -198,22 +199,15 @@ class GreenTable:
 _WORK_PLANES = 4
 # v(k) and then the scaled u (3), u (3) and q, then c / q
 _SUM_PLANES = 7
-# classes x shifts per block of periodised_green_table: its ten planes
-# (2.5 MB together) run in cache and keep the build's transient memory small
-_BLOCK_ELEMENTS = 1 << 15
 
 
 def periodised_green_table(c0, kernel):
     """Assemble Gp_h = sum_z |c_{h+M^T z}|^2 G(h+M^T z) / [|c|^2]_h per class.
 
-    kernel is any CoefficientTable.  Row blocks of the classes it holds
-    take all their shifts as (classes, shifts) planes: the table writes the
-    block's coefficients into the weights plane (kernels.CoefficientTable
-    .block), so no (classes, shifts) table is built unless the kernel
-    already holds one, and each class becomes (sum c) S - sum (c / q)
-    u u^T for its six unique entries (see the module docstring), so a
-    half kernel table gives the half spectrum of an even table.  The zero
-    class, whose k = 0 term is 0/0, is forced to the zero matrix.  Raises
+    kernel is any CoefficientTable.  The classes it holds are built a block
+    at a time as the module docstring describes, so a half kernel table
+    gives the half spectrum of an even table.  The zero class, whose k = 0
+    term is 0/0, is forced to the zero matrix.  Raises
     ShapeMismatch unless c0 is a (3, 3) Mandel matrix, NonElliptic unless
     it is positive definite and DegenerateClass for the first class with a
     vanishing bracket.
@@ -225,12 +219,11 @@ def periodised_green_table(c0, kernel):
     offsets = kernel.shifts @ pm.entries
     classes = len(kernel.freqs)
     entries = np.empty((6, classes))
-    step = max(1, _BLOCK_ELEMENTS // len(offsets))
+    step = max(1, _GREEN_BLOCK // len(offsets))
     # allocated once: fresh block-sized temporaries would fault their pages
     # in again on every block whenever the allocator hands them back
     planes = np.empty((3 + _SUM_PLANES, min(step, classes), len(offsets)))
-    for start in range(0, classes, step):
-        rows = slice(start, start + step)
+    for rows in _blocks(classes, step):
         freqs = kernel.freqs[rows]
         block = planes[:, : len(freqs)]
         k1, k2, weights = block[:3]

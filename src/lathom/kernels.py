@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateClass, InvalidSpec, LengthMismatch, NoInterpolant
-from .lattice import as_pattern_matrix, frac_coordinates, generating_set
+from .lattice import _TABLE_BLOCK, _blocks, as_pattern_matrix, frac_coordinates, generating_set
 from .pattern_fft import half_grid
 
 __all__ = [
@@ -293,11 +293,6 @@ def _checked(bracket, freqs):
     return bracket
 
 
-# coefficients per row block when a whole table is evaluated: the block's
-# passes run in cache, and its factor tables stay small
-_BLOCK_ELEMENTS = 1 << 16
-
-
 class _Coefficients:
     """The coeffs field of a CoefficientTable: the array given at
     construction, or else the closed forms, evaluated in row blocks on
@@ -309,9 +304,8 @@ class _Coefficients:
             return None  # the field's default
         if table.__dict__["coeffs"] is None:
             coeffs = np.empty((len(table.freqs), len(table.shifts)))
-            step = max(1, _BLOCK_ELEMENTS // len(table.shifts))
-            for start in range(0, len(coeffs), step):
-                rows = slice(start, start + step)
+            step = max(1, _TABLE_BLOCK // len(table.shifts))
+            for rows in _blocks(len(coeffs), step):
                 table._evaluate(rows, coeffs[rows])
             table.__dict__["coeffs"] = coeffs
         return table.__dict__["coeffs"]
@@ -333,12 +327,20 @@ class CoefficientTable:
     given, and then kept; orthonormalize scales it in place, not a copy.
     block writes the rows of a block of classes without the (n, t) array,
     from coeffs once the table holds it (given, read or rescaled).
+    InvalidSpec for rows of the half grid's count when the kernel's classes
+    do not pair evenly, because the Green build would mirror them.
     """
 
     spec: KernelSpec
     freqs: np.ndarray  # (n, 2) canonical representatives
     shifts: np.ndarray  # (t, 2)
     coeffs: np.ndarray = _Coefficients()  # (n, t) real
+
+    def __post_init__(self):
+        if self.half and not _pairs_evenly(self.spec, self.freqs):
+            raise InvalidSpec(
+                f"{self.spec!r} on {self.matrix!r} has no half table: classes pair unevenly"
+            )
 
     @property
     def matrix(self):
@@ -385,8 +387,13 @@ class CoefficientTable:
         _coeff_block(self.spec, radii, w, n, grid)
 
 
-def _pairs_evenly(w, n):
-    """No class at t = w / n has t_i = -1/2 beside a t_j outside {0, -1/2}."""
+def _pairs_evenly(spec, freqs):
+    """Whether the classes freqs (k, 2) of the kernel are even under h -> -h:
+    all dlVP and box classes are; a Dirichlet class at t = M^{-T} h = w / n
+    is unless some t_i = -1/2 beside a t_j outside {0, -1/2}."""
+    if spec.kind != "dirichlet":
+        return True
+    w, n = frac_coordinates(spec.matrix.mt, freqs)
     face = 2 * w == -n
     return not np.any(face.any(axis=1) & ((w != 0) & ~face).any(axis=1))
 
@@ -400,7 +407,7 @@ def coefficient_table(spec):
     freqs = generating_set(pm).freqs
     d1, last = half_grid(pm)
     half = freqs.reshape(d1, -1, 2)[:, :last].reshape(-1, 2)
-    if spec.kind != "dirichlet" or _pairs_evenly(*frac_coordinates(pm.mt, half)):
+    if _pairs_evenly(spec, half):
         freqs = half
     return CoefficientTable(spec=spec, freqs=freqs, shifts=shift_set(spec))
 

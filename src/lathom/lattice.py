@@ -241,11 +241,6 @@ def _smith_grid(pm):
     return s_arr, d_arr, t_arr, s_inv, t_inv
 
 
-def _box_enumeration(diag):
-    """All integer pairs in range(d1) x range(d2), C-order, as an (m, 2) array."""
-    return np.indices(tuple(int(x) for x in diag), dtype=np.int64).reshape(2, -1).T
-
-
 def _canonical_points(pm, start, stop):
     """(z, numerators, points) of the points of P(M) whose canonical
     indices lie in range(start, stop), as Pattern holds them.
@@ -266,6 +261,23 @@ def _canonical_points(pm, start, stop):
     return z, num, num / float(pm.m)
 
 
+# Every long loop runs through _blocks, so that its temporaries stay small
+# and in cache.  Items per block:
+_POINT_BLOCK = 1 << 14  # points
+_CSV_BLOCK = 1 << 12  # CSV rows, fewer: formatting makes a Python object per value
+_GREEN_BLOCK = 1 << 15  # classes x shifts of the Green build: ten float planes, 2.5 MB
+# classes x shifts of a whole coefficient table (CoefficientTable.coeffs), written
+# in place while a block holds small factor tables: half as many cost a third more time
+_TABLE_BLOCK = 1 << 16
+
+
+def _blocks(n, size=None):
+    """The slices of range(n) in order, each of at most size items;
+    _POINT_BLOCK, read at the call, when size is None."""
+    size = _POINT_BLOCK if size is None else size
+    return (slice(start, min(start + size, n)) for start in range(0, n, size))
+
+
 class Pattern:
     """Ordered pattern P(M): points y with M y integer, reduced into the square.
 
@@ -279,10 +291,6 @@ class Pattern:
 
     def __init__(self, pm):
         self.matrix = pm
-        _, diag, _, s_inv, _ = _smith_grid(pm)
-        self._diag = diag
-        self._strides = np.array([diag[1], 1])  # C-order index on the Smith grid
-        self._s_inv = s_inv
         self.z, self.numerators, self.points = _canonical_points(pm, 0, pm.m)
         self.denominator = pm.m
         for arr in (self.z, self.numerators, self.points):
@@ -292,9 +300,10 @@ class Pattern:
         return self.matrix.m
 
     def index(self, z):
-        """Indices of integer coordinates z (any representatives), vectorised."""
-        z = np.asarray(z, dtype=np.int64)
-        return np.mod(z @ self._s_inv.T, self._diag) @ self._strides
+        """Indices of integer coordinates z (any representatives), vectorised:
+        C order on the Smith grid."""
+        _, diag, _, s_inv, _ = _smith_grid(self.matrix)
+        return np.mod(np.asarray(z, dtype=np.int64) @ s_inv.T, diag) @ [diag[1], 1]
 
 
 class GeneratingSet:
@@ -302,21 +311,19 @@ class GeneratingSet:
 
     def __init__(self, pm):
         self.matrix = pm
-        s_arr, diag, t_arr, s_inv, t_inv = _smith_grid(pm)
-        self._diag = diag
-        self._strides = np.array([diag[1], 1])  # C-order index on the Smith grid
-        self._t_inv = t_inv
-        i = _box_enumeration(diag)
-        self.freqs = reduce_mod(pm, i @ t_arr)
+        _, diag, t_arr, _, _ = _smith_grid(pm)
+        i = np.indices(tuple(int(x) for x in diag), dtype=np.int64).reshape(2, -1).T
+        self.freqs = reduce_mod(pm, i @ t_arr)  # the Smith grid in C order
         self.freqs.setflags(write=False)
 
     def __len__(self):
         return self.matrix.m
 
     def index(self, k):
-        """Indices of frequencies k (any representatives mod M^T), vectorised."""
-        k = np.asarray(k, dtype=np.int64)
-        return np.mod(k @ self._t_inv, self._diag) @ self._strides
+        """Indices of frequencies k (any representatives mod M^T), vectorised:
+        C order on the Smith grid."""
+        _, diag, _, _, t_inv = _smith_grid(self.matrix)
+        return np.mod(np.asarray(k, dtype=np.int64) @ t_inv, diag) @ [diag[1], 1]
 
 
 def _require_exact_reductions(m_mat):

@@ -38,11 +38,11 @@ scratch plane, which between applications also serves the inner products.
 C - C0 is stored by phase as the six unique entries of each phase's
 matrix, (6, p) (tensor.symmetric_entries, read from the lower triangle
 that the positivity check examines), and multiplied in three fused rows
-(tensor.apply_symmetric) a block of points at a time: the rows are
-gathered by phase code into block-sized scratch, a row that is one number
-at every phase is broadcast, and rows equal at every phase are gathered
-once (_PhaseProduct).  The mean stress and the LS residual multiply by
-the same product, on rows of C and of C - C0.
+(tensor.apply_symmetric) a block of lattice._POINT_BLOCK points at a time
+(lattice._blocks): _PhaseProduct gathers the rows by phase code into
+block-sized scratch, broadcasts a row that is one number at every phase
+and gathers rows equal at every phase once.  The mean stress and the LS
+residual multiply by the same product, on rows of C and of C - C0.
 These buffers are allocated once per solve, and every step writes into
 them: an iteration allocates no array, on either kind of Green table.  At
 512², real, they are 37.8 MB of fields, 8.4 MB of workspace and 0.7 MB of
@@ -79,7 +79,7 @@ import numpy as np
 
 from .errors import Diverged, NotConverged, ShapeMismatch, ValidationError
 from .green import apply_green
-from .lattice import _canonical_points, as_pattern_matrix
+from .lattice import _CSV_BLOCK, _blocks, _canonical_points, as_pattern_matrix
 from .tensor import (
     apply_symmetric,
     as_mandel_stiffness,
@@ -184,22 +184,18 @@ def _entry_rows(stiffness, c0=None):
     return rows
 
 
-# points per block of _PhaseProduct, whose gathered rows so stay block-sized
-_POINT_BLOCK = 1 << 14
-
-
 class _PhaseProduct:
     """The solver's one stiffness product: a field by phase times (3, m)
     fields, a block of points at a time.
 
     rows (6, p) are the six unique entries of the phases' matrices
     (_entry_rows) and phases the (m,) codes.  blocks() gathers the rows by
-    phase code, one block of points at a time, into block-sized scratch
-    allocated here, so a product holds no (6, m) array and allocates no
-    array per call.  A row with the same bits at every phase (the (0, 2)
-    and (1, 2) entries of isotropic phases are zero) is that number,
-    broadcast; a row equal to an earlier one at every phase shares its
-    gathered block.  The products are bit for bit those of the (6, m)
+    phase code, one block of points at a time (lattice._blocks), into
+    scratch allocated here, so a product holds no (6, m) array and
+    allocates no array per call.  A row with the same bits at every phase
+    (the (0, 2) and (1, 2) entries of isotropic phases are zero) is that
+    number, broadcast; a row equal to an earlier one at every phase shares
+    its gathered block.  The products are bit for bit those of the (6, m)
     rows gathered at every point.
     """
 
@@ -217,7 +213,8 @@ class _PhaseProduct:
             if first == k:
                 self._gathered_rows.append(k)
             self._plan.append(self._gathered_rows.index(first))
-        size = min(_POINT_BLOCK, len(phases))
+        self._slices = list(_blocks(len(phases)))
+        size = self._slices[0].stop
         self._index = np.empty(size, np.intp)
         self._gathered = np.empty((len(self._gathered_rows), size))
         self._scratch = np.empty(size, dtype)
@@ -227,18 +224,16 @@ class _PhaseProduct:
         """(points, entries, scratch) of each block: a slice of the points,
         the six rows there as tensor.apply_symmetric takes them, and one
         scratch plane of the product's dtype."""
-        size = len(self._index)
-        for start in range(0, len(self._phases), size):
-            points = slice(start, start + size)
-            n = min(size, len(self._phases) - start)
+        for points in self._slices:
+            n = points.stop - points.start
             index, gathered = self._index[:n], self._gathered[:, :n]
-            if start != self._held:  # a field of one block is gathered once
+            if points.start != self._held:  # a field of one block is gathered once
                 # as intp: np.take would convert int8 codes into a fresh array
                 np.copyto(index, self._phases[points])
                 for row, source in zip(gathered, self._gathered_rows):
                     # the codes lie in range(p); mode="clip" writes into row unbuffered
                     np.take(self._rows[source], index, out=row, mode="clip")
-                self._held = start
+                self._held = points.start
             entries = [gathered[e] if isinstance(e, int) else e for e in self._plan]
             yield points, entries, self._scratch[:n]
 
@@ -545,13 +540,10 @@ def _write_atomic(path, chunks):
         raise
 
 
-# rows per formatting template in _write_csv: bounds the temporary strings
-_CSV_BLOCK_ROWS = 4096
-
-
 def _csv_blocks(header, blocks):
     """Encoded CSV text: the header line, then each block of rows, given as
-    its columns (each (n,) or (n, k))."""
+    its columns (each (n,) or (n, k)) and formatted by one template.  A
+    column of dtype object holds its text already (see _texts)."""
     yield f"{','.join(header)}\n".encode("ascii")
     for columns in blocks:
         row = []
@@ -563,20 +555,11 @@ def _csv_blocks(header, blocks):
 
 
 def _write_csv(path, header, columns):
-    """CSV of %.17g numbers under a header line, written atomically.
-
-    The columns (each (n,) or (n, k)) are stacked block by block, and each
-    block of rows is formatted by one template: the same bytes as
-    formatting every value on its own, in less than half the time.  A
-    column of dtype object holds its text already (see _texts).  The
-    blocks are formatted as the file is written, one at a time.
-    """
-    columns = [np.asarray(col) for col in columns]
-    blocks = (
-        [col[start : start + _CSV_BLOCK_ROWS] for col in columns]
-        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS)
-    )
-    _write_atomic(path, _csv_blocks(header, blocks))
+    """A small CSV table of %.17g numbers under a header line, written
+    atomically: the columns (each (n,) or (n, k)) are formatted by one
+    template, the same bytes as formatting every value on its own, in less
+    than half the time.  Per-point tables stream (_write_point_csv)."""
+    _write_atomic(path, _csv_blocks(header, [[np.asarray(col) for col in columns]]))
 
 
 def _texts(column, known):
@@ -598,29 +581,36 @@ def _texts(column, known):
     return np.array([known[key] for key in keys], dtype=object)[inverse]
 
 
+def _write_point_csv(path, pm, header, columns):
+    """CSV rows y1, y2, *columns, one per point of P(M) in canonical order,
+    a block at a time: the write holds no pattern-sized array of its own,
+    and each distinct coordinate is formatted once (_texts)."""
+    known = {}
+    blocks = (
+        [
+            *(_texts(y, known) for y in _canonical_points(pm, rows.start, rows.stop)[2].T),
+            *(col[rows] for col in columns),
+        ]
+        for rows in _blocks(pm.m, _CSV_BLOCK)
+    )
+    _write_atomic(path, _csv_blocks(["y1", "y2", *header], blocks))
+
+
 def write_strain_csv(path, m_mat, strain):
     """Per-point CSV: y1, y2, eps_11, eps_22, eps_12 (Mandel component).
 
     Values are printed with %.17g so rewriting the same field is
     byte-identical, and the file is written atomically.  Complex strain
     appends imag_11, imag_22, imag_12.  The points are computed a block of
-    rows at a time, so the write holds no pattern-sized array of its own.
+    rows at a time (_write_point_csv).
     """
     pm = as_pattern_matrix(m_mat)
     strain = np.asarray(strain)
     if strain.shape[0] != pm.m:
         raise ShapeMismatch(f"{strain.shape[0]} rows for {pm.m} points")
-    header = ["y1", "y2", "eps_11", "eps_22", "eps_12"]
+    header = ["eps_11", "eps_22", "eps_12"]
     parts = [strain.real]
     if np.iscomplexobj(strain) and np.max(np.abs(strain.imag)) > 0.0:
         header += ["imag_11", "imag_22", "imag_12"]
         parts.append(strain.imag)
-    known = {}
-
-    def blocks():
-        for start in range(0, pm.m, _CSV_BLOCK_ROWS):
-            stop = min(start + _CSV_BLOCK_ROWS, pm.m)
-            points = _canonical_points(pm, start, stop)[2]
-            yield [*(_texts(col, known) for col in points.T), *(part[start:stop] for part in parts)]
-
-    _write_atomic(path, _csv_blocks(header, blocks()))
+    _write_point_csv(path, pm, header, parts)

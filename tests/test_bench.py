@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from lathom.errors import (
     ShapeMismatch,
     ValidationError,
 )
+from lathom import lattice
 from lathom.lattice import pattern_points
 from lathom.tensor import IDENTITY_VECTOR, isotropic_stiffness, lame_parameters
 
@@ -108,11 +111,13 @@ def test_hashin_rasterize_shapes():
     assert phases.dtype == np.int8
     stack = geom.stiffness_by_phase()
     np.testing.assert_array_equal(c, stack[phases])
-    # rasterize_hashin expands stiffness_field, whose codes are phases_on
+    # rasterize_hashin expands stiffness_field, whose codes are phases_at
+    # of the pattern's exact rationals
     field = stiffness_field([[8, 0], [0, 8]], geom)
     np.testing.assert_array_equal(field.phases, phases)
     np.testing.assert_array_equal(field.stiffness, stack)
-    np.testing.assert_array_equal(geom.phases_on(pattern_points([[8, 0], [0, 8]])), phases)
+    pat = pattern_points([[8, 0], [0, 8]])
+    np.testing.assert_array_equal(geom.phases_at(pat.numerators, pat.denominator), phases)
 
 
 def test_hashin_fractions_against_monte_carlo():
@@ -133,7 +138,7 @@ def test_hashin_fractions_against_monte_carlo():
             np.mean(q_out > 1.0),
         ]
     )
-    phases = geom.phases_on(pattern_points([[256, 0], [0, 256]]))
+    phases = stiffness_field([[256, 0], [0, 256]], geom).phases
     grid = np.bincount(phases, minlength=3) / phases.size
     assert np.all(np.abs(mc - grid) < 0.01)
     # sanity: all three phases are present and matrix dominates
@@ -147,9 +152,30 @@ def test_hashin_quarter_turn_permutes_phases(n, base):
     # the quarter-turn permutation of the pattern, with no float slack
     m_mat = [[n, 0], [0, n]]
     pat = pattern_points(m_mat)
-    phases = HashinGeometry(rotation_degrees=base).phases_on(pat)
-    rotated = HashinGeometry(rotation_degrees=base + 90.0).phases_on(pat)
+    phases = stiffness_field(m_mat, HashinGeometry(rotation_degrees=base)).phases
+    rotated = stiffness_field(m_mat, HashinGeometry(rotation_degrees=base + 90.0)).phases
     np.testing.assert_array_equal(rotated[pat.index(pat.z @ QUARTER.T)], phases)
+
+
+@pytest.mark.parametrize("kind", ["hashin", "oblique laminate"])
+def test_stiffness_field_memory_is_its_codes_and_one_block(kind):
+    # the pattern is sampled a block of points at a time: the tracemalloc
+    # peak of stiffness_field is its int8 codes, one byte per point, plus
+    # the temporaries of one block (about 96 bytes per block point), at
+    # two sizes of the pattern; the whole Pattern (z, numerators and
+    # points with their temporaries, about 96 bytes per point) would not fit
+    c1, c2 = isotropic_stiffness(1.0, 0.3), isotropic_stiffness(4.0, 0.3)
+    geom = HashinGeometry() if kind == "hashin" else LaminateGeometry(c1, c2, normal=(2, 1))
+    for n in (256, 512):
+        m_mat = [[n, 0], [n // 2, n]]
+        stiffness_field(m_mat, geom)  # the Smith form is cached from here on
+        tracemalloc.start()
+        try:
+            stiffness_field(m_mat, geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * n + 128 * lattice._POINT_BLOCK
 
 
 def test_laminate_invalid_geometry():
@@ -178,7 +204,7 @@ def test_laminate_split_counts():
     geom = LaminateGeometry(c1, c2, normal=(1, 0), volume_fraction=0.5)
     m_mat = [[4, 0], [0, 4]]
     pat = pattern_points(m_mat)
-    phases = geom.phases_on(pat)
+    phases = geom.phases_at(pat.numerators, pat.denominator)
     assert phases.dtype == np.int8
     assert np.bincount(phases, minlength=2).tolist() == [8, 8]
     # phase 1 is exactly the half-open left slab
@@ -204,7 +230,7 @@ def test_laminate_fraction_bound():
     pat = pattern_points([[8, 0], [0, 8]])
     for f1 in np.linspace(0.05, 0.95, 19):
         geom = LaminateGeometry(c, c, normal=(1, 0), volume_fraction=float(f1))
-        count = int(np.sum(geom.phases_on(pat) == 0))
+        count = int(np.sum(geom.phases_at(pat.numerators, pat.denominator) == 0))
         # 8 distinct layers along the normal
         assert abs(count / 64.0 - f1) <= 1.0 / 8.0 + 1e-12
 
@@ -215,10 +241,11 @@ def test_laminate_normal_directions():
     m_mat = [[8, 0], [0, 8]]
     pat = pattern_points(m_mat)
     geom = LaminateGeometry(c1, c2, normal=(0, 1), volume_fraction=0.5)
-    np.testing.assert_array_equal(geom.phases_on(pat) == 0, pat.points[:, 1] < 0.0)
+    phases = geom.phases_at(pat.numerators, pat.denominator)
+    np.testing.assert_array_equal(phases == 0, pat.points[:, 1] < 0.0)
     # oblique normal still splits the measure evenly
     geom = LaminateGeometry(c1, c2, normal=(1, 1), volume_fraction=0.5)
-    assert int(np.sum(geom.phases_on(pat) == 0)) == 32
+    assert int(np.sum(geom.phases_at(pat.numerators, pat.denominator) == 0)) == 32
 
 
 def test_laminate_oracle_identical_phases():

@@ -8,6 +8,7 @@ import pytest
 
 from lathom.errors import DegenerateClass, InvalidSpec, LengthMismatch, NoInterpolant
 from lathom.kernels import (
+    CoefficientTable,
     KernelSpec,
     coeff,
     coefficient_table,
@@ -80,6 +81,28 @@ def test_dirichlet_table_is_half_exactly_when_its_classes_pair_evenly(entries, e
     assert len(table.freqs) == (math.prod(half_grid(spec.matrix)) if even else spec.matrix.m)
     green = periodised_green_table(isotropic_stiffness(1.0, 0.3), table)
     assert green.even_table == even
+
+
+def test_a_half_table_of_classes_that_pair_unevenly_is_refused():
+    # the Green build mirrors any table of the half grid's row count, so a
+    # hand-built Dirichlet table on 4 I holding the half grid's classes
+    # would pass for an even one; the tables whose classes pair evenly
+    # (odd Dirichlet, dlVP, box) are kept with the same rows
+    spec = KernelSpec.dirichlet([[4, 0], [0, 4]])
+    full = coefficient_table(spec)
+    d1, last = half_grid(spec.matrix)
+    half = full.freqs.reshape(d1, -1, 2)[:, :last].reshape(-1, 2)
+    with pytest.raises(InvalidSpec, match="pair unevenly"):
+        CoefficientTable(spec=spec, freqs=half, shifts=full.shifts)
+    evens = (
+        KernelSpec.dirichlet([[5, 0], [0, 5]]),
+        KernelSpec.dlvp([[4, 0], [0, 4]], 0.0),
+        KernelSpec.box_spline([[4, 0], [0, 4]], three_direction_set(1, 1, 0), radius=2),
+    )
+    for even in evens:
+        table = coefficient_table(even)
+        assert table.half
+        assert CoefficientTable(spec=even, freqs=table.freqs, shifts=table.shifts).half
 
 
 def test_dirichlet_half_flag_is_the_measured_evenness():

@@ -14,9 +14,9 @@ from lathom.errors import (
 )
 from lathom.green import apply_green, periodised_green_table
 from lathom.kernels import KernelSpec, coefficient_table, orthonormalize, three_direction_set
-from lathom.bench import HashinGeometry, stiffness_field
+from lathom.bench import HashinGeometry, stiffness_field, write_phase_csv
 from lathom.lattice import pattern_points
-from lathom import solver
+from lathom import lattice, solver
 from lathom.solver import (
     StiffnessField,
     _as_stiffness_field,
@@ -648,15 +648,29 @@ def test_a_partial_report_keeps_the_iterate_of_its_last_residual(name):
         assert abs(ls - report.residual_history[-1]) <= 1e-12 * ls
 
 
+def _sheared_outputs(directory):
+    """(phase codes, strain.csv, phases.csv) of a dlVP Hashin solve on a
+    sheared pattern of 100 points, no multiple of 7, as bytes."""
+    mat = [[10, 0], [4, 10]]
+    c = stiffness_field(mat, HashinGeometry(c1=0.1))
+    table = green_table(mat, default_reference(c), kind="dlvp", alpha=(0.25, 0.25))
+    report = basic_scheme(c, np.array([1.0, -0.5, 0.25]), table)
+    directory.mkdir()
+    write_strain_csv(directory / "strain.csv", mat, report.strain)
+    write_phase_csv(directory / "phases.csv", mat, c.phases)
+    csvs = (directory.joinpath(name).read_bytes() for name in ("strain.csv", "phases.csv"))
+    return c.phases.tobytes(), *csvs
+
+
 @pytest.mark.parametrize("block", [7, 1 << 14])
-def test_blocked_product_by_phase_is_the_dense_product(monkeypatch, block):
+def test_blocked_product_by_phase_is_the_dense_product(monkeypatch, tmp_path, block):
     # m = 50 is no multiple of 7: the product gathered by phase a block at
     # a time equals the product by the (6, m) rows gathered at every
     # point bit for bit, real and complex, on isotropic phases (zero rows
     # broadcast, the equal (0, 0) and (1, 1) rows gathered once, a lambda
     # that all phases share broadcast too) and on anisotropic ones, two of
     # whose rows agree at one phase only
-    monkeypatch.setattr(solver, "_POINT_BLOCK", block)
+    monkeypatch.setattr(lattice, "_POINT_BLOCK", block)
     rng = np.random.default_rng(12)
     m = 50
     isotropic = np.stack([isotropic_stiffness(e, 0.3) for e in (1.0, 7.0, 2.5)])
@@ -684,6 +698,18 @@ def test_blocked_product_by_phase_is_the_dense_product(monkeypatch, block):
                 expected = np.empty((3, m), dtype)
                 apply_symmetric(dense, field, expected, np.empty(m, dtype))
                 assert out.tobytes() == expected.tobytes()
+    # every blocked loop takes its slices from lattice._blocks, which cover
+    # range(n) in order, once each, below, at and at a multiple of the size
+    for n in (block - 1, block, 3 * block):
+        slices = list(lattice._blocks(n))
+        assert [i for rows in slices for i in range(n)[rows]] == list(range(n))
+        assert all(0 < rows.stop - rows.start <= block for rows in slices)
+    # the sampled phases, the solve and both CSVs read the same bytes as
+    # at the default block size
+    blocked = _sheared_outputs(tmp_path / "blocked")
+    monkeypatch.undo()
+    assert lattice._POINT_BLOCK == 1 << 14
+    assert _sheared_outputs(tmp_path / "default") == blocked
 
 
 def _cg_peak(monkeypatch, solve):
@@ -732,7 +758,7 @@ def _assert_named_buffers(monkeypatch, table, m, seed):
     """The CG of a solve on table allocates its named buffers, and no
     iteration allocates more than the one before."""
     block = 1 << 10  # several blocks, so that block scratch is told apart from (m,) arrays
-    monkeypatch.setattr(solver, "_POINT_BLOCK", block)
+    monkeypatch.setattr(lattice, "_POINT_BLOCK", block)
     c = random_field(m, seed=seed)  # one isotropic phase per point
     eps0 = np.array([1.0, -0.3, 0.5])
     basic_scheme(c, eps0, table)  # the FFT plans are cached from here on
