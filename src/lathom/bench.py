@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import InvalidGeometry, PatternMismatch, ShapeMismatch, ValidationError
 from .green import strain_basis
-from .lattice import _blocks, _canonical_points, as_pattern_matrix, pattern_points, refinement
-from .pattern_fft import smith_normal_form
+from .lattice import _blocks, _canonical_points, _smith_grid, as_pattern_matrix, refinement
 from .solver import StiffnessField, _write_atomic, _write_point_csv, effective_action
 from .tensor import as_mandel_stiffness, isotropic_stiffness, require_elliptic
 
@@ -294,13 +293,10 @@ def restrict_field(field, fine_mat, coarse_mat):
     cm = as_pattern_matrix(coarse_mat)
     l_int = refinement(fm, cm)
     field = np.asarray(field)
-    fine = pattern_points(fm)
-    if field.shape[0] != len(fine):
-        raise ShapeMismatch(
-            f"field has {field.shape[0]} rows, fine pattern has {len(fine)} points"
-        )
-    rows = fine.index(pattern_points(cm).z @ l_int.T)
-    return field[rows]
+    if field.shape[0] != fm.m:
+        raise ShapeMismatch(f"field has {field.shape[0]} rows, fine pattern has {fm.m} points")
+    fine = _smith_grid(fm)
+    return field[fine.index(_canonical_points(cm, 0, cm.m)[0] @ l_int.T, fine.s_inv.T)]
 
 
 def nearest_point_grid(m_mat, shape=None):
@@ -314,17 +310,13 @@ def nearest_point_grid(m_mat, shape=None):
     deterministic.
     """
     pm = as_pattern_matrix(m_mat)
+    sd = _smith_grid(pm)
     if shape is None:
         a = pm.entries
-        if a[0, 1] == 0 and a[1, 0] == 0:
-            shape = (abs(int(a[1, 1])), abs(int(a[0, 0])))
-        else:
-            d1, d2 = smith_normal_form(pm).grid
-            shape = (d1, d2)
+        shape = (abs(a[1, 1]), abs(a[0, 0])) if a[0, 1] == a[1, 0] == 0 else sd.grid
     height, width = (int(v) for v in shape)
     if height < 1 or width < 1:
         raise ShapeMismatch(f"raster shape must be positive, got {shape}")
-    pat = pattern_points(pm)
     offs = np.array(list(itertools.product(range(-2, 3), repeat=2)), dtype=np.int64)
     minv_t = np.linalg.inv(pm.entries.astype(float)).T
     x1 = np.arange(width) / width - 0.5
@@ -337,7 +329,7 @@ def nearest_point_grid(m_mat, shape=None):
         delta = zc @ minv_t - x[:, None, :]
         delta -= np.rint(delta)
         best = np.argmin(np.einsum("nkd,nkd->nk", delta, delta), axis=1)
-        out[r] = pat.index(np.take_along_axis(zc, best[:, None, None], axis=1)[:, 0, :])
+        out[r] = sd.index(np.take_along_axis(zc, best[:, None, None], axis=1)[:, 0, :], sd.s_inv.T)
     return out
 
 

@@ -17,8 +17,8 @@ All CSV output uses fixed orderings and 17 significant digits, and files
 are written atomically, so identical manifests give byte-identical
 tables.  Exit codes: 0 success, 2 invalid or unreadable input (including
 non-finite numbers and, while parsing, a reference stiffness that is not
-positive definite), 3 non-convergence or divergence (CG diverges only when
-the arithmetic goes non-finite, as for a load whose squared norm overflows).
+positive definite), 3 non-convergence or divergence, which valid input can
+also reach (see the README's exit codes).
 """
 
 import argparse

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateClass, InvalidSpec, LengthMismatch, NoInterpolant
-from .lattice import _TABLE_BLOCK, _blocks, as_pattern_matrix, frac_coordinates, generating_set
+from .lattice import _TABLE_BLOCK, _blocks, _canonical_freqs, as_pattern_matrix, frac_coordinates
 from .pattern_fft import half_grid
 
 __all__ = [
@@ -400,15 +400,14 @@ def _pairs_evenly(spec, freqs):
 
 def coefficient_table(spec):
     """The kernel's coefficient table on the stored classes: the half grid
-    when they are even, else all m.  It fixes the classes and the shifts;
-    the coefficients are evaluated when they are first read, and a Green
-    build that reads none evaluates them one block of classes at a time."""
+    when they are even, else all m, which are enumerated only then.  It
+    fixes the classes and the shifts; the coefficients are evaluated when
+    they are first read, and a Green build that reads none evaluates them
+    one block of classes at a time."""
     pm = spec.matrix
-    freqs = generating_set(pm).freqs
-    d1, last = half_grid(pm)
-    half = freqs.reshape(d1, -1, 2)[:, :last].reshape(-1, 2)
-    if _pairs_evenly(spec, half):
-        freqs = half
+    freqs = _canonical_freqs(pm, half_grid(pm)[1])
+    if not _pairs_evenly(spec, freqs):
+        freqs = _canonical_freqs(pm)
     return CoefficientTable(spec=spec, freqs=freqs, shifts=shift_set(spec))
 
 

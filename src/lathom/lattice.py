@@ -12,14 +12,16 @@ the adjugate (h = k - A u with u = floor((2 adj(A) k + n) / (2n))), so no
 point can be misclassified near a square boundary.  Floats appear only when
 a caller asks for the rational pattern points as floating vectors.
 
-Orderings of both sets are canonical: they follow the Smith coordinates
-of M (see pattern_fft), which makes the index maps pure integer formulas
-and lets the fast transform operate by plain reshaping.
+Orderings of both sets are canonical: both enumerate the grid of the one
+SmithDecomposition M = S diag(d1, d2) T of M in C order (any block of it,
+_canonical_points and _canonical_freqs), its integer index rule maps either
+set back, and the fast transform reshapes onto the same grid.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +31,7 @@ __all__ = [
     "PatternMatrix",
     "Pattern",
     "GeneratingSet",
+    "SmithDecomposition",
     "as_pattern_matrix",
     "pattern_points",
     "generating_set",
@@ -178,7 +181,7 @@ def refinement(fine_mat, coarse_mat):
 # ---------------------------------------------------------------------------
 # Smith normal form.  Kept here (not in pattern_fft) because the canonical
 # orderings of Pattern and GeneratingSet are defined through it; pattern_fft
-# re-exports the public wrapper type.
+# returns and re-exports the same SmithDecomposition.
 
 def _smith_ints(mat):
     """Smith normal form of a regular 2 x 2 matrix over python ints.
@@ -223,9 +226,29 @@ def _smith_ints(mat):
     return s, [abs(a[0][0]), abs(a[1][1])], t
 
 
+@dataclass(frozen=True, eq=False)
+class SmithDecomposition:
+    """M = S @ diag(d1, d2) @ T with unimodular S, T and 0 < d1 | d2; grid is
+    (d1, d2).  One per pattern matrix (_smith_grid), compared and hashed by
+    identity."""
+
+    matrix: PatternMatrix
+    s: np.ndarray
+    d: np.ndarray
+    t: np.ndarray
+    s_inv: np.ndarray
+    t_inv: np.ndarray
+    grid: tuple
+
+    def index(self, v, inverse):
+        """C-order grid indices of vectors v (..., 2), any representatives: v @
+        inverse mod d, inverse S^{-T} for points z = M y, T^{-1} for frequencies."""
+        return np.mod(np.asarray(v, dtype=np.int64) @ inverse, self.d) @ [self.d[1], 1]
+
+
 @functools.lru_cache(maxsize=None)
 def _smith_grid(pm):
-    """(S, diag, T, S^{-1}, T^{-1}) for the canonical orderings."""
+    """The SmithDecomposition of a pattern matrix, built once per matrix."""
     s, diag, t = _smith_ints(pm.entries)
     s_arr = np.array(s, dtype=np.int64)
     t_arr = np.array(t, dtype=np.int64)
@@ -238,7 +261,7 @@ def _smith_grid(pm):
     t_inv = np.array(_adjugate(t), dtype=np.int64) * _int_det(t)
     for arr in (s_arr, t_arr, d_arr, s_inv, t_inv):
         arr.setflags(write=False)
-    return s_arr, d_arr, t_arr, s_inv, t_inv
+    return SmithDecomposition(pm, s_arr, d_arr, t_arr, s_inv, t_inv, tuple(diag))
 
 
 def _canonical_points(pm, start, stop):
@@ -249,16 +272,26 @@ def _canonical_points(pm, start, stop):
     grid point j = (i // d2, i % d2), and z = M y reduces S j.  So a block
     of the pattern is computed without the rest of it.
     """
-    s_arr, diag = _smith_grid(pm)[:2]
+    sd = _smith_grid(pm)
     j = np.empty((stop - start, 2), dtype=np.int64)
-    np.divmod(np.arange(start, stop, dtype=np.int64), diag[1], out=(j[:, 0], j[:, 1]))
-    z = reduce_point(pm, j @ s_arr.T)
-    # M^{-1} z = adj(M) z / det(M), with |adj(M) z| <= m / 2 for a reduced
-    # z: exact in int64, where frac_coordinates' bound for any vector
-    # can refuse large entries
-    adj = np.array(_adjugate(pm.entries.tolist()), dtype=np.int64)
-    num = z @ (adj.T if pm.det > 0 else -adj.T)
+    np.divmod(np.arange(start, stop, dtype=np.int64), sd.d[1], out=(j[:, 0], j[:, 1]))
+    z = reduce_point(pm, j @ sd.s.T)
+    # M^{-1} z = adj z / m, with |adj z| <= m / 2 for a reduced z: exact in
+    # int64, where frac_coordinates' bound for any vector can refuse large
+    # entries
+    adj, _ = _inverse_parts(pm.entries)
+    num = z @ np.array(adj, dtype=np.int64).T
     return z, num, num / float(pm.m)
+
+
+def _canonical_freqs(pm, columns=None):
+    """Canonical frequencies of G(M^T) in C order on the Smith grid, i T
+    reduced, for grid indices i whose second entry is below columns (the
+    half grid's classes for columns = d2 // 2 + 1); every class when None."""
+    sd = _smith_grid(pm)
+    shape = (sd.grid[0], sd.grid[1] if columns is None else columns)
+    i = np.indices(shape, dtype=np.int64).reshape(2, -1).T
+    return reduce_mod(pm, i @ sd.t)
 
 
 # Every long loop runs through _blocks, so that its temporaries stay small
@@ -302,8 +335,8 @@ class Pattern:
     def index(self, z):
         """Indices of integer coordinates z (any representatives), vectorised:
         C order on the Smith grid."""
-        _, diag, _, s_inv, _ = _smith_grid(self.matrix)
-        return np.mod(np.asarray(z, dtype=np.int64) @ s_inv.T, diag) @ [diag[1], 1]
+        sd = _smith_grid(self.matrix)
+        return sd.index(z, sd.s_inv.T)
 
 
 class GeneratingSet:
@@ -311,9 +344,7 @@ class GeneratingSet:
 
     def __init__(self, pm):
         self.matrix = pm
-        _, diag, t_arr, _, _ = _smith_grid(pm)
-        i = np.indices(tuple(int(x) for x in diag), dtype=np.int64).reshape(2, -1).T
-        self.freqs = reduce_mod(pm, i @ t_arr)  # the Smith grid in C order
+        self.freqs = _canonical_freqs(pm)
         self.freqs.setflags(write=False)
 
     def __len__(self):
@@ -322,8 +353,8 @@ class GeneratingSet:
     def index(self, k):
         """Indices of frequencies k (any representatives mod M^T), vectorised:
         C order on the Smith grid."""
-        _, diag, _, _, t_inv = _smith_grid(self.matrix)
-        return np.mod(np.asarray(k, dtype=np.int64) @ t_inv, diag) @ [diag[1], 1]
+        sd = _smith_grid(self.matrix)
+        return sd.index(k, sd.t_inv)
 
 
 def _require_exact_reductions(m_mat):
@@ -336,9 +367,9 @@ def _require_exact_reductions(m_mat):
     largest entry of a Smith-grid vector sits at a corner of the grid.
     """
     pm = as_pattern_matrix(m_mat)
-    s_arr, diag, t_arr, _, _ = _smith_grid(pm)
-    last = [int(d) - 1 for d in diag]
-    for a, basis in ((pm.entries, s_arr.T.tolist()), (pm.mt, t_arr.tolist())):
+    sd = _smith_grid(pm)
+    last = [d - 1 for d in sd.grid]
+    for a, basis in ((pm.entries, sd.s.T.tolist()), (pm.mt, sd.t.tolist())):
         corner = max(sum(i * abs(row[c]) for i, row in zip(last, basis)) for c in (0, 1))
         canonical = max(sum(map(abs, row)) for row in a.tolist()) // 2
         if not _reduces_in_int64(*_inverse_parts(a), max(corner, canonical)):

@@ -9,8 +9,10 @@ which is unitary (Parseval).  The fast path exploits the canonical Smith
 orderings of lattice.py: with M = S D T, pattern index j and frequency
 index i satisfy h.y = i_1 j_1 / d1 + i_2 j_2 / d2 modulo 1, so the
 transform is a plain two-dimensional FFT on the cyclic d1 x d2 grid,
-reached by reshaping.  pattern_dft is the O(m^2) reference oracle built
-directly from the exponential sum with exact rational phases.
+reached by reshaping; S, D, T and the grid are the one
+lattice.SmithDecomposition of M, which smith_normal_form returns.
+pattern_dft is the O(m^2) reference oracle built directly from the
+exponential sum with exact rational phases.
 
 A real field needs only half of its spectrum: pattern_rfft returns the
 classes whose second Smith grid index is at most d2 // 2 (the others are
@@ -25,17 +27,11 @@ then run without strides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import LengthMismatch
 from .lattice import (
-    PatternMatrix,
-    _smith_grid,
-    as_pattern_matrix,
-    generating_set,
-    pattern_points,
+    SmithDecomposition, _canonical_freqs, _canonical_points, _smith_grid, as_pattern_matrix
 )
 
 __all__ = [
@@ -50,26 +46,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """M = S @ diag(d1, d2) @ T with unimodular S, T and d1 | d2."""
-
-    matrix: PatternMatrix
-    s: np.ndarray
-    d: np.ndarray
-    t: np.ndarray
-
-    @property
-    def grid(self):
-        """Cyclic grid shape used by the fast transform."""
-        return tuple(int(x) for x in self.d)
-
-
 def smith_normal_form(m_mat):
-    """Smith decomposition of a regular integer matrix."""
-    pm = as_pattern_matrix(m_mat)
-    s_arr, diag, t_arr, _, _ = _smith_grid(pm)
-    return SmithDecomposition(matrix=pm, s=s_arr, d=diag, t=t_arr)
+    """The one lattice.SmithDecomposition of a regular integer matrix."""
+    return _smith_grid(as_pattern_matrix(m_mat))
 
 
 def _check_length(pm, a):
@@ -88,18 +67,11 @@ def pattern_dft(m_mat, a):
     """
     pm = as_pattern_matrix(m_mat)
     a = _check_length(pm, a)
-    pat = pattern_points(pm)
-    gen = generating_set(pm)
-    phase_num = gen.freqs @ pat.numerators.T  # (m, m) exact int64
-    f_mat = np.exp((-2j * np.pi / pat.denominator) * phase_num)
+    phase_num = _canonical_freqs(pm) @ _canonical_points(pm, 0, pm.m)[1].T  # (m, m) exact
+    f_mat = np.exp((-2j * np.pi / pm.m) * phase_num)
     out = np.tensordot(f_mat, np.asarray(a, dtype=np.complex128), axes=(1, 0))
     out /= np.sqrt(pm.m)
     return out
-
-
-def _grid(pm):
-    """Cyclic Smith grid diag(D) of a pattern matrix (cached in lattice)."""
-    return tuple(int(x) for x in _smith_grid(pm)[1])
 
 
 def _smith_transform(fftn, m_mat, a, out):
@@ -113,7 +85,7 @@ def _smith_transform(fftn, m_mat, a, out):
     """
     pm = as_pattern_matrix(m_mat)
     a = np.asarray(_check_length(pm, a), dtype=np.complex128)
-    grid = _grid(pm)
+    grid = _smith_grid(pm).grid
     if out is None:
         out = np.empty(a.shape, dtype=np.complex128)
     elif out.shape != a.shape or out.dtype != np.complex128 or not out.flags.writeable:
@@ -139,14 +111,14 @@ def pattern_ifft(m_mat, a_hat, out=None):
 
 def half_grid(m_mat):
     """Shape of a half spectrum: the Smith grid with d2 cut to d2 // 2 + 1."""
-    d1, d2 = _grid(as_pattern_matrix(m_mat))
+    d1, d2 = _smith_grid(as_pattern_matrix(m_mat)).grid
     return d1, d2 // 2 + 1
 
 
 def _component_grid(pm, a):
     """View of a field a (m, ...) as (...,) + Smith grid, grid axes last."""
     a = _check_length(pm, a)
-    return np.moveaxis(a.reshape(_grid(pm) + a.shape[1:]), (0, 1), (-2, -1))
+    return np.moveaxis(a.reshape(_smith_grid(pm).grid + a.shape[1:]), (0, 1), (-2, -1))
 
 
 def pattern_rfft(m_mat, a, out=None):
@@ -172,11 +144,12 @@ def pattern_irfft(m_mat, a_hat, out=None):
     the grid is always a view); ValueError otherwise.
     """
     pm = as_pattern_matrix(m_mat)
+    d2 = _smith_grid(pm).grid[1]
     shape = (pm.m,) + a_hat.shape[:-2]
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.writeable:
         raise ValueError(f"pattern_irfft writes into a writeable float64 {shape} array only")
     np.fft.ifft(a_hat, axis=-2, norm="ortho", out=a_hat)
-    np.fft.irfft(a_hat, n=_grid(pm)[1], axis=-1, norm="ortho", out=_component_grid(pm, out))
+    np.fft.irfft(a_hat, n=d2, axis=-1, norm="ortho", out=_component_grid(pm, out))
     return out

@@ -37,6 +37,18 @@ def iso_from_lame(lam, mu):
     return lam * np.outer(iv, iv) + 2.0 * mu * np.eye(3)
 
 
+def traced_peak(fn, *args):
+    """tracemalloc peak of a warm call of fn, whose Smith form is cached
+    by the first call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def torus_dist2(x, y):
     delta = np.asarray(y) - np.asarray(x)
     delta = delta - np.rint(delta)
@@ -167,14 +179,7 @@ def test_stiffness_field_memory_is_its_codes_and_one_block(kind):
     c1, c2 = isotropic_stiffness(1.0, 0.3), isotropic_stiffness(4.0, 0.3)
     geom = HashinGeometry() if kind == "hashin" else LaminateGeometry(c1, c2, normal=(2, 1))
     for n in (256, 512):
-        m_mat = [[n, 0], [n // 2, n]]
-        stiffness_field(m_mat, geom)  # the Smith form is cached from here on
-        tracemalloc.start()
-        try:
-            stiffness_field(m_mat, geom)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(stiffness_field, [[n, 0], [n // 2, n]], geom)
         assert peak <= n * n + 128 * lattice._POINT_BLOCK
 
 
@@ -475,6 +480,18 @@ def test_restrict_field_rejects_non_refining():
         restrict_field(np.zeros((10, 3)), [[8, 0], [0, 8]], [[4, 0], [0, 4]])
 
 
+def test_restrict_field_memory_is_the_coarse_pattern():
+    # restricting 2M to M on a nontrivial Smith form indexes the fine
+    # pattern through its Smith form: the tracemalloc peak is the returned
+    # field (6 bytes per fine point here) and the coarse coordinates z with
+    # their temporaries, about 24 bytes per fine point in all; building the
+    # fine Pattern as well would take 96
+    for n in (128, 256):
+        field = np.zeros((4 * n * n, 3))
+        peak = traced_peak(restrict_field, field, [[2 * n, 0], [n, 2 * n]], [[n, 0], [n // 2, n]])
+        assert peak <= 32 * len(field)
+
+
 def test_restrict_matches_coarse_rasterization():
     geom = HashinGeometry()
     fine = [[32, 0], [0, 32]]
@@ -562,6 +579,19 @@ def test_phase_pgm_image(tmp_path):
     row = round((0.5 - y[1]) * 4 - 1)
     assert img[row, col] == 0
     assert np.all(img[img != 0] == 255)
+
+
+def test_phase_pgm_memory_is_its_raster(tmp_path):
+    # the raster indexes the pattern through its Smith form: the tracemalloc
+    # peak is the (height, width) int64 index raster and the temporaries of
+    # one raster row (a 5 x 5 stencil of candidates per pixel, about 1.7 KB
+    # per column); the whole Pattern would add 96 bytes per point
+    for n in (128, 256):
+        m_mat = [[n, 0], [n // 2, n]]
+        height, width = nearest_point_grid(m_mat).shape  # the Smith grid
+        phases = (np.arange(n * n) % 3).astype(np.int8)
+        peak = traced_peak(write_phase_pgm, tmp_path / "phases.pgm", m_mat, phases)
+        assert peak <= 8 * height * width + 2560 * width
 
 
 def test_phase_pgm_three_levels_and_shape(tmp_path):

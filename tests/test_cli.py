@@ -485,11 +485,15 @@ def test_exit_2_on_malformed_input(tmp_path, capsys, make, fragment):
         ("3 1099511627776 0 5", "too large for exact int64 reductions"),
         ("3 0 1099511627776 5", "too large for exact int64 reductions"),
         ("3 18446744073709551616 0 5", "must be int64 integers"),
+        # m = 1, whose one point is 0: the refusal is a bound on the
+        # reductions of any canonical vector, not on this pattern's points
+        ("1099511627777 1099511627776 1099511627776 1099511627775",
+         "too large for exact int64 reductions"),
         # M itself passes; a sweep's reference solve on 2 M used to fail
         # after the coarse work was done
         ("3 536870912 0 5", "the default reference pattern 2 M"),
     ],
-    ids=["frequencies", "points", "beyond-int64", "reference"],
+    ids=["frequencies", "points", "beyond-int64", "unimodular", "reference"],
 )
 def test_exit_2_on_a_matrix_too_large_for_exact_reductions(tmp_path, capsys, matrix, fragment):
     path = manifest_file(tmp_path, replace(LAMINATE, "matrix = 8 0 0 8", f"matrix = {matrix}"))

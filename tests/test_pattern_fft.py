@@ -41,6 +41,12 @@ def test_smith_reference_cases():
     assert sd3.grid == (1, 4)
 
 
+def test_smith_decomposition_is_one_hashable_object():
+    # one object per pattern matrix, hashed by identity
+    sd = smith_normal_form([[32, 0], [16, 32]])
+    assert hash(smith_normal_form(PatternMatrix([[32, 0], [16, 32]]))) == hash(sd)
+
+
 def test_smith_structure_random():
     rng = np.random.default_rng(3)
     for _ in range(30):
