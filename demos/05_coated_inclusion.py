@@ -18,13 +18,11 @@ from lathom import (
     default_reference,
     effective_action,
     error_metrics,
-    nearest_point_grid,
     periodised_green_table,
     restrict_field,
     stiffness_field,
 )
-from lathom.bench import write_phase_csv, write_phase_pgm
-from lathom.cli import emit_heatmap
+from lathom.cli import emit_heatmap, nearest_point_grid, write_phase_csv, write_phase_pgm
 
 geom = HashinGeometry()  # isotropic phases: E = 1, 10, 5 and nu = 0.3
 eps0 = np.array([1.0, 0.0, 0.0])

@@ -13,7 +13,8 @@ operator.  Submodules:
 - green: periodised Green operator tables
 - solver: preconditioned CG, effective stiffness
 - bench: benchmark geometries, reference restriction, error metrics
-- cli: manifest-driven command line frontend (`lathom`)
+- cli: manifest-driven command line frontend (`lathom`) and every file
+  format it writes
 """
 
 from .bench import (
@@ -21,12 +22,19 @@ from .bench import (
     LaminateGeometry,
     error_metrics,
     laminate_effective_oracle,
-    nearest_point_grid,
     rasterize_hashin,
     restrict_field,
     stiffness_field,
 )
-from .cli import RunManifest, main, parse_manifest, run, run_selftest
+from .cli import (
+    RunManifest,
+    main,
+    nearest_point_grid,
+    parse_manifest,
+    report_summary,
+    run,
+    run_selftest,
+)
 from .errors import LathomError, NotConverged, ParseError, ValidationError
 from .green import (
     GreenTable,
@@ -53,7 +61,6 @@ from .solver import (
     default_reference,
     effective_action,
     effective_tensor,
-    report_summary,
     residual_ls,
 )
 from .tensor import isotropic_parts, isotropic_stiffness

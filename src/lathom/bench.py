@@ -14,7 +14,6 @@ studies.
 """
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import InvalidGeometry, PatternMismatch, ShapeMismatch, ValidationError
 from .green import strain_basis
 from .lattice import _blocks, _canonical_points, _smith_grid, as_pattern_matrix, refinement
-from .solver import StiffnessField, _write_atomic, _write_point_csv, effective_action
+from .solver import StiffnessField, effective_action
 from .tensor import as_mandel_stiffness, isotropic_stiffness, require_elliptic
 
 __all__ = [
@@ -38,9 +37,6 @@ __all__ = [
     "summed_action",
     "error_metrics",
     "restrict_field",
-    "nearest_point_grid",
-    "write_phase_csv",
-    "write_phase_pgm",
 ]
 
 # (young, poisson) of the coated inclusion's phases by default: a soft core,
@@ -297,78 +293,3 @@ def restrict_field(field, fine_mat, coarse_mat):
         raise ShapeMismatch(f"field has {field.shape[0]} rows, fine pattern has {fm.m} points")
     fine = _smith_grid(fm)
     return field[fine.index(_canonical_points(cm, 0, cm.m)[0] @ l_int.T, fine.s_inv.T)]
-
-
-def nearest_point_grid(m_mat, shape=None):
-    """Raster of pattern indices: each pixel gets the nearest point of P(M).
-
-    Pixel (row r, column c) of an (H, W) raster samples the cell location
-    x = (c / W - 1/2, 1/2 - (r + 1) / H); distances are measured on the
-    torus.  With the default shape the raster has exactly m pixels and on a
-    diagonal matrix every pixel sits on its own pattern point.  Ties and
-    the candidate search use a fixed stencil, so the output is
-    deterministic.
-    """
-    pm = as_pattern_matrix(m_mat)
-    sd = _smith_grid(pm)
-    if shape is None:
-        a = pm.entries
-        shape = (abs(a[1, 1]), abs(a[0, 0])) if a[0, 1] == a[1, 0] == 0 else sd.grid
-    height, width = (int(v) for v in shape)
-    if height < 1 or width < 1:
-        raise ShapeMismatch(f"raster shape must be positive, got {shape}")
-    offs = np.array(list(itertools.product(range(-2, 3), repeat=2)), dtype=np.int64)
-    minv_t = np.linalg.inv(pm.entries.astype(float)).T
-    x1 = np.arange(width) / width - 0.5
-    x2 = 0.5 - (np.arange(height) + 1.0) / height
-    out = np.empty((height, width), dtype=np.int64)
-    for r in range(height):
-        x = np.column_stack([x1, np.full(width, x2[r])])
-        z0 = np.rint(x @ pm.entries.T).astype(np.int64)
-        zc = z0[:, None, :] + offs[None, :, :]
-        delta = zc @ minv_t - x[:, None, :]
-        delta -= np.rint(delta)
-        best = np.argmin(np.einsum("nkd,nkd->nk", delta, delta), axis=1)
-        out[r] = sd.index(np.take_along_axis(zc, best[:, None, None], axis=1)[:, 0, :], sd.s_inv.T)
-    return out
-
-
-def _check_phases(m_mat, phases):
-    pm = as_pattern_matrix(m_mat)
-    phases = np.asarray(phases)
-    if phases.shape != (pm.m,):
-        raise ShapeMismatch(f"expected {pm.m} phase codes, got shape {phases.shape}")
-    if not np.issubdtype(phases.dtype, np.integer) or phases.min() < 0:
-        raise ShapeMismatch("phase codes must be non-negative integers")
-    return pm, phases
-
-
-def write_phase_csv(path, m_mat, phases):
-    """Phase codes as CSV rows y1,y2,phase in canonical pattern order."""
-    pm, phases = _check_phases(m_mat, phases)
-    _write_point_csv(path, pm, ["phase"], [phases])
-
-
-def _write_raster(path, m_mat, codes, lut, shape=None):
-    """Binary netpbm image of per-point codes (m,) through a uint8 lookup table.
-
-    Each pixel takes the code of its nearest pattern point
-    (nearest_point_grid) and shows lut[code]: grey levels (n,) make a PGM
-    (P5), RGB rows (n, 3) a PPM (P6).
-    """
-    img = lut[codes[nearest_point_grid(m_mat, shape)]]
-    magic = "P5" if img.ndim == 2 else "P6"
-    header = f"{magic}\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    _write_atomic(path, [header + img.tobytes()])
-
-
-def write_phase_pgm(path, m_mat, phases, shape=None):
-    """Phase map as a binary PGM image (nearest pattern point per pixel).
-
-    Phase 0 renders white and the highest code black, with evenly spaced
-    grey levels in between.
-    """
-    pm, phases = _check_phases(m_mat, phases)
-    span = max(int(phases.max()), 1)
-    levels = ((span - np.arange(span + 1)) * 255 // span).astype(np.uint8)
-    _write_raster(path, pm, phases, levels, shape)

@@ -13,15 +13,23 @@ against a refined reference; `effective` assembles the homogenised
 stiffness; `selftest` runs randomized smoke checks of the transform and
 Green machinery.
 
-All CSV output uses fixed orderings and 17 significant digits, and files
-are written atomically, so identical manifests give byte-identical
-tables.  Exit codes: 0 success, 2 invalid or unreadable input (including
-non-finite numbers and, while parsing, a reference stiffness that is not
-positive definite), 3 non-convergence or divergence, which valid input can
+Every file format lives here, and the numerical modules write none:
+report.txt (report_summary), strain.csv and phases.csv, one row per
+pattern point (write_strain_csv, write_phase_csv), the tables metrics.csv,
+sweep.csv and effective.csv (_write_csv), and the netpbm rasters
+phases.pgm and heatmap.ppm with its min/max sidecar (write_phase_pgm,
+emit_heatmap, through nearest_point_grid).  All CSV output uses fixed
+orderings and 17 significant digits, and every file is written atomically
+(_write_atomic) into the output directory that `run` makes, so identical
+manifests give byte-identical tables.  Exit codes: 0 success, 2 invalid or
+unreadable input (including non-finite numbers and, while parsing, a
+reference stiffness that is not positive definite) or an output that
+cannot be written, 3 non-convergence or divergence, which valid input can
 also reach (see the README's exit codes).
 """
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -36,13 +44,10 @@ from .bench import (
     DEFAULT_MATRIX_MATERIAL,
     HashinGeometry,
     LaminateGeometry,
-    _write_raster,
     error_metrics,
     restrict_field,
     stiffness_field,
     summed_action,
-    write_phase_csv,
-    write_phase_pgm,
 )
 from .errors import (
     Diverged,
@@ -57,24 +62,28 @@ from .errors import (
 )
 from .green import apply_green, green_multiplier, periodised_green_table, strain_basis
 from .kernels import KernelSpec, coefficient_table, three_direction_set
-from .lattice import _require_exact_reductions, as_pattern_matrix, refinement
-from .pattern_fft import pattern_dft, pattern_fft
-from .solver import (
-    _write_atomic,
-    _write_csv,
-    basic_scheme,
-    default_reference,
-    effective_tensor,
-    report_summary,
-    residual_ls,
-    write_strain_csv,
+from .lattice import (
+    _CSV_BLOCK,
+    _blocks,
+    _canonical_points,
+    _require_exact_reductions,
+    _smith_grid,
+    as_pattern_matrix,
+    refinement,
 )
+from .pattern_fft import pattern_dft, pattern_fft
+from .solver import basic_scheme, default_reference, effective_tensor, residual_ls
 from .tensor import isotropic_stiffness, lame_stiffness, require_elliptic, symmetric_matrices
 
 __all__ = [
     "RunManifest",
     "parse_manifest",
     "run",
+    "report_summary",
+    "write_strain_csv",
+    "write_phase_csv",
+    "write_phase_pgm",
+    "nearest_point_grid",
     "emit_heatmap",
     "run_selftest",
     "main",
@@ -471,7 +480,182 @@ def _reference_data(manifest, c_coarse):
     return ref_field, ref_eff
 
 
-# output helpers
+# file formats: every file the command line writes
+
+
+def _write_atomic(path, chunks):
+    """Write an iterable of byte chunks to path via a temporary sibling and an
+    atomic rename.
+
+    The chunks are consumed while the file is written, so a generator
+    streams.  If producing or writing a chunk fails, the temporary is
+    removed and path is left as it was; an OSError is raised again with
+    path as its file name, the one `main` reports.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as handle:
+            handle.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
+        raise
+
+
+def _csv_blocks(header, blocks):
+    """Encoded CSV text: the header line, then each block of rows, given as
+    its columns (each (n,) or (n, k)) and formatted by one template.  A
+    column of dtype object holds its text already (see _texts)."""
+    yield f"{','.join(header)}\n".encode("ascii")
+    for columns in blocks:
+        row = []
+        for col in columns:
+            width = 1 if col.ndim == 1 else col.shape[1]
+            row += ["%s" if col.dtype == object else "%.17g"] * width
+        part = np.column_stack(columns)
+        yield ((",".join(row) + "\n") * len(part) % tuple(part.ravel().tolist())).encode("ascii")
+
+
+def _write_csv(path, header, columns):
+    """A small CSV table of %.17g numbers under a header line, written
+    atomically: the columns (each (n,) or (n, k)) are formatted by one
+    template, the same bytes as formatting every value on its own, in less
+    than half the time.  Per-point tables stream (_write_point_csv)."""
+    _write_atomic(path, _csv_blocks(header, [[np.asarray(col) for col in columns]]))
+
+
+def _texts(column, known):
+    """The %.17g text of a float column (n,) as an object array.
+
+    known maps the bits of each value formatted so far to its text, and
+    gains the column's new values, so a caller that passes the same dict
+    block after block formats each distinct value once: a pattern
+    coordinate takes at most d_d values, the last Smith divisor (512 at
+    512²), since d_d y is an integer vector.  Values are told apart by
+    their bits, so -0.0 keeps its sign.
+    """
+    column = np.asarray(column, dtype=np.float64)
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    keys = bits.tolist()
+    for key, value in zip(keys, bits.view(np.float64).tolist()):
+        if key not in known:
+            known[key] = "%.17g" % value
+    return np.array([known[key] for key in keys], dtype=object)[inverse]
+
+
+def _per_point(m_mat, values, trailing=(), codes=False):
+    """(pattern matrix, values as an array) of an output with one entry of
+    shape `trailing` at each point of P(M), the one check of every
+    per-point writer: ShapeMismatch unless values is (m,) + trailing and,
+    for phase codes, non-negative integers."""
+    pm = as_pattern_matrix(m_mat)
+    values = np.asarray(values)
+    if values.shape != (pm.m, *trailing):
+        raise ShapeMismatch(f"expected shape {(pm.m, *trailing)} per point, got {values.shape}")
+    if codes and (not np.issubdtype(values.dtype, np.integer) or values.min() < 0):
+        raise ShapeMismatch("phase codes must be non-negative integers")
+    return pm, values
+
+
+def _write_point_csv(path, pm, header, columns):
+    """CSV rows y1, y2, *columns, one per point of P(M) in canonical order,
+    a block at a time: the write holds no pattern-sized array of its own,
+    and each distinct coordinate is formatted once (_texts)."""
+    known = {}
+    blocks = (
+        [
+            *(_texts(y, known) for y in _canonical_points(pm, rows.start, rows.stop)[2].T),
+            *(col[rows] for col in columns),
+        ]
+        for rows in _blocks(pm.m, _CSV_BLOCK)
+    )
+    _write_atomic(path, _csv_blocks(["y1", "y2", *header], blocks))
+
+
+def write_strain_csv(path, m_mat, strain):
+    """Per-point CSV: y1, y2, eps_11, eps_22, eps_12 (Mandel component) of
+    an (m, 3) strain, ShapeMismatch for any other shape.
+
+    Values are printed with %.17g so rewriting the same field is
+    byte-identical, and the file is written atomically.  Complex strain
+    appends imag_11, imag_22, imag_12.  The points are computed a block of
+    rows at a time (_write_point_csv).
+    """
+    pm, strain = _per_point(m_mat, strain, (3,))
+    header = ["eps_11", "eps_22", "eps_12"]
+    parts = [strain.real]
+    if np.iscomplexobj(strain) and np.max(np.abs(strain.imag)) > 0.0:
+        header += ["imag_11", "imag_22", "imag_12"]
+        parts.append(strain.imag)
+    _write_point_csv(path, pm, header, parts)
+
+
+def write_phase_csv(path, m_mat, phases):
+    """Phase codes as CSV rows y1,y2,phase in canonical pattern order."""
+    pm, phases = _per_point(m_mat, phases, codes=True)
+    _write_point_csv(path, pm, ["phase"], [phases])
+
+
+def nearest_point_grid(m_mat, shape=None):
+    """Raster of pattern indices: each pixel gets the nearest point of P(M).
+
+    Pixel (row r, column c) of an (H, W) raster samples the cell location
+    x = (c / W - 1/2, 1/2 - (r + 1) / H); distances are measured on the
+    torus.  With the default shape the raster has exactly m pixels and on a
+    diagonal matrix every pixel sits on its own pattern point.  Ties and
+    the candidate search use a fixed stencil, so the output is
+    deterministic.
+    """
+    pm = as_pattern_matrix(m_mat)
+    sd = _smith_grid(pm)
+    if shape is None:
+        a = pm.entries
+        shape = (abs(a[1, 1]), abs(a[0, 0])) if a[0, 1] == a[1, 0] == 0 else sd.grid
+    height, width = (int(v) for v in shape)
+    if height < 1 or width < 1:
+        raise ShapeMismatch(f"raster shape must be positive, got {shape}")
+    offs = np.array(list(itertools.product(range(-2, 3), repeat=2)), dtype=np.int64)
+    minv_t = np.linalg.inv(pm.entries.astype(float)).T
+    x1 = np.arange(width) / width - 0.5
+    x2 = 0.5 - (np.arange(height) + 1.0) / height
+    out = np.empty((height, width), dtype=np.int64)
+    for r in range(height):
+        x = np.column_stack([x1, np.full(width, x2[r])])
+        z0 = np.rint(x @ pm.entries.T).astype(np.int64)
+        zc = z0[:, None, :] + offs[None, :, :]
+        delta = zc @ minv_t - x[:, None, :]
+        delta -= np.rint(delta)
+        best = np.argmin(np.einsum("nkd,nkd->nk", delta, delta), axis=1)
+        out[r] = sd.index(np.take_along_axis(zc, best[:, None, None], axis=1)[:, 0, :], sd.s_inv.T)
+    return out
+
+
+def _write_raster(path, pm, codes, lut, shape):
+    """Binary netpbm image of per-point codes (m,) through a uint8 lookup table.
+
+    Each pixel takes the code of its nearest pattern point
+    (nearest_point_grid) and shows lut[code]: grey levels (n,) make a PGM
+    (P5), RGB rows (n, 3) a PPM (P6).
+    """
+    img = lut[codes[nearest_point_grid(pm, shape)]]
+    magic = "P5" if img.ndim == 2 else "P6"
+    header = f"{magic}\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
+    _write_atomic(path, [header + img.tobytes()])
+
+
+def write_phase_pgm(path, m_mat, phases, shape=None):
+    """Phase map as a binary PGM image (nearest pattern point per pixel).
+
+    Phase 0 renders white and the highest code black, with evenly spaced
+    grey levels in between.
+    """
+    pm, phases = _per_point(m_mat, phases, codes=True)
+    span = max(int(phases.max()), 1)
+    levels = ((span - np.arange(span + 1)) * 255 // span).astype(np.uint8)
+    _write_raster(path, pm, phases, levels, shape)
 
 
 def _colormap_lut(name):
@@ -496,26 +680,29 @@ def emit_heatmap(m_mat, field, colormap, path, shape=None):
     colour scale spans [min, max] of the field, and those two numbers are
     written to a sidecar text file next to the image.
     """
-    pm = as_pattern_matrix(m_mat)
-    field = np.asarray(field, dtype=float)
-    if field.shape != (pm.m,):
-        raise ShapeMismatch(f"expected a scalar field of length {pm.m}, got {field.shape}")
-    lo = float(field.min())
-    hi = float(field.max())
-    span = hi - lo
-    if span == 0.0:
-        levels = np.zeros(pm.m, dtype=np.intp)
-    else:
-        levels = np.rint((field - lo) / span * 255.0).astype(np.intp)
+    pm, field = _per_point(m_mat, np.asarray(field, dtype=float))
+    lo, hi = float(field.min()), float(field.max())
+    # a constant field, hi == lo, is all at the lowest level
+    levels = np.rint((field - lo) / ((hi - lo) or 1.0) * 255.0).astype(np.intp)
     _write_raster(path, pm, levels, _colormap_lut(colormap), shape)
     _write_atomic(f"{path}.txt", [f"min {lo:.17g}\nmax {hi:.17g}\n".encode("ascii")])
 
 
-def _heatmap_field(manifest, report, e_log):
-    if manifest.heatmap == "e_log":
-        return e_log
-    # total 11 strain; heatmaps show the real part
-    return np.real(report.strain[:, 0] + manifest.eps0[0])
+def report_summary(report):
+    """Small fixed-format text block for logs and the command line."""
+    lines = [
+        f"iterations      {report.iterations}",
+        f"converged       {str(report.converged).lower()}",
+        f"ls residual     {report.residual_history[-1]:.6e}"
+        if report.residual_history
+        else "ls residual     n/a",
+        f"imag fraction   {report.imag_fraction:.3e}",
+        f"wall time [s]   {report.wall_time:.3f}",
+    ]
+    if report.effective_action is not None:
+        action = ", ".join(f"{x:.12g}" for x in np.real(report.effective_action))
+        lines.append(f"effective action {action}")
+    return "\n".join(lines) + "\n"
 
 
 def _solve_kept(manifest, c, table):
@@ -535,10 +722,8 @@ def _solve_kept(manifest, c, table):
 
 def _run_solve(manifest):
     c = stiffness_field(manifest.matrix, manifest.geometry)
-    spec = manifest.kernel_spec()
-    table = _green_table(manifest, spec, c)
+    table = _green_table(manifest, manifest.kernel_spec(), c)
     outdir = manifest.output_dir
-    os.makedirs(outdir, exist_ok=True)
     report = _solve_kept(manifest, c, table)
     summary = report_summary(report)
     _write_atomic(os.path.join(outdir, "report.txt"), [summary.encode("ascii")])
@@ -548,32 +733,24 @@ def _run_solve(manifest):
     if manifest.phase_map:
         write_phase_csv(os.path.join(outdir, "phases.csv"), manifest.matrix, c.phases)
         write_phase_pgm(
-            os.path.join(outdir, "phases.pgm"),
-            manifest.matrix,
-            c.phases,
-            shape=manifest.heatmap_shape,
+            os.path.join(outdir, "phases.pgm"), manifest.matrix, c.phases, manifest.heatmap_shape
         )
-    e_log = None
+    shown = None  # the heatmap's field: e_log, or the real part of the total 11 strain
     if manifest.reference_matrix is not None or manifest.heatmap == "e_log":
         ref_field, ref_eff = _reference_data(manifest, c)
-        e_eff, e_l2, e_log = error_metrics(
+        e_eff, e_l2, shown = error_metrics(
             report.strain, ref_field, c, manifest.eps0, ref_eff, manifest.metric_mode
         )
         _write_csv(os.path.join(outdir, "metrics.csv"), ["e_eff", "e_l2"], [[e_eff], [e_l2]])
+    if manifest.heatmap == "eps11":
+        shown = np.real(report.strain[:, 0] + manifest.eps0[0])
     if manifest.heatmap != "none":
-        emit_heatmap(
-            manifest.matrix,
-            _heatmap_field(manifest, report, e_log),
-            manifest.colormap,
-            os.path.join(outdir, "heatmap.ppm"),
-            shape=manifest.heatmap_shape,
-        )
+        path = os.path.join(outdir, "heatmap.ppm")
+        emit_heatmap(manifest.matrix, shown, manifest.colormap, path, manifest.heatmap_shape)
     return 0 if report.converged else 3
 
 
 def _run_sweep(manifest):
-    if manifest.sweep_alpha1 is None:
-        raise ValidationError("sweep requested but the manifest has no [sweep] section")
     c = stiffness_field(manifest.matrix, manifest.geometry)
     ref_field, ref_eff = _reference_data(manifest, c)
     rows = []
@@ -586,7 +763,6 @@ def _run_sweep(manifest):
         )
         status = status if report.converged else 3
         rows.append((a1, a2, report.iterations, report.converged, e_eff, e_l2))
-    os.makedirs(manifest.output_dir, exist_ok=True)
     _write_csv(
         os.path.join(manifest.output_dir, "sweep.csv"),
         ["alpha1", "alpha2", "iterations", "converged", "e_eff", "e_l2"],
@@ -598,12 +774,10 @@ def _run_sweep(manifest):
 
 def _run_effective(manifest):
     c = stiffness_field(manifest.matrix, manifest.geometry)
-    spec = manifest.kernel_spec()
-    table = _green_table(manifest, spec, c)
+    table = _green_table(manifest, manifest.kernel_spec(), c)
     tensor, asymmetry = effective_tensor(
         c, table, tol=manifest.tolerance, max_iter=manifest.max_iter
     )
-    os.makedirs(manifest.output_dir, exist_ok=True)
     _write_csv(os.path.join(manifest.output_dir, "effective.csv"), ["c1", "c2", "c3"], [tensor])
     sys.stdout.write("effective stiffness (Mandel rows):\n")
     for row in tensor:
@@ -613,14 +787,18 @@ def _run_effective(manifest):
 
 
 def run(manifest, command="solve"):
-    """Execute a manifest: solve, sweep, or effective; returns the exit code."""
-    if command == "solve":
-        return _run_solve(manifest)
-    if command == "sweep":
-        return _run_sweep(manifest)
-    if command == "effective":
-        return _run_effective(manifest)
-    raise ValidationError(f"unknown command {command!r}")
+    """Execute a manifest: solve, sweep, or effective; returns the exit code.
+
+    The one place that makes the output directory: before any table is
+    built, so a path that cannot be a directory fails before any solve.
+    """
+    runs = {"solve": _run_solve, "sweep": _run_sweep, "effective": _run_effective}
+    if command not in runs:
+        raise ValidationError(f"unknown command {command!r}")
+    if command == "sweep" and manifest.sweep_alpha1 is None:
+        raise ValidationError("sweep requested but the manifest has no [sweep] section")
+    os.makedirs(manifest.output_dir, exist_ok=True)
+    return runs[command](manifest)
 
 
 # randomized smoke checks
@@ -776,18 +954,21 @@ def main(argv=None):
         if args.out:
             manifest.output_dir = args.out
         return run(manifest, command=args.command)
-    except NotConverged as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
     except LathomError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return 3 if isinstance(exc, NotConverged) else 2
     except MemoryError as exc:
         detail = f" ({exc})" if str(exc) else ""
         sys.stderr.write(
             f"error: out of memory{detail}: the manifest asks for more memory than this "
             "process may use, a limit that depends on the machine\n"
         )
+        return 2
+    except OSError as exc:
+        # parse_manifest turns a failed read into invalid input, so this is
+        # a write: the output directory or a file in it (_write_atomic
+        # names the file, not its temporary sibling)
+        sys.stderr.write(f"error: cannot write {exc.filename}: {exc.strerror}\n")
         return 2
 
 

@@ -68,10 +68,8 @@ instead of discarding imaginary parts midway.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
-import os
 import time
 from dataclasses import dataclass, field as dataclass_field
 
@@ -79,7 +77,7 @@ import numpy as np
 
 from .errors import Diverged, NotConverged, ShapeMismatch, ValidationError
 from .green import apply_green
-from .lattice import _CSV_BLOCK, _blocks, _canonical_points, as_pattern_matrix
+from .lattice import _blocks
 from .tensor import (
     apply_symmetric,
     as_mandel_stiffness,
@@ -97,8 +95,6 @@ __all__ = [
     "effective_action",
     "effective_tensor",
     "default_reference",
-    "report_summary",
-    "write_strain_csv",
 ]
 
 
@@ -502,115 +498,3 @@ def default_reference(c):
     lam0 = 0.5 * (float(np.min(lams)) + float(np.max(lams)))
     mu0 = 0.5 * (float(np.min(mus)) + float(np.max(mus)))
     return lame_stiffness(lam0, mu0)
-
-
-def report_summary(report):
-    """Small fixed-format text block for logs and the command line."""
-    lines = [
-        f"iterations      {report.iterations}",
-        f"converged       {str(report.converged).lower()}",
-        f"ls residual     {report.residual_history[-1]:.6e}"
-        if report.residual_history
-        else "ls residual     n/a",
-        f"imag fraction   {report.imag_fraction:.3e}",
-        f"wall time [s]   {report.wall_time:.3f}",
-    ]
-    if report.effective_action is not None:
-        action = ", ".join(f"{x:.12g}" for x in np.real(report.effective_action))
-        lines.append(f"effective action {action}")
-    return "\n".join(lines) + "\n"
-
-
-def _write_atomic(path, chunks):
-    """Write an iterable of byte chunks to path via a temporary sibling and an
-    atomic rename.
-
-    The chunks are consumed while the file is written, so a generator
-    streams.  If producing or writing a chunk fails, the temporary is
-    removed and path is left as it was.
-    """
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as handle:
-            handle.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
-def _csv_blocks(header, blocks):
-    """Encoded CSV text: the header line, then each block of rows, given as
-    its columns (each (n,) or (n, k)) and formatted by one template.  A
-    column of dtype object holds its text already (see _texts)."""
-    yield f"{','.join(header)}\n".encode("ascii")
-    for columns in blocks:
-        row = []
-        for col in columns:
-            width = 1 if col.ndim == 1 else col.shape[1]
-            row += ["%s" if col.dtype == object else "%.17g"] * width
-        part = np.column_stack(columns)
-        yield ((",".join(row) + "\n") * len(part) % tuple(part.ravel().tolist())).encode("ascii")
-
-
-def _write_csv(path, header, columns):
-    """A small CSV table of %.17g numbers under a header line, written
-    atomically: the columns (each (n,) or (n, k)) are formatted by one
-    template, the same bytes as formatting every value on its own, in less
-    than half the time.  Per-point tables stream (_write_point_csv)."""
-    _write_atomic(path, _csv_blocks(header, [[np.asarray(col) for col in columns]]))
-
-
-def _texts(column, known):
-    """The %.17g text of a float column (n,) as an object array.
-
-    known maps the bits of each value formatted so far to its text, and
-    gains the column's new values, so a caller that passes the same dict
-    block after block formats each distinct value once: a pattern
-    coordinate takes at most d_d values, the last Smith divisor (512 at
-    512²), since d_d y is an integer vector.  Values are told apart by
-    their bits, so -0.0 keeps its sign.
-    """
-    column = np.asarray(column, dtype=np.float64)
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    keys = bits.tolist()
-    for key, value in zip(keys, bits.view(np.float64).tolist()):
-        if key not in known:
-            known[key] = "%.17g" % value
-    return np.array([known[key] for key in keys], dtype=object)[inverse]
-
-
-def _write_point_csv(path, pm, header, columns):
-    """CSV rows y1, y2, *columns, one per point of P(M) in canonical order,
-    a block at a time: the write holds no pattern-sized array of its own,
-    and each distinct coordinate is formatted once (_texts)."""
-    known = {}
-    blocks = (
-        [
-            *(_texts(y, known) for y in _canonical_points(pm, rows.start, rows.stop)[2].T),
-            *(col[rows] for col in columns),
-        ]
-        for rows in _blocks(pm.m, _CSV_BLOCK)
-    )
-    _write_atomic(path, _csv_blocks(["y1", "y2", *header], blocks))
-
-
-def write_strain_csv(path, m_mat, strain):
-    """Per-point CSV: y1, y2, eps_11, eps_22, eps_12 (Mandel component).
-
-    Values are printed with %.17g so rewriting the same field is
-    byte-identical, and the file is written atomically.  Complex strain
-    appends imag_11, imag_22, imag_12.  The points are computed a block of
-    rows at a time (_write_point_csv).
-    """
-    pm = as_pattern_matrix(m_mat)
-    strain = np.asarray(strain)
-    if strain.shape[0] != pm.m:
-        raise ShapeMismatch(f"{strain.shape[0]} rows for {pm.m} points")
-    header = ["eps_11", "eps_22", "eps_12"]
-    parts = [strain.real]
-    if np.iscomplexobj(strain) and np.max(np.abs(strain.imag)) > 0.0:
-        header += ["imag_11", "imag_22", "imag_12"]
-        parts.append(strain.imag)
-    _write_point_csv(path, pm, header, parts)

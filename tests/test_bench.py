@@ -8,14 +8,12 @@ from lathom.bench import (
     LaminateGeometry,
     error_metrics,
     laminate_effective_oracle,
-    nearest_point_grid,
     rasterize_hashin,
     restrict_field,
     rotation_matrix,
     stiffness_field,
-    write_phase_csv,
-    write_phase_pgm,
 )
+from lathom.cli import nearest_point_grid, write_phase_csv, write_phase_pgm
 from lathom.errors import (
     InvalidGeometry,
     NonElliptic,

@@ -1,5 +1,6 @@
 """Manifest parsing, subcommand artifacts and the exit-code contract."""
 
+import errno
 import os
 import subprocess
 import sys
@@ -9,14 +10,16 @@ import numpy as np
 import pytest
 
 import lathom
-from lathom.bench import LaminateGeometry, nearest_point_grid, stiffness_field
+from lathom.bench import LaminateGeometry, stiffness_field
 from lathom.cli import (
     _key_line,
     emit_heatmap,
     main,
+    nearest_point_grid,
     parse_manifest,
     run,
     run_selftest,
+    write_strain_csv,
 )
 from lathom.errors import ParseError, ShapeMismatch, ValidationError
 from lathom.green import periodised_green_table
@@ -598,6 +601,15 @@ def test_heatmap_rejects_wrong_length():
         emit_heatmap([[4, 0], [0, 4]], np.zeros(15), "gray", "/tmp/never.ppm")
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (4,), (4, 4)])
+def test_strain_csv_rejects_rows_of_other_than_three_components(tmp_path, shape):
+    # the header names y1, y2 and three components, so every row must too
+    path = tmp_path / "strain.csv"
+    with pytest.raises(ShapeMismatch):
+        write_strain_csv(path, [[2, 0], [0, 2]], np.zeros(shape))
+    assert not path.exists()
+
+
 def test_laminate_heatmap_shows_bands(tmp_path):
     text = LAMINATE + "[output]\nheatmap = eps11\n"
     out = tmp_path / "out"
@@ -690,6 +702,27 @@ def test_effective_of_a_homogeneous_cell_is_its_stiffness(tmp_path):
     assert np.linalg.norm(got - expected) <= 1e-15 * np.linalg.norm(expected)
 
 
+def test_effective_exit_3_writes_no_tensor(tmp_path, capsys):
+    # a column whose solve stops early leaves no tensor to write: the
+    # output directory, made before the first solve, stays empty
+    out = tmp_path / "out"
+    text = """\
+[pattern]
+matrix = 8 0 0 8
+[kernel]
+kind = dirichlet
+[geometry]
+type = hashin
+[load]
+eps0 = 1 0 0
+[solve]
+max_iter = 2
+"""
+    assert main(["effective", manifest_file(tmp_path, text), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: no convergence after 2 iterations\n"
+    assert os.listdir(out) == []
+
+
 # selftest
 
 
@@ -742,3 +775,49 @@ heatmap_shape = 100000 100000
     assert child.returncode == 2, child.stderr
     assert "out of memory" in child.stderr and "depends on the machine" in child.stderr
     assert "Traceback" not in child.stderr
+
+
+# outputs that cannot be written
+
+
+def lathom_process(argv):
+    """`python -m lathom *argv` in a fresh process on this tree's source."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lathom.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "lathom", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "effective"])
+def test_exit_2_when_the_output_directory_is_a_file(tmp_path, command):
+    # the directory is made before any table is built, so nothing is
+    # solved: solve prints its report, sweep and effective their summaries
+    # only after their solves
+    path = manifest_file(tmp_path, LAMINATE + "[sweep]\nalpha1 = 0 0.25\n")
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    child = lathom_process([command, path, "--out", str(taken)])
+    assert child.returncode == 2
+    # one line, no traceback
+    assert child.stderr == f"error: cannot write {taken}: {os.strerror(errno.EEXIST)}\n"
+    assert child.stdout == ""
+    assert taken.read_text() == "kept\n"
+
+
+def test_exit_2_when_an_output_file_is_a_directory(tmp_path):
+    # the rename onto strain.csv fails after the solve: the report is
+    # written, the directory in the way is left as it was and the
+    # temporary sibling is removed
+    out = tmp_path / "out"
+    (out / "strain.csv").mkdir(parents=True)
+    child = lathom_process(["solve", manifest_file(tmp_path, LAMINATE), "--out", str(out)])
+    assert child.returncode == 2
+    target = out / "strain.csv"
+    assert child.stderr == f"error: cannot write {target}: {os.strerror(errno.EISDIR)}\n"
+    assert sorted(os.listdir(out)) == ["report.txt", "strain.csv"]
+    assert os.listdir(target) == []

@@ -14,7 +14,15 @@ from lathom.errors import (
 )
 from lathom.green import apply_green, periodised_green_table
 from lathom.kernels import KernelSpec, coefficient_table, orthonormalize, three_direction_set
-from lathom.bench import HashinGeometry, stiffness_field, write_phase_csv
+from lathom.bench import HashinGeometry, stiffness_field
+from lathom.cli import (
+    _texts,
+    _write_atomic,
+    _write_csv,
+    report_summary,
+    write_phase_csv,
+    write_strain_csv,
+)
 from lathom.lattice import pattern_points
 from lathom import lattice, solver
 from lathom.solver import (
@@ -22,16 +30,11 @@ from lathom.solver import (
     _as_stiffness_field,
     _entry_rows,
     _exact_mean,
-    _texts,
-    _write_atomic,
-    _write_csv,
     basic_scheme,
     default_reference,
     effective_action,
     effective_tensor,
-    report_summary,
     residual_ls,
-    write_strain_csv,
 )
 from lathom.tensor import (
     apply_symmetric,
